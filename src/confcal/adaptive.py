@@ -10,13 +10,15 @@ threshold does not retrieve.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import requests
 
 from .client import ModelClient
 from .errors import EndpointUnreachable, NoNumberFound, RetrievalMiss
-from .harness import DatasetExample, match_answer
+from .harness import DatasetExample, answer_and_self_evaluate, match_answer, run_pool
 from .metrics import retrieval_efficiency
 
 
@@ -89,31 +91,24 @@ class SweepRow:
 
 
 def _first_pass(example: DatasetExample, client: ModelClient) -> tuple[str, float, set[str]]:
-    answer, _ = client.generate_answer(example.input)
-    se = client.self_evaluate_with_raw(example.input, answer)
-    flags: set[str] = set()
-    if se.confidence is None:
-        conf = 0.5
-        flags.add("self_eval_skipped")
-    else:
-        conf = se.confidence.value
-        flags |= {f.value for f in se.confidence.flags}
+    answer, conf, flags, _ = answer_and_self_evaluate(client, example.input)
     return answer, conf, flags
 
 
 def _second_pass(
     example: DatasetExample, client: ModelClient, retriever
 ) -> tuple[str | None, float | None, set[str]]:
-    flags: set[str] = set()
     try:
         context = retriever.retrieve(example)
     except RetrievalMiss:
-        flags.add("retrieval_miss")
-        return None, None, flags
-    answer, _ = client.generate_answer(example.input, context=context)
-    se = client.self_evaluate_with_raw(example.input, answer, context=context)
-    conf = 0.5 if se.confidence is None else se.confidence.value
+        return None, None, {"retrieval_miss"}
+    answer, conf, flags, _ = answer_and_self_evaluate(client, example.input, context)
     return answer, conf, flags
+
+
+def _swaps(first_conf: float, second_answer: str | None, second_conf: float | None) -> bool:
+    """The second answer replaces the first only when strictly more confident."""
+    return second_answer is not None and second_conf > first_conf
 
 
 def answer_adaptive(
@@ -123,7 +118,7 @@ def answer_adaptive(
     if first_conf < tau:
         second_answer, second_conf, extra = _second_pass(example, client, retriever)
         flags |= extra
-        if second_answer is not None and second_conf > first_conf:
+        if _swaps(first_conf, second_answer, second_conf):
             final_answer, final_conf = second_answer, second_conf
         else:
             final_answer, final_conf = first_answer, first_conf
@@ -157,43 +152,50 @@ def sweep(
     client: ModelClient,
     retriever,
     matcher: str,
+    concurrency: int = 1,
 ) -> list[SweepRow]:
-    """One row per threshold. First-pass results are computed once and shared
-    across thresholds; second passes run at most once per example."""
+    """One row per threshold, each equal to aggregating ``answer_adaptive``
+    over the examples at that threshold.
+
+    All first passes run, then the second passes of the examples whose
+    first-pass confidence is below ``max(taus)``: at most 2n passes, on
+    ``concurrency`` threads. Each answer is matched at most once. With the
+    examples sorted by first-pass confidence, the examples that retrieve at
+    tau are the prefix with confidence < tau, so each row is one bisection
+    into a prefix sum of what retrieval changes: O(n log n + T) in all.
+    """
     if not taus:
         raise ValueError("tau list is empty")
     if not examples:
         raise ValueError("example list is empty")
 
-    first = {ex.id: _first_pass(ex, client) for ex in examples}
+    first = run_pool(lambda ex: _first_pass(ex, client), examples, concurrency)
     max_tau = max(taus)
-    second: dict[str, tuple[str | None, float | None, set[str]]] = {}
-    for ex in examples:
-        if first[ex.id][1] < max_tau:
-            second[ex.id] = _second_pass(ex, client, retriever)
+    gated = [i for i, (_, conf, _) in enumerate(first) if conf < max_tau]
+    second = run_pool(lambda i: _second_pass(examples[i], client, retriever), gated, concurrency)
 
     n = len(examples)
-    baseline_correct = sum(
-        1 for ex in examples if _matches(first[ex.id][0], ex.gold, matcher)
-    )
+    first_correct = [
+        _matches(answer, ex.gold, matcher) for ex, (answer, _, _) in zip(examples, first)
+    ]
+    baseline_correct = sum(first_correct)
     baseline_acc_pct = 100.0 * baseline_correct / n
+
+    # change in the number correct when example i retrieves
+    delta = [0] * n
+    for i, (second_answer, second_conf, _) in zip(gated, second):
+        if _swaps(first[i][1], second_answer, second_conf):
+            delta[i] = _matches(second_answer, examples[i].gold, matcher) - first_correct[i]
+
+    order = sorted(range(n), key=lambda i: first[i][1])
+    confs = [first[i][1] for i in order]
+    prefix = [0, *accumulate(delta[i] for i in order)]
 
     rows: list[SweepRow] = []
     for tau in taus:
-        retrieved = 0
-        correct = 0
-        for ex in examples:
-            first_answer, first_conf, _ = first[ex.id]
-            final_answer = first_answer
-            if first_conf < tau:
-                retrieved += 1
-                second_answer, second_conf, _ = second[ex.id]
-                if second_answer is not None and second_conf > first_conf:
-                    final_answer = second_answer
-            if _matches(final_answer, ex.gold, matcher):
-                correct += 1
+        retrieved = bisect_left(confs, tau)  # strict <: a confidence equal to tau keeps pass 1
         rate_pct = 100.0 * retrieved / n
-        acc_pct = 100.0 * correct / n
+        acc_pct = 100.0 * (baseline_correct + prefix[retrieved]) / n
         gain_pp = acc_pct - baseline_acc_pct
         eff = retrieval_efficiency(gain_pp, rate_pct) if rate_pct > 0 else None
         rows.append(

@@ -138,6 +138,12 @@ def build_client(cfg: RunConfig) -> ModelClient:
     )
 
 
+def _pool_size(cfg: RunConfig) -> int:
+    """Worker threads for model calls. An in-order mock script must be
+    consumed in request order, so a mock backend always runs one."""
+    return 1 if cfg.mock_script else cfg.concurrency
+
+
 def _record_to_json(rec: metrics.EvalRecord) -> dict:
     return {
         "id": rec.id,
@@ -198,7 +204,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         examples,
         client,
         confidence_mode=cfg.confidence_mode,
-        concurrency=cfg.concurrency if not cfg.mock_script else 1,
+        concurrency=_pool_size(cfg),
     )
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,7 +245,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         retriever = adaptive.StaticRetriever.from_examples(examples)
 
-    rows = adaptive.sweep(examples, taus, client, retriever, task.matcher)
+    rows = adaptive.sweep(examples, taus, client, retriever, task.matcher, concurrency=_pool_size(cfg))
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import threading
 import time
@@ -31,14 +32,18 @@ from .confidence import (
     normalized_confidence,
 )
 from .errors import (
+    ConfcalError,
     EndpointUnreachable,
     InvalidInput,
     MalformedResponse,
     NoLabelTokenPresent,
     RateLimited,
+    SchemaViolation,
     UnmappableLabel,
     UnsupportedReadoutMode,
 )
+
+_log = logging.getLogger(__name__)
 
 SELF_EVAL_PROMPT = "Is this answer correct? Answer only Yes/No."
 
@@ -270,22 +275,41 @@ class HTTPBackend:
 
 
 class ResponseCache:
-    """Append-only JSONL cache; concurrent readers, single-writer appends."""
+    """Append-only JSONL cache; concurrent readers, single-writer appends.
+
+    Each record is written with its newline in one write, so a last line
+    without a newline was cut off mid-append: loading skips it with a
+    warning, and the next append cuts it off before writing. Any other line
+    that does not parse fails the load with its line number. Loading never
+    writes to the file.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[str, CompletionResponse] = {}
         self._lock = threading.Lock()
+        self._torn_at: int | None = None
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    self._entries[record["request_digest"]] = CompletionResponse.from_json(
-                        record["response"]
-                    )
+            data = self.path.read_bytes()
+            *lines, tail = data.split(b"\n")
+            for lineno, line in enumerate(lines, start=1):
+                if line.strip():
+                    self._load_line(lineno, line)
+            if tail.strip():
+                self._torn_at = len(data) - len(tail)
+                _log.warning(
+                    "%s:%d: skipping a torn last line (%d bytes, no newline)",
+                    self.path, len(lines) + 1, len(tail),
+                )
+
+    def _load_line(self, lineno: int, line: bytes) -> None:
+        try:
+            record = json.loads(line)
+            self._entries[record["request_digest"]] = CompletionResponse.from_json(
+                record["response"]
+            )
+        except (ValueError, KeyError, TypeError, IndexError, ConfcalError) as exc:
+            raise SchemaViolation(f"{self.path}:{lineno}: corrupt cache line ({exc})") from exc
 
     def get(self, digest: str) -> CompletionResponse | None:
         return self._entries.get(digest)
@@ -302,6 +326,9 @@ class ResponseCache:
             }
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    self._torn_at = None
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 

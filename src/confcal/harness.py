@@ -10,15 +10,21 @@ from __future__ import annotations
 
 import json
 import re
+import threading
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TypeVar
 
 from . import metrics
 from .client import ModelClient
 from .confidence import Flag, Method
 from .errors import ConfcalError, NoNumberFound, SchemaViolation
 from .metrics import CalibrationReport, EvalRecord
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 # ~4 chars/token is close enough for a tail-cut context budget
 CONTEXT_TOKEN_BUDGET = 2000
@@ -91,6 +97,18 @@ def truncate_context(context: str, token_budget: int = CONTEXT_TOKEN_BUDGET) -> 
     return context[:limit]
 
 
+def _parse_gold_number(gold) -> float:
+    return float(str(gold).replace(",", ""))
+
+
+def _is_number(gold) -> bool:
+    try:
+        _parse_gold_number(gold)
+    except ValueError:
+        return False
+    return True
+
+
 def load_dataset(path: str | Path, task: TaskSpec) -> list[DatasetExample]:
     path = Path(path)
     if not path.exists():
@@ -116,6 +134,11 @@ def load_dataset(path: str | Path, task: TaskSpec) -> list[DatasetExample]:
             if gold in ("", [], None):
                 errors.append(f"line {lineno}: empty gold")
                 continue
+            if task.matcher == "numeric":
+                bad = [g for g in (gold if isinstance(gold, list) else [gold]) if not _is_number(g)]
+                if bad:
+                    errors.append(f"line {lineno}: numeric gold {bad[0]!r} is not a number")
+                    continue
             example_id = str(data["id"])
             if example_id in seen_ids:
                 errors.append(f"line {lineno}: duplicate id {example_id!r}")
@@ -159,7 +182,7 @@ def match_answer(prediction: str, gold: str | list[str], matcher: str) -> bool:
     if matcher == "numeric":
         value = extract_last_number(prediction)
         for g in golds:
-            target = float(str(g).replace(",", ""))
+            target = _parse_gold_number(g)
             if value == target:
                 return True
             if target != 0 and abs(value - target) <= 1e-9 * abs(target):
@@ -185,6 +208,24 @@ def _neutral_confidence(flags: set[str]) -> tuple[float, set[str]]:
     return 0.5, flags
 
 
+def answer_and_self_evaluate(
+    client: ModelClient, question: str, context: str | None = None
+) -> tuple[str, float, set[str], float]:
+    """Generate an answer, then read its Yes/No self-evaluation confidence.
+
+    A skipped self-evaluation scores the neutral 0.5 with the fallback flags
+    plus ``self_eval_skipped``. Returns (answer, confidence, flags, raw P(Yes)).
+    """
+    answer, _ = client.generate_answer(question, context=context)
+    se = client.self_evaluate_with_raw(question, answer, context=context)
+    if se.confidence is None:
+        confidence, flags = _neutral_confidence({"self_eval_skipped"})
+    else:
+        confidence = se.confidence.value
+        flags = {f.value for f in se.confidence.flags}
+    return answer, confidence, flags, se.raw_yes_probability
+
+
 def _eval_one(
     task: TaskSpec, example: DatasetExample, client: ModelClient, want_raw: bool
 ) -> tuple[EvalRecord, EvalRecord | None]:
@@ -207,18 +248,10 @@ def _eval_one(
             prompt = task.prompt_template.format(
                 input=example.input, choices="", context=""
             )
-            answer, _ = client.generate_answer(prompt, context=example.context)
-            prediction = answer
-            se = client.self_evaluate_with_raw(prompt, answer, context=example.context)
-            raw_value = se.raw_yes_probability
-            if se.confidence is None:
-                confidence, flags = _neutral_confidence(flags)
-                flags.add("self_eval_skipped")
-                method = Method.SELF_EVAL.value
-            else:
-                confidence = se.confidence.value
-                method = se.confidence.method.value
-                flags |= {f.value for f in se.confidence.flags}
+            prediction, confidence, flags, raw_value = answer_and_self_evaluate(
+                client, prompt, example.context
+            )
+            method = Method.SELF_EVAL.value
     except ConfcalError as exc:
         prediction = ""
         method = Method.SELF_EVAL.value if task.kind == "generation" else Method.CLASSIFICATION_NORMALIZED.value
@@ -257,6 +290,47 @@ def _eval_one(
     return record, raw_record
 
 
+def run_pool(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int) -> list[_R]:
+    """``fn`` over ``items`` on up to ``concurrency`` threads, results in item
+    order. Items start in order, so at concurrency 1 an in-order mock script
+    serves them exactly as a plain loop would. After a failure, or an
+    interrupt while waiting, no further item starts; the exception of the
+    first failing item is raised."""
+    workers = min(concurrency, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    failures: list[tuple[int, Exception]] = []
+    stop = threading.Event()
+    lock = threading.Lock()
+    pending = iter(range(len(items)))
+
+    # One task per thread that takes items until none are left: a future per
+    # item costs more than an item served from the response cache.
+    def drain() -> None:
+        while not stop.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                failures.append((i, exc))
+                stop.set()
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        tasks = [pool.submit(drain) for _ in range(workers)]
+        try:
+            for task in tasks:
+                task.result()
+        finally:
+            stop.set()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
 def run_eval(
     task: TaskSpec,
     examples: list[DatasetExample],
@@ -274,11 +348,7 @@ def run_eval(
         raise SchemaViolation(f"unknown confidence mode {confidence_mode!r}")
     want_raw = confidence_mode in ("raw", "both")
 
-    if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            pairs = list(pool.map(lambda ex: _eval_one(task, ex, client, want_raw), examples))
-    else:
-        pairs = [_eval_one(task, ex, client, want_raw) for ex in examples]
+    pairs = run_pool(lambda ex: _eval_one(task, ex, client, want_raw), examples, concurrency)
 
     records = sorted((rec for rec, _ in pairs), key=lambda r: r.id)
     raw_records = sorted((raw for _, raw in pairs if raw is not None), key=lambda r: r.id)

@@ -1,16 +1,25 @@
 """Tests for the confidence-gated retrieval controller and sweeps."""
 
+import threading
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confcal.adaptive import (
     HTTPRetriever,
     StaticRetriever,
+    SweepRow,
+    _first_pass,
+    _second_pass,
     answer_adaptive,
     sweep,
 )
-from confcal.client import MockBackend, ModelClient
-from confcal.errors import RetrievalMiss
-from confcal.harness import DatasetExample
+from confcal.client import MockBackend, ModelClient, SelfEvalResult, request_digest
+from confcal.confidence import ConfidenceScore, Method, MissingPolicy
+from confcal.errors import NoNumberFound, RetrievalMiss
+from confcal.harness import DatasetExample, match_answer
+from confcal.metrics import retrieval_efficiency
 
 from conftest import answer_entry, yes_no_entry
 
@@ -95,6 +104,30 @@ class TestAnswerAdaptive:
         assert outcome.second_answer is None
         assert outcome.final_answer == "Lyon"
         assert "retrieval_miss" in outcome.flags
+
+    @pytest.mark.parametrize(
+        "policy, flags",
+        [
+            (MissingPolicy.SKIP, {"self_eval_skipped", "fallback_neutral", "anchor_missing_yes", "anchor_missing_no"}),
+            (MissingPolicy.NEUTRAL, {"fallback_neutral", "anchor_missing_yes", "anchor_missing_no"}),
+        ],
+    )
+    def test_second_pass_anchorless_self_eval_is_flagged(self, policy, flags):
+        client = ModelClient(
+            MockBackend(
+                [
+                    answer_entry("Lyon"),
+                    yes_no_entry(0.3, 0.7),
+                    answer_entry("Paris"),
+                    yes_no_entry(0.0, 0.0),  # neither Yes nor No in the top-K
+                ]
+            ),
+            missing_policy=policy,
+        )
+        retriever = StaticRetriever({"e0": "passage"})
+        outcome = answer_adaptive(example(), tau=0.9, client=client, retriever=retriever)
+        assert outcome.second_conf == 0.5
+        assert outcome.flags == flags
 
     def test_final_conf_is_max_when_retrieved(self):
         client = scripted(
@@ -182,6 +215,155 @@ class TestSweep:
     def test_empty_taus_rejected(self):
         with pytest.raises(ValueError):
             sweep(four_examples(), [], None, None, "substring")
+
+
+def _correct(answer, gold):
+    try:
+        return match_answer(answer, gold, "numeric")
+    except NoNumberFound:
+        return False
+
+
+def brute_force_sweep(examples, taus, client, retriever, matcher):
+    """Oracle: decides the gate and the swap for every example again at every
+    tau, and matches every final answer again, in O(n*T)."""
+    first = {ex.id: _first_pass(ex, client) for ex in examples}
+    second = {
+        ex.id: _second_pass(ex, client, retriever) for ex in examples if first[ex.id][1] < max(taus)
+    }
+    n = len(examples)
+    baseline_acc_pct = 100.0 * sum(_correct(first[ex.id][0], ex.gold) for ex in examples) / n
+    rows = []
+    for tau in taus:
+        retrieved = correct = 0
+        for ex in examples:
+            final_answer, first_conf, _ = first[ex.id]
+            if first_conf < tau:
+                retrieved += 1
+                second_answer, second_conf, _ = second[ex.id]
+                if second_answer is not None and second_conf > first_conf:
+                    final_answer = second_answer
+            correct += _correct(final_answer, ex.gold)
+        rate_pct = 100.0 * retrieved / n
+        acc_pct = 100.0 * correct / n
+        gain_pp = acc_pct - baseline_acc_pct
+        eff = retrieval_efficiency(gain_pp, rate_pct) if rate_pct > 0 else None
+        rows.append(SweepRow(tau, rate_pct, acc_pct, gain_pp, eff))
+    return rows
+
+
+class TableClient:
+    """Stands in for ModelClient: answer and self-evaluation confidence are
+    looked up by (question, context)."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def generate_answer(self, question, context=None):
+        return self.table[question, context][0], ()
+
+    def self_evaluate_with_raw(self, question, answer, context=None):
+        conf = self.table[question, context][1]
+        return SelfEvalResult(ConfidenceScore(conf, Method.SELF_EVAL), conf)
+
+
+# Confidences and taus share one grid so that ties between them, and between
+# the two passes, are common.
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+# "42" is right; the others are wrong, one of them for carrying no number.
+ANSWERS = ("42", "41", "it is 42", "no idea")
+passes = st.tuples(st.sampled_from(ANSWERS), st.sampled_from(GRID))
+
+
+class TestSweepProperties:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(passes, st.none() | passes), min_size=1, max_size=12),
+        st.lists(st.sampled_from(GRID + (-0.5, 0.3, 1.5)), min_size=1, max_size=8),
+    )
+    def test_rows_equal_per_tau_answer_adaptive(self, plan, taus):
+        """``plan`` holds (first pass, second pass or None for a retrieval
+        miss) per example; ``taus`` come unsorted and may repeat."""
+        table, contexts, examples = {}, {}, []
+        for i, (first, second) in enumerate(plan):
+            examples.append(DatasetExample(id=f"e{i}", input=f"q{i}", gold="42"))
+            table[f"q{i}", None] = first
+            if second is not None:
+                contexts[f"e{i}"] = f"passage {i}"
+                table[f"q{i}", f"passage {i}"] = second
+        client = TableClient(table)
+        retriever = StaticRetriever(contexts)
+        n = len(examples)
+
+        with mock.patch("confcal.adaptive.match_answer", wraps=match_answer) as matched:
+            rows = sweep(examples, taus, client, retriever, "numeric")
+        assert matched.call_count <= 2 * n
+
+        assert rows == brute_force_sweep(examples, taus, client, retriever, "numeric")
+        assert [row.tau for row in rows] == taus
+        for row in rows:
+            outcomes = [answer_adaptive(ex, row.tau, client, retriever) for ex in examples]
+            retrieved = sum(outcome.retrieved for outcome in outcomes)
+            correct = sum(_correct(outcome.final_answer, "42") for outcome in outcomes)
+            assert row.retrieval_rate_pct == 100.0 * retrieved / n
+            assert row.accuracy_pct == 100.0 * correct / n
+
+
+class RecordingBackend(MockBackend):
+    """In-order mock that notes the digest of each request it answers."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.digests = []
+
+    def complete(self, request):
+        self.digests.append(request_digest(request))
+        return super().complete(request)
+
+
+class OverlapBackend(MockBackend):
+    """Holds its first call until a second one arrives: a run that never has
+    two calls in flight fails with BrokenBarrierError."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self._barrier = threading.Barrier(2, timeout=10)
+        self._calls = 0
+        self._calls_lock = threading.Lock()
+
+    def complete(self, request):
+        with self._calls_lock:
+            self._calls += 1
+            call = self._calls
+        if call <= 2:
+            self._barrier.wait()
+        return super().complete(request)
+
+
+class TestSweepConcurrency:
+    def test_pool_rows_equal_serial_rows(self):
+        n = 24
+        entries = []
+        for i in range(n):  # pass 1
+            entries.append(answer_entry("Paris" if i % 3 == 0 else "Lyon"))
+            entries.append(yes_no_entry(0.1 + 0.03 * i, 0.9 - 0.03 * i))
+        for i in range(n):  # pass 2: tau 1.01 retrieves everything
+            entries.append(answer_entry("Paris" if i % 2 else "Nice"))
+            entries.append(yes_no_entry(0.2 + 0.025 * i, 0.8 - 0.025 * i))
+        examples = [DatasetExample(id=f"e{i}", input=f"q{i}?", gold="Paris") for i in range(n)]
+        retriever = StaticRetriever({f"e{i}": f"passage {i}" for i in range(n)})
+        taus = [0.0, 0.2, 0.35, 0.5, 0.75, 1.01]
+
+        recorder = RecordingBackend(entries)
+        in_order = sweep(examples, taus, ModelClient(recorder), retriever, "substring")
+        keyed = [dict(entry, digest=d) for entry, d in zip(entries, recorder.digests)]
+
+        serial = sweep(examples, taus, ModelClient(MockBackend(keyed)), retriever, "substring")
+        pooled = sweep(
+            examples, taus, ModelClient(OverlapBackend(keyed)), retriever, "substring", concurrency=4
+        )
+        assert pooled == serial == in_order
+        assert 0 < in_order[3].retrieval_rate_pct < 100
 
 
 class TestRetrievers:

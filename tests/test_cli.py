@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from confcal import adaptive, harness
 from confcal.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -118,6 +119,38 @@ class TestEval:
         config, _ = make_generation_run(tmp_path)
         (tmp_path / "data.jsonl").write_text('{"id": "e1", "input": "q"}\n')
         assert main(["eval", "--config", str(config)]) == EXIT_DATA
+
+
+    def test_non_numeric_gold_is_data_error(self, tmp_path, capsys):
+        config, _ = make_generation_run(tmp_path)
+        (tmp_path / "task.json").write_text(
+            json.dumps({"task_id": "t", "kind": "generation", "matcher": "numeric"})
+        )
+        (tmp_path / "data.jsonl").write_text('{"id": "e1", "input": "q", "gold": "two"}\n')
+        # an answer with a number, so that matching would reach the gold
+        write_jsonl(tmp_path / "mock.jsonl", [answer_entry("2"), yes_no_entry(0.6, 0.2)])
+        assert main(["eval", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 1" in err and "'two'" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("argv", [["eval"], ["sweep", "--taus", "0.0,0.5"]])
+    def test_mock_backend_runs_one_thread(self, tmp_path, monkeypatch, argv):
+        config, out = make_generation_run(tmp_path, with_context=True)
+        monkeypatch.setenv("CONFCAL_CONCURRENCY", "8")
+        sizes = []
+        real = harness.run_pool
+
+        def spy(fn, items, concurrency):
+            sizes.append(concurrency)
+            return real(fn, items, concurrency)
+
+        monkeypatch.setattr(harness, "run_pool", spy)
+        monkeypatch.setattr(adaptive, "run_pool", spy)
+        assert main(argv + ["--config", str(config)]) == EXIT_OK
+        assert sizes and set(sizes) == {1}
 
 
 class TestSweep:

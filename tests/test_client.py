@@ -22,6 +22,7 @@ from confcal.errors import (
     InvalidInput,
     MalformedResponse,
     NoLabelTokenPresent,
+    SchemaViolation,
     UnmappableLabel,
     UnsupportedReadoutMode,
 )
@@ -116,6 +117,39 @@ class TestCache:
             t.join()
         lines = (tmp_path / "cache.jsonl").read_text().strip().splitlines()
         assert len(lines) == 1
+
+
+def cache_line(digest, token):
+    record = {
+        "request_digest": digest,
+        "response": {"generated_tokens": [token], "token_distributions": [{"entries": [[token, -0.1]]}]},
+    }
+    return json.dumps(record) + "\n"
+
+
+class TestCacheDamage:
+    def test_torn_last_line_skipped_then_cut_on_append(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        torn = cache_line("d1", "a") + cache_line("d2", "b") + cache_line("d3", "c")[:25]
+        path.write_text(torn)
+        cache = ResponseCache(path)
+        assert path.read_text() == torn  # loading never writes
+        assert cache.get("d1") is not None and cache.get("d2") is not None
+        assert cache.get("d3") is None
+        assert "cache.jsonl:3" in caplog.text and "torn" in caplog.text
+
+        cache.put("d4", CompletionResponse.from_json(json.loads(cache_line("d4", "e"))["response"]))
+        assert path.read_text().startswith(cache_line("d1", "a") + cache_line("d2", "b"))
+        assert len(path.read_text().splitlines()) == 3
+        assert ResponseCache(path).get("d4") is not None
+
+    def test_corrupt_interior_line_names_its_number(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        content = cache_line("d1", "a") + '{"request_digest": "d2", "resp\n' + cache_line("d3", "c")
+        path.write_text(content)
+        with pytest.raises(SchemaViolation, match=r"cache\.jsonl:2:"):
+            ResponseCache(path)
+        assert path.read_text() == content
 
 
 class TestHTTPBackendParsing:

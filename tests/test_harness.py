@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from confcal.harness import (
     load_dataset,
     match_answer,
     run_eval,
+    run_pool,
     truncate_context,
     verify_records,
 )
@@ -179,6 +181,33 @@ class TestRunEvalClassification:
     def test_empty_examples(self):
         client = ModelClient(MockBackend([]))
         assert run_eval(CLASSIFICATION_TASK, [], client).records == []
+
+
+class TestRunPool:
+    def test_first_failing_item_raises(self):
+        def fn(x):
+            if x in (3, 7):
+                raise ValueError(x)
+            return x
+
+        with pytest.raises(ValueError, match="^3$"):
+            run_pool(fn, list(range(20)), 4)
+
+    def test_each_item_runs_once_under_contention(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return -x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_pool(fn, list(range(2000)), 16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [-x for x in range(2000)]
+        assert sorted(calls) == list(range(2000))
 
 
 class TestRunEvalGeneration:
