@@ -17,16 +17,9 @@ from itertools import accumulate
 import requests
 
 from .client import ModelClient
-from .errors import EndpointUnreachable, NoNumberFound, RetrievalMiss
-from .harness import DatasetExample, answer_and_self_evaluate, match_answer, run_pool
+from .errors import EndpointUnreachable, RetrievalMiss
+from .harness import DatasetExample, answer_and_self_evaluate, is_correct, run_pool
 from .metrics import retrieval_efficiency
-
-
-def _matches(prediction: str, gold, matcher: str) -> bool:
-    try:
-        return match_answer(prediction, gold, matcher)
-    except NoNumberFound:
-        return False
 
 
 class StaticRetriever:
@@ -106,6 +99,11 @@ def _second_pass(
     return answer, conf, flags
 
 
+def _retrieves(first_conf: float, tau: float) -> bool:
+    """Retrieval runs only when the first pass is strictly below tau."""
+    return first_conf < tau
+
+
 def _swaps(first_conf: float, second_answer: str | None, second_conf: float | None) -> bool:
     """The second answer replaces the first only when strictly more confident."""
     return second_answer is not None and second_conf > first_conf
@@ -115,33 +113,21 @@ def answer_adaptive(
     example: DatasetExample, tau: float, client: ModelClient, retriever
 ) -> AdaptiveOutcome:
     first_answer, first_conf, flags = _first_pass(example, client)
-    if first_conf < tau:
+    retrieved = _retrieves(first_conf, tau)
+    second_answer, second_conf = None, None
+    if retrieved:
         second_answer, second_conf, extra = _second_pass(example, client, retriever)
         flags |= extra
-        if _swaps(first_conf, second_answer, second_conf):
-            final_answer, final_conf = second_answer, second_conf
-        else:
-            final_answer, final_conf = first_answer, first_conf
-        return AdaptiveOutcome(
-            id=example.id,
-            first_answer=first_answer,
-            first_conf=first_conf,
-            retrieved=True,
-            second_answer=second_answer,
-            second_conf=second_conf,
-            final_answer=final_answer,
-            final_conf=final_conf,
-            flags=frozenset(flags),
-        )
+    swapped = _swaps(first_conf, second_answer, second_conf)
     return AdaptiveOutcome(
         id=example.id,
         first_answer=first_answer,
         first_conf=first_conf,
-        retrieved=False,
-        second_answer=None,
-        second_conf=None,
-        final_answer=first_answer,
-        final_conf=first_conf,
+        retrieved=retrieved,
+        second_answer=second_answer,
+        second_conf=second_conf,
+        final_answer=second_answer if swapped else first_answer,
+        final_conf=second_conf if swapped else first_conf,
         flags=frozenset(flags),
     )
 
@@ -171,12 +157,12 @@ def sweep(
 
     first = run_pool(lambda ex: _first_pass(ex, client), examples, concurrency)
     max_tau = max(taus)
-    gated = [i for i, (_, conf, _) in enumerate(first) if conf < max_tau]
+    gated = [i for i, (_, conf, _) in enumerate(first) if _retrieves(conf, max_tau)]
     second = run_pool(lambda i: _second_pass(examples[i], client, retriever), gated, concurrency)
 
     n = len(examples)
     first_correct = [
-        _matches(answer, ex.gold, matcher) for ex, (answer, _, _) in zip(examples, first)
+        is_correct(answer, ex.gold, matcher) for ex, (answer, _, _) in zip(examples, first)
     ]
     baseline_correct = sum(first_correct)
     baseline_acc_pct = 100.0 * baseline_correct / n
@@ -185,7 +171,7 @@ def sweep(
     delta = [0] * n
     for i, (second_answer, second_conf, _) in zip(gated, second):
         if _swaps(first[i][1], second_answer, second_conf):
-            delta[i] = _matches(second_answer, examples[i].gold, matcher) - first_correct[i]
+            delta[i] = is_correct(second_answer, examples[i].gold, matcher) - first_correct[i]
 
     order = sorted(range(n), key=lambda i: first[i][1])
     confs = [first[i][1] for i in order]

@@ -49,9 +49,12 @@ def _round(value: float | None) -> float | None:
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise ConfigInvalid(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
             if not line:
                 continue
             if "=" not in line:
@@ -112,10 +115,6 @@ class RunConfig:
                 setattr(cfg, key, converters.get(key, str)(raw))
             except ValueError as exc:
                 raise ConfigInvalid(f"bad value for {key!r}: {exc}") from exc
-        if cfg.base_url and cfg.mock_script:
-            raise ConfigInvalid("configure exactly one of base_url / mock_script, got both")
-        if not cfg.base_url and not cfg.mock_script:
-            raise ConfigInvalid("configure exactly one of base_url / mock_script, got neither")
         if cfg.confidence_mode not in ("normalized", "raw", "both"):
             raise ConfigInvalid(f"confidence_mode must be normalized|raw|both, got {cfg.confidence_mode!r}")
         if cfg.missing_policy not in ("error", "neutral", "skip"):
@@ -124,6 +123,10 @@ class RunConfig:
 
 
 def build_client(cfg: RunConfig) -> ModelClient:
+    if cfg.base_url and cfg.mock_script:
+        raise ConfigInvalid("configure exactly one of base_url / mock_script, got both")
+    if not cfg.base_url and not cfg.mock_script:
+        raise ConfigInvalid("configure exactly one of base_url / mock_script, got neither")
     if cfg.mock_script:
         backend = MockBackend.from_jsonl(cfg.mock_script)
     else:
@@ -180,25 +183,36 @@ def _report_to_json(report: metrics.CalibrationReport, raw_auroc: float | None =
 
 
 def _write_curve_csv(path: Path, report_data: dict) -> None:
+    # every row is formatted before the file is opened, so bad bins leave no file
+    rows = [
+        [i, b["count"], _fmt(b["mean_confidence"]), _fmt(b["mean_accuracy"])]
+        for i, b in enumerate(report_data["bins"], start=1)
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "count", "mean_confidence", "mean_accuracy"])
-        for i, b in enumerate(report_data["bins"], start=1):
-            writer.writerow(
-                [i, b["count"], _fmt(b["mean_confidence"]), _fmt(b["mean_accuracy"])]
-            )
+        writer.writerows(rows)
+
+
+def _open_run(
+    cfg: RunConfig,
+) -> tuple[harness.TaskSpec, list[harness.DatasetExample], ModelClient, Path]:
+    """Task spec, dataset, client and output directory of an eval or sweep;
+    config errors, the backend's included, come before any file is read."""
+    for key in ("task_spec", "dataset"):
+        if not getattr(cfg, key):
+            raise ConfigInvalid(f"missing config field: {key}")
+    client = build_client(cfg)
+    task = harness.TaskSpec.from_file(cfg.task_spec)
+    examples = harness.load_dataset(cfg.dataset, task)
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return task, examples, client, out
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
-    if not cfg.task_spec:
-        raise ConfigInvalid("missing config field: task_spec")
-    if not cfg.dataset:
-        raise ConfigInvalid("missing config field: dataset")
-    task = harness.TaskSpec.from_file(cfg.task_spec)
-    examples = harness.load_dataset(cfg.dataset, task)
-    client = build_client(cfg)
-
+    task, examples, client, out = _open_run(cfg)
     result = harness.run_eval(
         task,
         examples,
@@ -206,14 +220,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         confidence_mode=cfg.confidence_mode,
         concurrency=_pool_size(cfg),
     )
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
         for rec in result.records:
             fh.write(json.dumps(_record_to_json(rec), ensure_ascii=False) + "\n")
 
-    report = harness.build_report(result.records, n_bins=cfg.n_bins)
+    report = metrics.build_report(result.records, n_bins=cfg.n_bins)
     raw_auroc = None
     if cfg.confidence_mode == "both" and result.raw_records:
         try:
@@ -234,20 +245,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     taus = [float(t) for t in args.taus.split(",")] if args.taus else cfg.taus
     if not taus:
         raise ConfigInvalid("missing tau list (flag --taus or config key taus)")
-    if not cfg.task_spec or not cfg.dataset:
-        raise ConfigInvalid("sweep needs task_spec and dataset")
-    task = harness.TaskSpec.from_file(cfg.task_spec)
-    examples = harness.load_dataset(cfg.dataset, task)
-    client = build_client(cfg)
-
+    task, examples, client, out = _open_run(cfg)
     if cfg.retriever_url:
         retriever = adaptive.HTTPRetriever(cfg.retriever_url)
     else:
         retriever = adaptive.StaticRetriever.from_examples(examples)
 
     rows = adaptive.sweep(examples, taus, client, retriever, task.matcher, concurrency=_pool_size(cfg))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"])
@@ -267,8 +271,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_ece_from_bins(args: argparse.Namespace) -> int:
     path = Path(args.bin_csv)
-    if not path.exists():
-        raise SchemaViolation(f"no such file: {path}")
     bins: list[tuple[int, float, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -292,7 +294,7 @@ def cmd_ece_from_bins(args: argparse.Namespace) -> int:
 
 
 def cmd_sandbox(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args, require_backend=False)
+    cfg = _load_run_config(args)
     dist = cfg.data_distribution or [0.7, 0.3]
     if len(dist) < 2:
         raise ConfigInvalid("data_distribution needs at least 2 options")
@@ -328,19 +330,17 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.report_json)
-    if not path.exists():
-        raise SchemaViolation(f"no such file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        report_data = json.load(fh)
-    if "bins" not in report_data:
-        raise SchemaViolation(f"{path}: not a report JSON (missing 'bins')")
     out = Path(args.output or path.with_suffix(".csv"))
-    _write_curve_csv(out, report_data)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            _write_curve_csv(out, json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SchemaViolation(f"{path}: not a report JSON ({type(exc).__name__}: {exc})") from exc
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def _load_run_config(args: argparse.Namespace, require_backend: bool = True) -> RunConfig:
+def _load_run_config(args: argparse.Namespace) -> RunConfig:
     values: dict[str, str] = {}
     if getattr(args, "config", None):
         values = load_config_file(args.config)
@@ -349,11 +349,6 @@ def _load_run_config(args: argparse.Namespace, require_backend: bool = True) -> 
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = str(flag)
-    if not require_backend and "base_url" not in values and "mock_script" not in values:
-        values["mock_script"] = "__unused__"
-        cfg = RunConfig.from_mapping(values)
-        cfg.mock_script = None
-        return cfg
     return RunConfig.from_mapping(values)
 
 
@@ -409,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EndpointUnreachable, RateLimited, MalformedResponse) as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
-    except (SchemaViolation, FileNotFoundError, ConfcalError) as exc:
+    except (OSError, ConfcalError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

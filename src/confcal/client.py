@@ -14,7 +14,7 @@ import logging
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
@@ -40,7 +40,6 @@ from .errors import (
     RateLimited,
     SchemaViolation,
     UnmappableLabel,
-    UnsupportedReadoutMode,
 )
 
 _log = logging.getLogger(__name__)
@@ -146,18 +145,14 @@ class MockBackend:
         self._by_digest: dict[str, CompletionResponse] = {}
         self._ordered: list[CompletionResponse] = []
         self._lock = threading.Lock()
-        for entry in entries:
-            response = self._parse_entry(entry)
-            digest = entry.get("digest")
-            if digest:
-                self._by_digest[digest] = response
-            else:
-                self._ordered.append(response)
         self._cursor = 0
+        for entry in entries:
+            self._add(entry)
 
-    @staticmethod
-    def _parse_entry(entry: dict) -> CompletionResponse:
+    def _add(self, entry: dict) -> None:
         tokens = entry["tokens"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise SchemaViolation("tokens must be a list of strings")
         raw_dists = entry.get("distributions")
         if raw_dists is None:
             # Tokens without scripted distributions get a certain (logprob 0) dist.
@@ -165,17 +160,27 @@ class MockBackend:
         dists = tuple(
             _distribution_from_map(d, i) for i, d in enumerate(raw_dists)
         )
-        return CompletionResponse(generated_tokens=tuple(tokens), token_distributions=dists)
+        response = CompletionResponse(generated_tokens=tuple(tokens), token_distributions=dists)
+        digest = entry.get("digest")
+        if digest:
+            self._by_digest[digest] = response
+        else:
+            self._ordered.append(response)
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "MockBackend":
-        entries = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    entries.append(json.loads(line))
-        return cls(entries)
+        backend = cls([])
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    backend._add(json.loads(line))
+                except (ValueError, KeyError, TypeError, AttributeError, ConfcalError) as exc:
+                    raise SchemaViolation(
+                        f"{path}:{lineno}: bad mock script line ({type(exc).__name__}: {exc})"
+                    ) from exc
+        return backend
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         digest = request_digest(request)
@@ -345,12 +350,6 @@ class SelfEvalResult:
     raw_yes_probability: float
 
 
-@dataclass(frozen=True)
-class GenerationParams:
-    max_tokens: int = 256
-    temperature: float = 0.0
-
-
 class ModelClient:
     """High-level classification / self-evaluation protocol over a backend."""
 
@@ -363,12 +362,7 @@ class ModelClient:
         no_aliases: frozenset[str] = DEFAULT_NO_ALIASES,
         missing_policy: MissingPolicy = MissingPolicy.NEUTRAL,
         top_logprobs: int = DEFAULT_TOP_K,
-        readout_mode: str = "first_token",
     ):
-        if readout_mode != "first_token":
-            raise UnsupportedReadoutMode(
-                f"readout mode {readout_mode!r} requires forced-continuation endpoint support"
-            )
         self.backend = backend
         self.model_name = model_name
         self.cache = cache
@@ -464,20 +458,17 @@ class ModelClient:
         return self.self_evaluate_with_raw(question, answer, context).confidence
 
     def generate_answer(
-        self,
-        question: str,
-        context: str | None = None,
-        params: GenerationParams = GenerationParams(),
+        self, question: str, context: str | None = None
     ) -> tuple[str, tuple[str, ...]]:
-        """Free-form answer pass; deterministic at the default temperature 0."""
+        """Free-form answer pass of up to 256 tokens, at temperature 0."""
         if not question.strip():
             raise InvalidInput("question is empty")
         user_content = f"{context}\n\n{question}" if context else question
         request = CompletionRequest(
             messages=(Message("user", user_content),),
             model_name=self.model_name,
-            max_tokens=params.max_tokens,
-            temperature=params.temperature,
+            max_tokens=256,
+            temperature=0.0,
             top_logprobs=self.top_logprobs,
         )
         response = self.complete(request)

@@ -114,6 +114,14 @@ class ConfidenceScore:
             )
 
 
+# The score when both Yes/No anchors are absent under the neutral policy.
+NEUTRAL_CONFIDENCE = ConfidenceScore(
+    value=0.5,
+    method=Method.SELF_EVAL,
+    flags=frozenset({Flag.ANCHOR_MISSING_YES, Flag.ANCHOR_MISSING_NO, Flag.FALLBACK_NEUTRAL}),
+)
+
+
 def sequence_logprob(token_logprobs: list[float]) -> float:
     """Log of the product of token probabilities (sum of logs)."""
     if not token_logprobs:
@@ -188,8 +196,7 @@ def self_eval_confidence(
             raise AnchorTokensAbsent("no yes/no anchor token present in top-K")
         if missing_policy is MissingPolicy.SKIP:
             return None
-        flags.add(Flag.FALLBACK_NEUTRAL)
-        return ConfidenceScore(value=0.5, method=Method.SELF_EVAL, flags=frozenset(flags))
+        return NEUTRAL_CONFIDENCE
 
     value = c_yes / (c_yes + c_no)
     return ConfidenceScore(value=value, method=Method.SELF_EVAL, flags=frozenset(flags))

@@ -71,10 +71,6 @@ class UnmappableLabel(ConfcalError):
     pass
 
 
-class UnsupportedReadoutMode(ConfcalError):
-    pass
-
-
 class InvalidInput(ConfcalError):
     pass
 

@@ -17,18 +17,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TypeVar
 
-from . import metrics
 from .client import ModelClient
-from .confidence import Flag, Method
+from .confidence import NEUTRAL_CONFIDENCE, Method
 from .errors import ConfcalError, NoNumberFound, SchemaViolation
-from .metrics import CalibrationReport, EvalRecord
+from .metrics import EvalRecord
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 # ~4 chars/token is close enough for a tail-cut context budget
 CONTEXT_TOKEN_BUDGET = 2000
-MAX_CONTEXT_DOCS = 5
 _CHARS_PER_TOKEN = 4
 
 _NUMBER_RE = re.compile(r"-?\d[\d,]*(?:\.\d+)?")
@@ -60,6 +58,12 @@ class TaskSpec:
             raise SchemaViolation("classification task needs a non-empty label_set")
         if self.kind == "generation" and self.matcher == "exact":
             raise SchemaViolation("generation tasks use numeric or substring matching")
+        if not all(isinstance(spec.label, str) for spec in self.label_set):
+            raise SchemaViolation("labels must be strings")
+        try:
+            self.prompt_template.format(input="", choices="", context="")
+        except (AttributeError, IndexError, KeyError, ValueError) as exc:
+            raise SchemaViolation(f"bad prompt_template ({exc!r})") from exc
 
     @classmethod
     def from_json(cls, data: dict) -> "TaskSpec":
@@ -79,7 +83,10 @@ class TaskSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "TaskSpec":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except (ValueError, KeyError, TypeError, AttributeError, SchemaViolation) as exc:
+                raise SchemaViolation(f"{path}: not a task spec ({type(exc).__name__}: {exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -110,25 +117,35 @@ def _is_number(gold) -> bool:
 
 
 def load_dataset(path: str | Path, task: TaskSpec) -> list[DatasetExample]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     examples: list[DatasetExample] = []
     seen_ids: set[str] = set()
     errors: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also a line that is not UTF-8
                 errors.append(f"line {lineno}: invalid JSON ({exc})")
+                continue
+            if not isinstance(data, dict):
+                errors.append(f"line {lineno}: not a JSON object")
                 continue
             missing = [key for key in ("id", "input", "gold") if key not in data]
             if missing:
                 errors.append(f"line {lineno}: missing {missing}")
+                continue
+            context, choices = data.get("context"), data.get("choices")
+            if not (
+                isinstance(data["input"], str)
+                and isinstance(context, (str, type(None)))
+                and (not choices or isinstance(choices, list))
+                and all(isinstance(c, str) for c in choices or ())
+            ):
+                errors.append(
+                    f"line {lineno}: input and context must be strings, choices a list of them"
+                )
                 continue
             gold = data["gold"]
             if gold in ("", [], None):
@@ -144,7 +161,6 @@ def load_dataset(path: str | Path, task: TaskSpec) -> list[DatasetExample]:
                 errors.append(f"line {lineno}: duplicate id {example_id!r}")
                 continue
             seen_ids.add(example_id)
-            context = data.get("context")
             if context is not None:
                 context = truncate_context(context)
             examples.append(
@@ -152,7 +168,7 @@ def load_dataset(path: str | Path, task: TaskSpec) -> list[DatasetExample]:
                     id=example_id,
                     input=data["input"],
                     gold=gold,
-                    choices=tuple(data["choices"]) if data.get("choices") else None,
+                    choices=tuple(choices) if choices else None,
                     context=context,
                 )
             )
@@ -178,7 +194,7 @@ def match_answer(prediction: str, gold: str | list[str], matcher: str) -> bool:
     golds = gold if isinstance(gold, list) else [gold]
     if matcher == "exact":
         pred = _normalize(prediction)
-        return any(pred == _normalize(g) for g in golds)
+        return any(pred == _normalize(str(g)) for g in golds)
     if matcher == "numeric":
         value = extract_last_number(prediction)
         for g in golds:
@@ -200,12 +216,17 @@ class EvalRunResult:
     raw_records: list[EvalRecord] = field(default_factory=list)
 
 
-def _neutral_confidence(flags: set[str]) -> tuple[float, set[str]]:
-    flags = set(flags)
-    flags.add(Flag.FALLBACK_NEUTRAL.value)
-    flags.add(Flag.ANCHOR_MISSING_YES.value)
-    flags.add(Flag.ANCHOR_MISSING_NO.value)
-    return 0.5, flags
+def is_correct(
+    prediction: str, gold: str | list[str], matcher: str, flags: set[str] | None = None
+) -> bool:
+    """``match_answer``, with a prediction that holds no number counted as
+    wrong; that case also adds ``no_number_found`` to ``flags`` when given."""
+    try:
+        return match_answer(prediction, gold, matcher)
+    except NoNumberFound:
+        if flags is not None:
+            flags.add("no_number_found")
+        return False
 
 
 def answer_and_self_evaluate(
@@ -218,12 +239,11 @@ def answer_and_self_evaluate(
     """
     answer, _ = client.generate_answer(question, context=context)
     se = client.self_evaluate_with_raw(question, answer, context=context)
+    score = NEUTRAL_CONFIDENCE if se.confidence is None else se.confidence
+    flags = {f.value for f in score.flags}
     if se.confidence is None:
-        confidence, flags = _neutral_confidence({"self_eval_skipped"})
-    else:
-        confidence = se.confidence.value
-        flags = {f.value for f in se.confidence.flags}
-    return answer, confidence, flags, se.raw_yes_probability
+        flags.add("self_eval_skipped")
+    return answer, score.value, flags, se.raw_yes_probability
 
 
 def _eval_one(
@@ -255,15 +275,12 @@ def _eval_one(
     except ConfcalError as exc:
         prediction = ""
         method = Method.SELF_EVAL.value if task.kind == "generation" else Method.CLASSIFICATION_NORMALIZED.value
-        confidence, flags = _neutral_confidence(flags)
+        confidence = NEUTRAL_CONFIDENCE.value
+        flags |= {f.value for f in NEUTRAL_CONFIDENCE.flags}
         flags.add(f"error:{type(exc).__name__}")
         raw_value = 0.0
 
-    try:
-        correct = match_answer(prediction, example.gold, task.matcher)
-    except NoNumberFound:
-        correct = False
-        flags.add("no_number_found")
+    correct = is_correct(prediction, example.gold, task.matcher, flags)
 
     record = EvalRecord(
         id=example.id,
@@ -359,15 +376,4 @@ def run_eval(
 
 def verify_records(task: TaskSpec, records: list[EvalRecord]) -> bool:
     """Re-check every record's correct flag against match_answer."""
-    for rec in records:
-        try:
-            expected = match_answer(rec.prediction, rec.gold, task.matcher)
-        except NoNumberFound:
-            expected = False
-        if rec.correct != expected:
-            return False
-    return True
-
-
-def build_report(records: list[EvalRecord], n_bins: int = metrics.DEFAULT_N_BINS) -> CalibrationReport:
-    return metrics.build_report(records, n_bins=n_bins)
+    return all(rec.correct == is_correct(rec.prediction, rec.gold, task.matcher) for rec in records)

@@ -18,6 +18,10 @@ from .errors import InvalidInput
 LOGIT_CLAMP = 50.0
 
 
+def _clamped(logits: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    return np.clip(logits + delta, -LOGIT_CLAMP, LOGIT_CLAMP)
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
     e = np.exp(z)
@@ -67,8 +71,7 @@ class ToyPolicy:
         return _softmax(self.reference_logits)
 
     def _apply(self, delta: np.ndarray) -> "ToyPolicy":
-        new_logits = np.clip(self.logits + delta, -LOGIT_CLAMP, LOGIT_CLAMP)
-        return ToyPolicy(logits=new_logits, reference_logits=self.reference_logits)
+        return ToyPolicy(logits=_clamped(self.logits, delta), reference_logits=self.reference_logits)
 
 
 def kl_to_data(task: ToyTask, policy: ToyPolicy) -> float:
@@ -109,10 +112,9 @@ def ce_step(
     return policy._apply(-lr * grad)
 
 
-def _kl_penalty_gradient(policy: ToyPolicy) -> np.ndarray:
-    # d/dlogits KL(pi || pi_ref) for a softmax parameterization
-    q = policy.probs
-    diff = np.log(q) - np.log(policy.reference_probs)
+def _kl_penalty_gradient(q: np.ndarray, log_ref: np.ndarray) -> np.ndarray:
+    # d/dlogits KL(pi || pi_ref) for a softmax parameterization, q = pi
+    diff = np.log(q) - log_ref
     kl = float(np.sum(q * diff))
     return q * (diff - kl)
 
@@ -149,10 +151,12 @@ def advantage_step(
     if not advantages.any():
         return policy  # zero advantage everywhere: exactly no update
 
-    current = policy
+    # plain arrays inside the loop; one policy is built from the result
+    logits = policy.logits
+    log_ref = np.log(policy.reference_probs)
     sub_lr = lr / inner_steps
     for _ in range(inner_steps):
-        probs = current.probs
+        probs = _softmax(logits)
         ratios = probs[actions] / old_probs[actions]
         # standard clip mask: no gradient once the clipped branch is active
         active = ~(
@@ -164,9 +168,15 @@ def advantage_step(
             np.bincount(actions, weights=weights, minlength=task.num_options)
             - weights.sum() * probs
         )
-        grad -= kl_coef * _kl_penalty_gradient(current)
-        current = current._apply(sub_lr * grad)
-    return current
+        grad -= kl_coef * _kl_penalty_gradient(probs, log_ref)
+        logits = _clamped(logits, sub_lr * grad)
+    return ToyPolicy(logits=logits, reference_logits=policy.reference_logits)
+
+
+def _dpo_margin(policy: ToyPolicy, preferred: int, rejected: int, beta: float) -> float:
+    """beta (log r(y_w) - log r(y_l)) with r(y) = pi(y)/pi_ref(y)."""
+    log_ratio = np.log(policy.probs) - np.log(policy.reference_probs)
+    return beta * (log_ratio[preferred] - log_ratio[rejected])
 
 
 def dpo_step(
@@ -183,9 +193,7 @@ def dpo_step(
         raise InvalidInput("preferred and rejected must differ")
     if beta <= 0:
         raise InvalidInput("beta must be > 0")
-    logq = np.log(policy.probs)
-    logref = np.log(policy.reference_probs)
-    z = beta * ((logq[preferred] - logref[preferred]) - (logq[rejected] - logref[rejected]))
+    z = _dpo_margin(policy, preferred, rejected, beta)
     sigma_neg = 1.0 / (1.0 + np.exp(min(z, LOGIT_CLAMP)))
     direction = np.zeros_like(policy.logits)
     direction[preferred] = 1.0
@@ -194,9 +202,7 @@ def dpo_step(
 
 
 def dpo_loss(policy: ToyPolicy, preferred: int, rejected: int, beta: float = 0.1) -> float:
-    logq = np.log(policy.probs)
-    logref = np.log(policy.reference_probs)
-    z = beta * ((logq[preferred] - logref[preferred]) - (logq[rejected] - logref[rejected]))
+    z = _dpo_margin(policy, preferred, rejected, beta)
     return float(np.log1p(np.exp(-z)))
 
 

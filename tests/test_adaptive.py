@@ -295,9 +295,9 @@ class TestSweepProperties:
         retriever = StaticRetriever(contexts)
         n = len(examples)
 
-        with mock.patch("confcal.adaptive.match_answer", wraps=match_answer) as matched:
+        with mock.patch("confcal.harness.match_answer", wraps=match_answer) as matched:
             rows = sweep(examples, taus, client, retriever, "numeric")
-        assert matched.call_count <= 2 * n
+        assert n <= matched.call_count <= 2 * n
 
         assert rows == brute_force_sweep(examples, taus, client, retriever, "numeric")
         assert [row.tau for row in rows] == taus

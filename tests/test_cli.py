@@ -1,16 +1,23 @@
 """End-to-end CLI tests over the mock backend."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confcal import adaptive, harness
 from confcal.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_ENDPOINT,
     EXIT_OK,
     RunConfig,
     apply_env_overrides,
+    build_client,
     load_config_file,
     main,
 )
@@ -73,9 +80,9 @@ class TestConfig:
 
     def test_exactly_one_backend(self):
         with pytest.raises(ConfigInvalid):
-            RunConfig.from_mapping({"mock_script": "a", "base_url": "http://x"})
+            build_client(RunConfig.from_mapping({"mock_script": "a", "base_url": "http://x"}))
         with pytest.raises(ConfigInvalid):
-            RunConfig.from_mapping({})
+            build_client(RunConfig.from_mapping({}))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -114,6 +121,15 @@ class TestEval:
         report = json.loads((out / "report.json").read_text())
         assert "raw_auroc" in report
         assert "auroc" in report
+
+    def test_no_backend_is_config_error_before_reading_data(self, tmp_path, capsys):
+        config, _ = make_generation_run(tmp_path)
+        config.write_text(
+            "\n".join(l for l in config.read_text().splitlines() if not l.startswith("mock_script"))
+        )
+        (tmp_path / "data.jsonl").unlink()
+        assert main(["eval", "--config", str(config)]) == EXIT_CONFIG
+        assert "base_url" in capsys.readouterr().err
 
     def test_bad_dataset_is_data_error(self, tmp_path):
         config, _ = make_generation_run(tmp_path)
@@ -243,6 +259,14 @@ class TestSandbox:
         second = (out / "trace.csv").read_bytes(), (out / "summary.json").read_bytes()
         assert first == second
 
+    @pytest.mark.parametrize(
+        "backend", ["", "mock_script = m.jsonl\nbase_url = http://127.0.0.1:9\n"]
+    )
+    def test_backend_not_checked(self, tmp_path, backend):
+        code, out = self.run_sandbox(tmp_path, extra=backend)
+        assert code == EXIT_OK
+        assert (out / "summary.json").exists()
+
     def test_single_option_is_config_error(self, tmp_path):
         code, _ = self.run_sandbox(tmp_path, extra="data_distribution = 1.0\n")
         assert code == EXIT_CONFIG
@@ -267,3 +291,89 @@ class TestIdempotence:
         snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(["eval", "--config", str(config)]) == EXIT_OK
         assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
+
+
+def run_quietly(argv):
+    """main(argv) with stdout and stderr captured; returns (code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def write_all_inputs(root):
+    """A working eval run plus its report; returns {name: path}, argv by name."""
+    config, out = make_generation_run(root)
+    assert main(["eval", "--config", str(config)]) == EXIT_OK
+    files = {
+        "config": config,
+        "task": root / "task.json",
+        "dataset": root / "data.jsonl",
+        "mock": root / "mock.jsonl",
+        "report": out / "report.json",
+    }
+    eval_argv = ["eval", "--config", str(config)]
+    argvs = {name: eval_argv for name in files}
+    argvs["report"] = ["report", str(files["report"]), "--output", str(root / "curve.csv")]
+    return files, argvs
+
+
+class TestMalformedInput:
+    """A malformed input file ends in one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "name, content, code",
+        [
+            ("task", b'{"task_id": "t", "kind": "gen', EXIT_DATA),
+            ("task", b'{"task_id": "t", "kind": "generation"}', EXIT_DATA),
+            ("task", b'{"task_id": "t", "kind": "generation", "matcher": "substring", '
+                     b'"prompt_template": "{question}"}', EXIT_DATA),
+            ("mock", b'{"tokens": ["Paris"], "distributions": [{"Par\n', EXIT_DATA),
+            ("report", b'{"bins": 3}', EXIT_DATA),
+            ("report", b"not json", EXIT_DATA),
+            ("dataset", b"1\n", EXIT_DATA),
+            ("config", b"n_bins = \xff\n", EXIT_CONFIG),
+        ],
+    )
+    def test_named_cases(self, tmp_path, name, content, code):
+        files, argvs = write_all_inputs(tmp_path)
+        files[name].write_bytes(content)
+        got, err = run_quietly(argvs[name])
+        assert got == code
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        if name != "config":
+            assert str(files[name]) in err
+
+    def test_unreadable_path_is_data_error(self, tmp_path):
+        files, argvs = write_all_inputs(tmp_path)
+        files["dataset"].unlink()
+        files["dataset"].mkdir()
+        code, err = run_quietly(argvs["dataset"])
+        assert code == EXIT_DATA
+        assert len(err.splitlines()) == 1 and str(files["dataset"]) in err
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["config", "task", "dataset", "mock", "report"]),
+        edit=st.sampled_from(["truncate", "replace", "insert", "delete"]),
+        at=st.integers(min_value=0, max_value=1 << 16),
+        byte=st.sampled_from(b'{}[]":, \n0-aex\xff'),
+    )
+    def test_garbled_file(self, name, edit, at, byte):
+        with tempfile.TemporaryDirectory() as tmp:
+            files, argvs = write_all_inputs(Path(tmp))
+            data = files[name].read_bytes()
+            i = at % (len(data) + 1)
+            garbled = {
+                "truncate": data[:i],
+                "replace": data[:i] + bytes([byte]) + data[i + 1:],
+                "insert": data[:i] + bytes([byte]) + data[i:],
+                "delete": data[:i] + data[i + 1:],
+            }[edit]
+            files[name].write_bytes(garbled)
+            code, err = run_quietly(argvs[name])
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert code in (EXIT_CONFIG, EXIT_ENDPOINT, EXIT_DATA)
+            assert len(err.splitlines()) == 1, err

@@ -24,7 +24,6 @@ from confcal.errors import (
     NoLabelTokenPresent,
     SchemaViolation,
     UnmappableLabel,
-    UnsupportedReadoutMode,
 )
 
 
@@ -232,10 +231,6 @@ class TestClassify:
         client = scripted_client([{"tokens": ["A"]}])
         with pytest.raises(UnmappableLabel):
             client.classify("pick one", [("A", frozenset()), ("B", frozenset({"B"}))])
-
-    def test_full_sequence_readout_gated(self):
-        with pytest.raises(UnsupportedReadoutMode):
-            ModelClient(MockBackend([]), readout_mode="full_sequence")
 
 
 class TestSelfEvaluate:

@@ -8,11 +8,11 @@ import pytest
 
 from confcal.client import MockBackend, ModelClient
 from confcal.errors import NoNumberFound, SchemaViolation
+from confcal.metrics import build_report
 from confcal.harness import (
     DatasetExample,
     LabelSpec,
     TaskSpec,
-    build_report,
     extract_last_number,
     load_dataset,
     match_answer,
