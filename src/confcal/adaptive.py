@@ -155,10 +155,17 @@ def sweep(
     if not examples:
         raise ValueError("example list is empty")
 
-    first = run_pool(lambda ex: _first_pass(ex, client), examples, concurrency)
+    first = run_pool(lambda ex: _first_pass(ex, client), examples, concurrency, client)
     max_tau = max(taus)
     gated = [i for i, (_, conf, _) in enumerate(first) if _retrieves(conf, max_tau)]
-    second = run_pool(lambda i: _second_pass(examples[i], client, retriever), gated, concurrency)
+    # An HTTP retriever waits on the network even when the cache holds every
+    # answer, so that pass starts all its threads at once.
+    second = run_pool(
+        lambda i: _second_pass(examples[i], client, retriever),
+        gated,
+        concurrency,
+        None if isinstance(retriever, HTTPRetriever) else client,
+    )
 
     n = len(examples)
     first_correct = [

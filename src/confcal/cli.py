@@ -300,11 +300,11 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
         raise ConfigInvalid("data_distribution needs at least 2 options")
     try:
         task = sandbox.ToyTask(np.asarray(dist))
+        sandbox_cfg = sandbox.SandboxConfig(
+            steps=cfg.steps, lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed
+        )
     except ConfcalError as exc:
         raise ConfigInvalid(str(exc)) from exc
-    sandbox_cfg = sandbox.SandboxConfig(
-        steps=cfg.steps, lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed
-    )
     result = sandbox.run_paradigm_comparison(task, sandbox_cfg)
 
     out = Path(cfg.output_dir)

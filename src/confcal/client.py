@@ -14,11 +14,15 @@ import logging
 import math
 import threading
 import time
+from collections.abc import Callable, Iterator
+from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
 import requests
+from requests.utils import get_netrc_auth
 
 from .confidence import (
     DEFAULT_NO_ALIASES,
@@ -212,7 +216,16 @@ class HTTPBackend:
         self.max_retries = max_retries
         self.backoff_start_s = backoff_start_s
         self.timeout_s = timeout_s
+        self._url = f"{self.base_url}/chat/completions"
         self._session = requests.Session()
+        # Proxies (NO_PROXY included), CA bundle, client cert and netrc auth
+        # are read from the environment here, once: a session that trusts the
+        # environment rescans os.environ and stats ~/.netrc on every post.
+        self._send_settings = self._session.merge_environment_settings(
+            self._url, {}, None, None, None
+        )
+        self._auth = get_netrc_auth(self._url)
+        self._session.trust_env = False
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         payload = {
@@ -235,10 +248,12 @@ class HTTPBackend:
                 delay *= 2
             try:
                 resp = self._session.post(
-                    f"{self.base_url}/chat/completions",
+                    self._url,
                     json=payload,
                     headers=headers,
                     timeout=self.timeout_s,
+                    auth=self._auth,
+                    **self._send_settings,
                 )
             except requests.RequestException as exc:
                 last_error = EndpointUnreachable(str(exc))
@@ -351,7 +366,11 @@ class SelfEvalResult:
 
 
 class ModelClient:
-    """High-level classification / self-evaluation protocol over a backend."""
+    """High-level classification / self-evaluation protocol over a backend.
+
+    Requests that miss the cache on one digest at the same time share a
+    single backend call, and its response or its failure.
+    """
 
     def __init__(
         self,
@@ -370,6 +389,19 @@ class ModelClient:
         self.no_aliases = frozenset(no_aliases)
         self.missing_policy = missing_policy
         self.top_logprobs = top_logprobs
+        self._flights: dict[str, Future] = {}
+        self._flights_lock = threading.Lock()
+        self._local = threading.local()
+
+    @contextmanager
+    def before_fetch(self, callback: Callable[[], None]) -> Iterator[None]:
+        """Inside the block, ``callback()`` runs on this thread ahead of each
+        request that the cache does not answer."""
+        self._local.before_fetch = callback
+        try:
+            yield
+        finally:
+            self._local.before_fetch = None
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         digest = request_digest(request)
@@ -377,15 +409,40 @@ class ModelClient:
             hit = self.cache.get(digest)
             if hit is not None:
                 return hit
-        response = self.backend.complete(request)
-        if len(response.token_distributions) != len(response.generated_tokens):
-            raise MalformedResponse(
-                f"{len(response.generated_tokens)} tokens but "
-                f"{len(response.token_distributions)} distributions"
-            )
-        if self.cache is not None:
-            self.cache.put(digest, response)
-        return response
+        callback = getattr(self._local, "before_fetch", None)
+        if callback is not None:
+            callback()
+        with self._flights_lock:
+            flight = self._flights.get(digest)
+            leader = flight is None
+            if leader:
+                # a fetch that ended since the lookup above left its response in the cache
+                hit = self.cache.get(digest) if self.cache is not None else None
+                if hit is not None:
+                    return hit
+                flight = self._flights[digest] = Future()
+        if not leader:
+            return flight.result()
+        try:
+            response = self.backend.complete(request)
+            if len(response.token_distributions) != len(response.generated_tokens):
+                raise MalformedResponse(
+                    f"{len(response.generated_tokens)} tokens but "
+                    f"{len(response.token_distributions)} distributions"
+                )
+            if self.cache is not None:
+                self.cache.put(digest, response)
+        except Exception as exc:
+            flight.set_exception(exc)
+            raise
+        else:
+            flight.set_result(response)
+            return response
+        finally:
+            if not flight.done():  # interrupted: the waiters fail instead of hanging
+                flight.cancel()
+            with self._flights_lock:
+                del self._flights[digest]
 
     def _single_token_distribution(self, messages: list[Message]) -> TokenDistribution:
         request = CompletionRequest(

@@ -53,6 +53,7 @@ class TokenDistribution:
     entries: tuple[tuple[str, float], ...]
     position_index: int = 0
     max_entries: int = DEFAULT_TOP_K
+    _logprobs: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -62,19 +63,17 @@ class TokenDistribution:
             raise InvalidLogProb(
                 f"distribution has {len(self.entries)} entries, truncation limit is {self.max_entries}"
             )
-        seen = set()
+        logprobs: dict[str, float] = {}
         for token, logprob in self.entries:
             if logprob > 0:
                 raise InvalidLogProb(f"logprob for token {token!r} is positive: {logprob}")
-            if token in seen:
+            if token in logprobs:
                 raise DuplicateCandidate(f"token {token!r} appears twice in one distribution")
-            seen.add(token)
+            logprobs[token] = logprob
+        object.__setattr__(self, "_logprobs", logprobs)
 
     def logprob(self, token: str) -> float | None:
-        for tok, lp in self.entries:
-            if tok == token:
-                return lp
-        return None
+        return self._logprobs.get(token)
 
     def probability(self, token: str) -> float:
         """Linear probability of ``token``; 0 when absent from the top-K."""

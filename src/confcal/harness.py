@@ -12,7 +12,6 @@ import json
 import re
 import threading
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TypeVar
@@ -46,7 +45,6 @@ class TaskSpec:
     matcher: str  # exact | numeric | substring
     prompt_template: str = "{input}"
     label_set: tuple[LabelSpec, ...] = ()
-    context_field: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "label_set", tuple(self.label_set))
@@ -77,7 +75,6 @@ class TaskSpec:
             matcher=data["matcher"],
             prompt_template=data.get("prompt_template", "{input}"),
             label_set=labels,
-            context_field=data.get("context_field"),
         )
 
     @classmethod
@@ -307,12 +304,21 @@ def _eval_one(
     return record, raw_record
 
 
-def run_pool(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int) -> list[_R]:
+def run_pool(
+    fn: Callable[[_T], _R],
+    items: Sequence[_T],
+    concurrency: int,
+    client: ModelClient | None = None,
+) -> list[_R]:
     """``fn`` over ``items`` on up to ``concurrency`` threads, results in item
-    order. Items start in order, so at concurrency 1 an in-order mock script
-    serves them exactly as a plain loop would. After a failure, or an
-    interrupt while waiting, no further item starts; the exception of the
-    first failing item is raised."""
+    order. The calling thread takes items itself. The other threads start at
+    once without a ``client``; with one, just before its first backend call,
+    so a run that the response cache serves in full stays on the calling
+    thread. Items start in order, so at concurrency 1 an in-order mock script
+    serves them exactly as a plain loop would. After a failure no further
+    item starts, and the exception of the first failing item is raised. An
+    exception or interrupt on the calling thread stops the pool, and the
+    other threads end before it propagates."""
     workers = min(concurrency, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
@@ -321,9 +327,10 @@ def run_pool(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int) -> l
     stop = threading.Event()
     lock = threading.Lock()
     pending = iter(range(len(items)))
+    helpers: list[threading.Thread] = []
 
-    # One task per thread that takes items until none are left: a future per
-    # item costs more than an item served from the response cache.
+    # Each thread takes items until none are left: a future per item costs
+    # more than an item served from the response cache.
     def drain() -> None:
         while not stop.is_set():
             with lock:
@@ -336,13 +343,25 @@ def run_pool(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int) -> l
                 failures.append((i, exc))
                 stop.set()
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tasks = [pool.submit(drain) for _ in range(workers)]
-        try:
-            for task in tasks:
-                task.result()
-        finally:
-            stop.set()
+    # Runs on the calling thread only, as the client's callback is per thread.
+    def start_helpers() -> None:
+        if not helpers:
+            for _ in range(workers - 1):
+                thread = threading.Thread(target=drain)
+                thread.start()
+                helpers.append(thread)
+
+    try:
+        if client is None:
+            start_helpers()
+            drain()
+        else:
+            with client.before_fetch(start_helpers):
+                drain()
+    finally:
+        stop.set()
+        for thread in helpers:
+            thread.join()
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     return results
@@ -365,7 +384,9 @@ def run_eval(
         raise SchemaViolation(f"unknown confidence mode {confidence_mode!r}")
     want_raw = confidence_mode in ("raw", "both")
 
-    pairs = run_pool(lambda ex: _eval_one(task, ex, client, want_raw), examples, concurrency)
+    pairs = run_pool(
+        lambda ex: _eval_one(task, ex, client, want_raw), examples, concurrency, client
+    )
 
     records = sorted((rec for rec, _ in pairs), key=lambda r: r.id)
     raw_records = sorted((raw for _, raw in pairs if raw is not None), key=lambda r: r.id)

@@ -220,6 +220,12 @@ class SandboxConfig:
     preferred: int | None = 0
     rejected: int = 1
 
+    def __post_init__(self):
+        if self.steps < 1 or self.batch_size < 1:
+            raise InvalidInput("steps and batch_size must be >= 1")
+        if self.lr < 0:
+            raise InvalidInput("lr must be >= 0")
+
 
 @dataclass(frozen=True)
 class TraceStep:

@@ -1,12 +1,16 @@
 """Shared fixtures: record builders, bin-table loaders, scripted backends."""
 
+import contextlib
 import csv
 import math
+import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from confcal.client import MockBackend, ModelClient
+from confcal.client import CompletionResponse, MockBackend, ModelClient, request_digest
+from confcal.confidence import TokenDistribution
 from confcal.metrics import EvalRecord
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -61,3 +65,46 @@ def scripted_client():
         return ModelClient(MockBackend(entries), **kwargs)
 
     return _factory
+
+
+class PureBackend:
+    """Answers each request as a function of its digest alone, so the calls
+    may come in any order, and counts the calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+        n = int(request_digest(request)[:8], 16)
+        if request.max_tokens > 1:  # an answer
+            token = f"answer {n % 3}"
+            entries = ((token, -0.01),)
+        else:  # a self-evaluation
+            p_yes = (n % 97 + 1) / 99
+            token = "Yes"
+            entries = (("Yes", math.log(p_yes)), ("No", math.log(1 - p_yes)))
+        return CompletionResponse((token,), (TokenDistribution(entries),))
+
+
+class MemoryCache(dict):
+    """In-memory stand-in for ResponseCache: digest -> response."""
+
+    def put(self, digest, response):
+        self.setdefault(digest, response)
+
+
+@contextlib.contextmanager
+def thread_starts():
+    """Yields the list of threads started inside the block."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    with mock.patch.object(threading.Thread, "start", start):
+        yield started

@@ -18,10 +18,10 @@ from confcal.adaptive import (
 from confcal.client import MockBackend, ModelClient, SelfEvalResult, request_digest
 from confcal.confidence import ConfidenceScore, Method, MissingPolicy
 from confcal.errors import NoNumberFound, RetrievalMiss
-from confcal.harness import DatasetExample, match_answer
+from confcal.harness import DatasetExample, TaskSpec, match_answer, run_eval
 from confcal.metrics import retrieval_efficiency
 
-from conftest import answer_entry, yes_no_entry
+from conftest import MemoryCache, PureBackend, answer_entry, thread_starts, yes_no_entry
 
 
 def example(i="e0", gold="Paris", context="the retrieved passage"):
@@ -364,6 +364,64 @@ class TestSweepConcurrency:
         )
         assert pooled == serial == in_order
         assert 0 < in_order[3].retrieval_rate_pct < 100
+
+
+def pure_examples(n):
+    examples = [
+        DatasetExample(id=f"e{i}", input=f"q{i}?", gold="answer 1", context=f"passage {i}")
+        for i in range(n)
+    ]
+    return examples, StaticRetriever.from_examples(examples)
+
+
+PURE_TASK = TaskSpec(task_id="pure", kind="generation", matcher="substring")
+PURE_TAUS = [0.0, 0.3, 0.6, 1.01]
+
+
+class TestLazyPool:
+    """Pool threads start at the first backend call, so a run that the cache
+    serves in full stays on the calling thread."""
+
+    def test_cached_sweep_starts_no_thread(self):
+        examples, retriever = pure_examples(12)
+        cache = MemoryCache()
+        cold = sweep(
+            examples, PURE_TAUS, ModelClient(PureBackend(), cache=cache), retriever, "substring"
+        )
+        backend = PureBackend()
+        client = ModelClient(backend, cache=cache)
+        with thread_starts() as started:
+            warm = sweep(examples, PURE_TAUS, client, retriever, "substring", concurrency=8)
+        assert started == [] and backend.calls == 0
+        assert warm == cold
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=10), st.data())
+    def test_partly_cached_runs_equal_serial(self, n, data):
+        examples, retriever = pure_examples(n)
+        full = MemoryCache()
+        full_client = ModelClient(PureBackend(), cache=full)
+        sweep(examples, PURE_TAUS, full_client, retriever, "substring")
+        run_eval(PURE_TASK, examples, full_client)
+        size = len(full)
+        keep = data.draw(st.just([True] * size) | st.lists(st.booleans(), min_size=size, max_size=size))
+        cached = {d: r for (d, r), k in zip(sorted(full.items()), keep) if k}
+
+        def run(concurrency):
+            backend = PureBackend()
+            client = ModelClient(backend, cache=MemoryCache(cached))
+            with thread_starts() as started:
+                rows = sweep(examples, PURE_TAUS, client, retriever, "substring", concurrency)
+                records = run_eval(PURE_TASK, examples, client, concurrency=concurrency).records
+            return rows, records, backend.calls, started
+
+        serial_rows, serial_records, serial_calls, _ = run(1)
+        rows, records, calls, started = run(4)
+        assert rows == serial_rows and records == serial_records
+        assert calls == serial_calls == len(full) - len(cached)
+        # Every pool here has n items: tau 1.01 retrieves them all, and the
+        # eval sends the first pass's requests again.
+        assert bool(started) == (calls > 0 and n > 1)
 
 
 class TestRetrievers:

@@ -159,9 +159,9 @@ class TestPoolSize:
         sizes = []
         real = harness.run_pool
 
-        def spy(fn, items, concurrency):
+        def spy(fn, items, concurrency, client=None):
             sizes.append(concurrency)
-            return real(fn, items, concurrency)
+            return real(fn, items, concurrency, client)
 
         monkeypatch.setattr(harness, "run_pool", spy)
         monkeypatch.setattr(adaptive, "run_pool", spy)
@@ -270,6 +270,14 @@ class TestSandbox:
     def test_single_option_is_config_error(self, tmp_path):
         code, _ = self.run_sandbox(tmp_path, extra="data_distribution = 1.0\n")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("setting", ["batch_size = 0", "steps = 0", "lr = -1"])
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, setting):
+        code, out = self.run_sandbox(tmp_path, extra=setting + "\n")
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert not (out / "summary.json").exists()
 
 
 class TestReport:

@@ -1,8 +1,12 @@
 """Tests for the chat-completion client, mock backend, and cache."""
 
+import contextlib
 import json
 import math
+import sys
 import threading
+from concurrent.futures import Future
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -25,6 +29,8 @@ from confcal.errors import (
     SchemaViolation,
     UnmappableLabel,
 )
+
+from conftest import PureBackend
 
 
 def simple_request(content="hello", **kwargs):
@@ -116,6 +122,133 @@ class TestCache:
             t.join()
         lines = (tmp_path / "cache.jsonl").read_text().strip().splitlines()
         assert len(lines) == 1
+
+
+class TestSingleFlight:
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_concurrent_misses_share_one_fetch(self, monkeypatch, fails):
+        """The backend holds its call until the second caller is waiting for
+        that same fetch; a client that fetched twice would reach it twice."""
+        waiting = threading.Event()
+        real_result = Future.result
+
+        def result(future, timeout=None):
+            waiting.set()
+            return real_result(future, timeout)
+
+        monkeypatch.setattr(Future, "result", result)
+
+        class HoldingBackend:
+            calls = 0
+
+            def complete(self, request):
+                HoldingBackend.calls += 1
+                waiting.wait(timeout=10)
+                if fails:
+                    raise MalformedResponse("no logprobs")
+                return CompletionResponse(("t",), (TokenDistribution((("t", -0.1),)),))
+
+        client = ModelClient(HoldingBackend())
+        outcomes = [None, None]
+
+        def call(k):
+            try:
+                outcomes[k] = client.complete(simple_request())
+            except MalformedResponse as exc:
+                outcomes[k] = exc
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert HoldingBackend.calls == 1
+        assert outcomes[0] is outcomes[1]
+        assert isinstance(outcomes[0], MalformedResponse if fails else CompletionResponse)
+
+
+    def test_each_digest_fetched_once_under_contention(self, tmp_path):
+        backend = PureBackend()
+        client = ModelClient(backend, cache=ResponseCache(tmp_path / "cache.jsonl"))
+        requests_ = [simple_request(f"q{i}") for i in range(40)]
+
+        def hammer():
+            for request in requests_ * 5:
+                client.complete(request)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert backend.calls == len(requests_)
+
+
+def chat_body(token):
+    return {
+        "choices": [
+            {
+                "logprobs": {
+                    "content": [
+                        {"token": token, "top_logprobs": [{"token": token, "logprob": -0.1}]}
+                    ]
+                },
+                "finish_reason": "stop",
+            }
+        ]
+    }
+
+
+@contextlib.contextmanager
+def serving(token, paths):
+    """Loopback server that answers every POST with ``token`` and notes the
+    request path: a proxy sees the absolute URL."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            paths.append(self.path)
+            self.rfile.read(int(self.headers["Content-Length"]))
+            body = json.dumps(chat_body(token)).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+class TestHTTPEnvironment:
+    def test_proxy_and_no_proxy_from_environment(self, monkeypatch):
+        for name in ("http_proxy", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        proxied, direct = [], []
+        with serving("proxied", proxied) as proxy_url, serving("direct", direct) as target_url:
+            monkeypatch.setenv("HTTP_PROXY", proxy_url)
+            assert HTTPBackend(target_url).complete(simple_request()).text == "proxied"
+            assert proxied == [f"{target_url}/chat/completions"] and direct == []
+
+            monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+            assert HTTPBackend(target_url).complete(simple_request()).text == "direct"
+            assert direct == ["/chat/completions"] and len(proxied) == 1
 
 
 def cache_line(digest, token):

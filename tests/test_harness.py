@@ -3,10 +3,12 @@
 import json
 import math
 import sys
+import threading
+import time
 
 import pytest
 
-from confcal.client import MockBackend, ModelClient
+from confcal.client import CompletionRequest, Message, MockBackend, ModelClient
 from confcal.errors import NoNumberFound, SchemaViolation
 from confcal.metrics import build_report
 from confcal.harness import (
@@ -22,7 +24,7 @@ from confcal.harness import (
     verify_records,
 )
 
-from conftest import answer_entry, yes_no_entry
+from conftest import MemoryCache, PureBackend, answer_entry, thread_starts, yes_no_entry
 
 
 CLASSIFICATION_TASK = TaskSpec(
@@ -57,6 +59,7 @@ class TestTaskSpec:
                 "kind": "classification",
                 "matcher": "exact",
                 "label_set": [{"label": "A", "aliases": ["A", " A"]}],
+                "context_field": "passage",  # a retired key, ignored like any unknown one
             }
         )
         assert spec.label_set[0].aliases == {"A", " A"}
@@ -208,6 +211,57 @@ class TestRunPool:
             sys.setswitchinterval(interval)
         assert results == [-x for x in range(2000)]
         assert sorted(calls) == list(range(2000))
+
+    def test_cached_eval_starts_no_thread(self):
+        examples = [DatasetExample(id=f"e{i}", input=f"q{i}?", gold="answer 1") for i in range(12)]
+        cache = MemoryCache()
+        cold = run_eval(GENERATION_TASK, examples, ModelClient(PureBackend(), cache=cache))
+        backend = PureBackend()
+        with thread_starts() as started:
+            warm = run_eval(
+                GENERATION_TASK, examples, ModelClient(backend, cache=cache), concurrency=8
+            )
+        assert started == [] and backend.calls == 0
+        assert warm.records == cold.records
+
+    def test_cold_eval_has_every_worker_in_flight(self):
+        """Threads start at the first backend call, and then all ``concurrency``
+        of them fetch at once: the first four calls wait for each other."""
+
+        class GatedBackend(PureBackend):
+            def __init__(self):
+                super().__init__()
+                self.gate = threading.Barrier(4, timeout=10)
+
+            def complete(self, request):
+                response = super().complete(request)
+                if self.calls <= 4:
+                    self.gate.wait()
+                return response
+
+        examples = [DatasetExample(id=f"e{i}", input=f"q{i}?", gold="answer 1") for i in range(12)]
+        with thread_starts() as started:
+            run_eval(GENERATION_TASK, examples, ModelClient(GatedBackend()), concurrency=4)
+        assert len(started) == 3
+
+    def test_interrupt_on_calling_thread_joins_helpers(self):
+        client = ModelClient(PureBackend())
+        calling = threading.current_thread()
+        ran = []
+
+        def fn(i):
+            client.complete(CompletionRequest(messages=(Message("user", f"q{i}"),)))
+            ran.append(i)
+            if threading.current_thread() is calling:
+                raise KeyboardInterrupt
+            time.sleep(0.01)
+
+        with thread_starts() as started:
+            with pytest.raises(KeyboardInterrupt):
+                run_pool(fn, list(range(200)), 4, client)
+        assert len(started) == 3
+        assert not any(thread.is_alive() for thread in started)
+        assert len(ran) < 200
 
 
 class TestRunEvalGeneration:
