@@ -131,7 +131,7 @@ def build_client(cfg: RunConfig) -> ModelClient:
         backend = MockBackend.from_jsonl(cfg.mock_script)
     else:
         api_key = os.environ.get(cfg.api_key_env) if cfg.api_key_env else None
-        backend = HTTPBackend(cfg.base_url, api_key=api_key)
+        backend = HTTPBackend(cfg.base_url, api_key=api_key, pool_size=_pool_size(cfg))
     cache = ResponseCache(cfg.cache_path) if cfg.cache_path else None
     return ModelClient(
         backend,
@@ -213,13 +213,16 @@ def _open_run(
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     task, examples, client, out = _open_run(cfg)
-    result = harness.run_eval(
-        task,
-        examples,
-        client,
-        confidence_mode=cfg.confidence_mode,
-        concurrency=_pool_size(cfg),
-    )
+    try:
+        result = harness.run_eval(
+            task,
+            examples,
+            client,
+            confidence_mode=cfg.confidence_mode,
+            concurrency=_pool_size(cfg),
+        )
+    finally:
+        client.close()
     with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
         for rec in result.records:
             fh.write(json.dumps(_record_to_json(rec), ensure_ascii=False) + "\n")
@@ -251,7 +254,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         retriever = adaptive.StaticRetriever.from_examples(examples)
 
-    rows = adaptive.sweep(examples, taus, client, retriever, task.matcher, concurrency=_pool_size(cfg))
+    try:
+        rows = adaptive.sweep(
+            examples, taus, client, retriever, task.matcher, concurrency=_pool_size(cfg)
+        )
+    finally:
+        client.close()
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"])

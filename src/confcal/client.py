@@ -12,6 +12,8 @@ import hashlib
 import json
 import logging
 import math
+import os
+import random
 import threading
 import time
 from collections.abc import Callable, Iterator
@@ -19,10 +21,18 @@ from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import BinaryIO, Protocol
 
-import requests
-from requests.utils import get_netrc_auth
+import urllib3
+from requests.utils import (
+    DEFAULT_CA_BUNDLE_PATH,
+    get_auth_from_url,
+    get_environ_proxies,
+    get_netrc_auth,
+    prepend_scheme_if_needed,
+    select_proxy,
+)
+from urllib3.util import make_headers
 
 from .confidence import (
     DEFAULT_NO_ALIASES,
@@ -51,6 +61,9 @@ _log = logging.getLogger(__name__)
 SELF_EVAL_PROMPT = "Is this answer correct? Answer only Yes/No."
 
 _NEG_INF = float("-inf")
+
+# Longest wait, in seconds, that a Retry-After header is obeyed for.
+RETRY_AFTER_CAP_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -201,7 +214,15 @@ class MockBackend:
 
 
 class HTTPBackend:
-    """Adapter to a chat-completion endpoint exposing top_logprobs."""
+    """Adapter to a chat-completion endpoint exposing top_logprobs.
+
+    Posts through one keep-alive connection pool that holds up to
+    ``pool_size`` connections, built when the backend is: proxies (NO_PROXY
+    included), the CA bundle and netrc auth are read from the environment
+    then, by requests' rules, and a netrc entry for the host replaces the
+    Bearer header. Redirects are not followed, and this class's own loop is
+    the only one that retries.
+    """
 
     def __init__(
         self,
@@ -210,6 +231,7 @@ class HTTPBackend:
         max_retries: int = 3,
         backoff_start_s: float = 0.5,
         timeout_s: float = 120.0,
+        pool_size: int = 1,
     ):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
@@ -217,53 +239,81 @@ class HTTPBackend:
         self.backoff_start_s = backoff_start_s
         self.timeout_s = timeout_s
         self._url = f"{self.base_url}/chat/completions"
-        self._session = requests.Session()
-        # Proxies (NO_PROXY included), CA bundle, client cert and netrc auth
-        # are read from the environment here, once: a session that trusts the
-        # environment rescans os.environ and stats ~/.netrc on every post.
-        self._send_settings = self._session.merge_environment_settings(
-            self._url, {}, None, None, None
+        self._headers = {"Content-Type": "application/json", "Accept-Encoding": "gzip, deflate"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        netrc_auth = get_netrc_auth(self._url)
+        if netrc_auth:
+            self._headers["Authorization"] = make_headers(basic_auth=":".join(netrc_auth))["authorization"]
+        ca_bundle = (
+            os.environ.get("REQUESTS_CA_BUNDLE")
+            or os.environ.get("CURL_CA_BUNDLE")
+            or DEFAULT_CA_BUNDLE_PATH
         )
-        self._auth = get_netrc_auth(self._url)
-        self._session.trust_env = False
+        pool_kw = {
+            "maxsize": max(1, pool_size),
+            "timeout": timeout_s,
+            "cert_reqs": "CERT_REQUIRED",
+            ("ca_cert_dir" if os.path.isdir(ca_bundle) else "ca_certs"): ca_bundle,
+        }
+        proxy = select_proxy(self._url, get_environ_proxies(self._url))
+        if proxy:
+            proxy = prepend_scheme_if_needed(proxy, "http")
+            user, password = get_auth_from_url(proxy)
+            proxy_headers = make_headers(proxy_basic_auth=f"{user}:{password}") if user else None
+            try:
+                self._pool = urllib3.ProxyManager(proxy, proxy_headers=proxy_headers, **pool_kw)
+            except ValueError as exc:  # a scheme urllib3 does not speak, such as socks5
+                raise EndpointUnreachable(f"proxy for {self._url}: {exc}") from exc
+        else:
+            self._pool = urllib3.PoolManager(**pool_kw)
+
+    def close(self) -> None:
+        """Closes the pooled connections."""
+        self._pool.clear()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        payload = {
-            "model": request.model_name,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-            "logprobs": True,
-            "top_logprobs": request.top_logprobs,
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = json.dumps(
+            {
+                "model": request.model_name,
+                "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+                "max_tokens": request.max_tokens,
+                "temperature": request.temperature,
+                "logprobs": True,
+                "top_logprobs": request.top_logprobs,
+            },
+            allow_nan=False,
+        ).encode("utf-8")
 
         delay = self.backoff_start_s
+        wait = 0.0
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(delay)
-                delay *= 2
+                time.sleep(wait)
+            retry_after = None
             try:
-                resp = self._session.post(
-                    self._url,
-                    json=payload,
-                    headers=headers,
-                    timeout=self.timeout_s,
-                    auth=self._auth,
-                    **self._send_settings,
+                resp = self._pool.urlopen(
+                    "POST", self._url, body=body, headers=self._headers, retries=False, redirect=False
                 )
-            except requests.RequestException as exc:
+            except (urllib3.exceptions.HTTPError, OSError) as exc:
                 last_error = EndpointUnreachable(str(exc))
-                continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = RateLimited(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                continue
-            if resp.status_code != 200:
-                raise EndpointUnreachable(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            return self._parse(resp.json())
+            else:
+                if resp.status == 200:
+                    try:
+                        data = json.loads(resp.data)
+                    except ValueError as exc:
+                        raise MalformedResponse(f"response is not JSON: {exc}") from exc
+                    return self._parse(data)
+                text = resp.data[:200].decode("utf-8", "replace")
+                if resp.status != 429 and resp.status < 500:
+                    raise EndpointUnreachable(f"HTTP {resp.status}: {text}")
+                last_error = RateLimited(f"HTTP {resp.status}: {text}")
+                if resp.status in (429, 503):
+                    retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+            # full jitter on a doubling backoff, unless the server named a wait
+            wait = retry_after if retry_after is not None else random.uniform(0.0, delay)
+            delay *= 2
         raise last_error if last_error is not None else EndpointUnreachable("no attempts made")
 
     @staticmethod
@@ -294,20 +344,31 @@ class HTTPBackend:
         )
 
 
+def _retry_after_s(value: str | None) -> float | None:
+    """The wait a Retry-After header asks for in delta-seconds, capped at
+    RETRY_AFTER_CAP_S; None when there is none or it is an HTTP date."""
+    if value is None or not value.strip().isdecimal():
+        return None
+    return min(float(value), RETRY_AFTER_CAP_S)
+
+
 class ResponseCache:
     """Append-only JSONL cache; concurrent readers, single-writer appends.
 
-    Each record is written with its newline in one write, so a last line
-    without a newline was cut off mid-append: loading skips it with a
-    warning, and the next append cuts it off before writing. Any other line
-    that does not parse fails the load with its line number. Loading never
-    writes to the file.
+    The file is opened for appending at the first ``put`` and stays open
+    until ``close``; each record is written with its newline in one write
+    and flushed, so a last line without a newline was cut off mid-append:
+    loading skips it with a warning, and the first append cuts it off
+    before writing. Any other line that does not parse fails the load with
+    its line number. Loading never writes to the file, and a cache that
+    puts nothing never opens it.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[str, CompletionResponse] = {}
         self._lock = threading.Lock()
+        self._file: BinaryIO | None = None
         self._torn_at: int | None = None
         if self.path.exists():
             data = self.path.read_bytes()
@@ -335,21 +396,29 @@ class ResponseCache:
         return self._entries.get(digest)
 
     def put(self, digest: str, response: CompletionResponse) -> None:
+        if digest in self._entries:
+            return
+        record = {"request_digest": digest, "response": response.to_json(), "created_at": time.time()}
+        line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
             if digest in self._entries:
                 return
-            self._entries[digest] = response
-            record = {
-                "request_digest": digest,
-                "response": response.to_json(),
-                "created_at": time.time(),
-            }
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
+            if self._file is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._file = open(self.path, "ab")
                 if self._torn_at is not None:
-                    fh.truncate(self._torn_at)
+                    self._file.truncate(self._torn_at)
                     self._torn_at = None
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            self._file.write(line)
+            self._file.flush()
+            self._entries[digest] = response
+
+    def close(self) -> None:
+        """Closes the append handle; a later ``put`` opens it again."""
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
 
 @dataclass(frozen=True)
@@ -392,6 +461,14 @@ class ModelClient:
         self._flights: dict[str, Future] = {}
         self._flights_lock = threading.Lock()
         self._local = threading.local()
+
+    def close(self) -> None:
+        """Closes the backend's connections and the cache's append handle."""
+        close_backend = getattr(self.backend, "close", None)
+        if close_backend is not None:
+            close_backend()
+        if self.cache is not None:
+            self.cache.close()
 
     @contextmanager
     def before_fetch(self, callback: Callable[[], None]) -> Iterator[None]:

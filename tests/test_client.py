@@ -1,16 +1,23 @@
 """Tests for the chat-completion client, mock backend, and cache."""
 
+import base64
+import builtins
 import contextlib
 import json
+import logging
 import math
 import sys
 import threading
+import time
 from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from confcal import client as client_module
+from confcal.cli import EXIT_ENDPOINT, EXIT_OK, main
 from confcal.client import (
+    RETRY_AFTER_CAP_S,
     SELF_EVAL_PROMPT,
     CompletionRequest,
     CompletionResponse,
@@ -23,9 +30,11 @@ from confcal.client import (
 )
 from confcal.confidence import Flag, TokenDistribution
 from confcal.errors import (
+    EndpointUnreachable,
     InvalidInput,
     MalformedResponse,
     NoLabelTokenPresent,
+    RateLimited,
     SchemaViolation,
     UnmappableLabel,
 )
@@ -85,6 +94,15 @@ class TestMockBackend:
         assert backend.complete(simple_request()).text == "hi"
 
 
+# An append handle or a pooled connection left open fails the test. A
+# ResourceWarning raised while an object is finalized reaches pytest as an
+# unraisable-exception warning, hence the second filter.
+closes_everything = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
+@closes_everything
 class TestCache:
     def test_round_trip_lossless(self, tmp_path):
         response = CompletionResponse(
@@ -98,6 +116,7 @@ class TestCache:
 
         cache = ResponseCache(tmp_path / "cache.jsonl")
         cache.put("d1", response)
+        cache.close()
         reloaded = ResponseCache(tmp_path / "cache.jsonl")
         assert reloaded.get("d1") == response
 
@@ -107,6 +126,7 @@ class TestCache:
         client = ModelClient(backend, cache=cache)
         first = client.complete(simple_request())
         second = client.complete(simple_request())  # would exhaust the mock if not cached
+        client.close()
         assert first == second
 
     def test_concurrent_writers_single_entry(self, tmp_path):
@@ -120,8 +140,47 @@ class TestCache:
             t.start()
         for t in threads:
             t.join()
+        cache.close()
         lines = (tmp_path / "cache.jsonl").read_text().strip().splitlines()
         assert len(lines) == 1
+
+    def test_one_append_handle_per_run(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args)
+            return builtins.open(*args, **kwargs)
+
+        monkeypatch.setattr(client_module, "open", counting_open, raising=False)
+        path = tmp_path / "sub" / "cache.jsonl"
+        cache = ResponseCache(path)
+        for k in range(5):
+            cache.put(f"d{k}", CompletionResponse.from_json(json.loads(cache_line("x", f"t{k}"))["response"]))
+        assert len(opened) == 1
+        assert len(path.read_text().splitlines()) == 5  # each record is flushed
+        cache.close()
+        cache.put("d5", CompletionResponse.from_json(json.loads(cache_line("x", "t5"))["response"]))
+        cache.close()
+        assert len(opened) == 2
+        reloaded = ResponseCache(path)
+        assert [reloaded.get(f"d{k}").text for k in range(6)] == [f"t{k}" for k in range(6)]
+
+    def test_a_run_that_puts_nothing_never_opens_the_file(self, tmp_path, monkeypatch):
+        opened = []
+        monkeypatch.setattr(client_module, "open", lambda *a, **k: opened.append(a), raising=False)
+        path = tmp_path / "cache.jsonl"
+        path.write_text(cache_line("d1", "a"))
+        stat = path.stat()
+        cache = ResponseCache(path)
+        cache.put("d1", cache.get("d1"))  # already present: nothing to append
+        cache.close()
+        absent = ResponseCache(tmp_path / "absent" / "cache.jsonl")
+        assert absent.get("d1") is None
+        absent.close()
+        assert opened == []
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        assert path.read_text() == cache_line("d1", "a")
+        assert not (tmp_path / "absent").exists()
 
 
 class TestSingleFlight:
@@ -187,6 +246,7 @@ class TestSingleFlight:
                 t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        client.close()
         assert not any(t.is_alive() for t in threads)
         assert backend.calls == len(requests_)
 
@@ -206,34 +266,71 @@ def chat_body(token):
     }
 
 
+def chat_reply(token):
+    return 200, {"Content-Type": "application/json"}, json.dumps(chat_body(token)).encode()
+
+
+class ChatStub:
+    """Loopback HTTP/1.1 chat-completions server that keeps connections
+    alive. It answers with ``replies`` in order, each a (status, headers,
+    body) triple, and then with ``default``; it counts accepted connections
+    and keeps the path and the headers of every request."""
+
+    def __init__(self, replies=(), default=chat_reply("ok"), delay_s=0.0):
+        self.replies = list(replies)
+        self.default = default
+        self.connections = 0
+        self.paths = []
+        self.headers = []
+        lock = threading.Lock()
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                with lock:
+                    stub.connections += 1
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                with lock:
+                    stub.paths.append(self.path)
+                    stub.headers.append(self.headers)
+                    status, headers, body = stub.replies.pop(0) if stub.replies else stub.default
+                time.sleep(delay_s)
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._server.server_port}/v1"
+
+    def __enter__(self):
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.02,), daemon=True)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+
+
 @contextlib.contextmanager
 def serving(token, paths):
-    """Loopback server that answers every POST with ``token`` and notes the
-    request path: a proxy sees the absolute URL."""
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            paths.append(self.path)
-            self.rfile.read(int(self.headers["Content-Length"]))
-            body = json.dumps(chat_body(token)).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
+    """A stub that answers every POST with ``token`` and notes the request
+    paths in ``paths``: a proxy sees the absolute URL."""
+    with ChatStub(default=chat_reply(token)) as stub:
+        stub.paths = paths
+        yield stub.url.removesuffix("/v1")
 
 
 class TestHTTPEnvironment:
@@ -251,6 +348,178 @@ class TestHTTPEnvironment:
             assert direct == ["/chat/completions"] and len(proxied) == 1
 
 
+HTML = (200, {"Content-Type": "text/html"}, b"<html>sign in</html>")
+
+
+@pytest.fixture
+def plain_env(monkeypatch, tmp_path):
+    """No proxy and no netrc entry from the surrounding environment."""
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("NETRC", str(tmp_path / "no-netrc"))
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The waits of the test's own thread, recorded instead of slept."""
+    slept = []
+    test_thread = threading.get_ident()
+    real_sleep = time.sleep
+
+    def sleep(seconds):
+        if threading.get_ident() == test_thread:
+            slept.append(seconds)
+        else:
+            real_sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    return slept
+
+
+def generation_config(tmp_path, base_url, n, concurrency):
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        "".join(
+            json.dumps({"id": f"e{i}", "input": f"q{i}?", "gold": "ok", "context": f"c{i}"}) + "\n"
+            for i in range(n)
+        )
+    )
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"task_id": "t", "kind": "generation", "matcher": "substring"}))
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"base_url = {base_url}\ntask_spec = {task}\ndataset = {dataset}\n"
+        f"output_dir = {tmp_path / 'out'}\nconcurrency = {concurrency}\n"
+    )
+    return config
+
+
+@closes_everything
+@pytest.mark.usefixtures("plain_env")
+class TestHTTPTransport:
+    def test_sequential_requests_reuse_one_connection(self):
+        with ChatStub() as stub:
+            backend = HTTPBackend(stub.url)
+            for k in range(5):
+                assert backend.complete(simple_request(f"q{k}")).text == "ok"
+            backend.close()
+        assert len(stub.headers) == 5
+        assert stub.connections == 1
+
+    @pytest.mark.parametrize("concurrency", [4, 8])
+    def test_run_keeps_at_most_concurrency_connections(self, tmp_path, caplog, concurrency):
+        caplog.set_level(logging.WARNING, logger="urllib3")
+        with ChatStub(delay_s=0.005) as stub:
+            config = generation_config(tmp_path, stub.url, 6 * concurrency, concurrency)
+            assert main(["eval", "--config", str(config)]) == EXIT_OK
+        assert len(stub.headers) == 12 * concurrency
+        assert 1 <= stub.connections <= concurrency
+        assert "Connection pool is full" not in caplog.text
+
+    def test_429_then_200_retries_once(self, sleeps):
+        with ChatStub([(429, {"Retry-After": "2"}, b"slow down")]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request()).text == "ok"
+            backend.close()
+        assert len(stub.headers) == 2
+        assert sleeps == [2.0]
+
+    def test_retry_after_is_capped(self, sleeps):
+        with ChatStub([(503, {"Retry-After": "86400"}, b"")]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request()).text == "ok"
+            backend.close()
+        assert sleeps == [RETRY_AFTER_CAP_S]
+
+    def test_backoff_doubles_with_full_jitter(self, monkeypatch, sleeps):
+        bounds = []
+        monkeypatch.setattr(client_module.random, "uniform", lambda a, b: bounds.append((a, b)) or b / 2)
+        replies = [
+            (503, {}, b""),
+            (429, {"Retry-After": "Fri, 31 Dec 1999 23:59:59 GMT"}, b""),  # a date: not obeyed
+            (500, {"Retry-After": "9"}, b""),  # only 429 and 503 are obeyed
+        ]
+        with ChatStub(replies) as stub:
+            backend = HTTPBackend(stub.url, backoff_start_s=0.5)
+            assert backend.complete(simple_request()).text == "ok"
+            backend.close()
+        assert bounds == [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0)]
+        assert sleeps == [0.25, 0.5, 1.0]
+
+    def test_5xx_on_every_attempt_is_rate_limited(self, sleeps):
+        with ChatStub(default=(500, {}, b"overloaded")) as stub:
+            backend = HTTPBackend(stub.url, max_retries=2)
+            with pytest.raises(RateLimited, match="HTTP 500: overloaded"):
+                backend.complete(simple_request())
+            backend.close()
+        assert len(stub.headers) == 3
+        assert len(sleeps) == 2
+
+    def test_404_is_unreachable_without_retry(self, sleeps):
+        with ChatStub(default=(404, {}, b"no such route")) as stub:
+            backend = HTTPBackend(stub.url)
+            with pytest.raises(EndpointUnreachable, match="HTTP 404"):
+                backend.complete(simple_request())
+            backend.close()
+        assert len(stub.headers) == 1
+        assert sleeps == []
+
+    def test_refused_connection_is_unreachable(self, sleeps):
+        with ChatStub() as stub:
+            url = stub.url
+        backend = HTTPBackend(url, max_retries=1)
+        with pytest.raises(EndpointUnreachable):
+            backend.complete(simple_request())
+        backend.close()
+        assert len(sleeps) == 1
+
+    def test_non_json_200_is_malformed(self, sleeps):
+        with ChatStub(default=HTML) as stub:
+            backend = HTTPBackend(stub.url)
+            with pytest.raises(MalformedResponse, match="not JSON"):
+                backend.complete(simple_request())
+            backend.close()
+        assert len(stub.headers) == 1
+
+    def test_non_json_200_flags_eval_records_and_fails_the_sweep(self, tmp_path, capsys):
+        with ChatStub(default=HTML) as stub:
+            config = generation_config(tmp_path, stub.url, 3, 2)
+            assert main(["eval", "--config", str(config)]) == EXIT_OK
+            records = (tmp_path / "out" / "records.jsonl").read_text().splitlines()
+            assert len(records) == 3
+            assert all("error:MalformedResponse" in json.loads(r)["flags"] for r in records)
+            capsys.readouterr()
+            assert main(["sweep", "--config", str(config), "--taus", "0.5"]) == EXIT_ENDPOINT
+            assert capsys.readouterr().err.startswith("endpoint error: response is not JSON")
+
+    def test_unsupported_proxy_scheme_is_one_endpoint_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HTTP_PROXY", "socks5://user:pw@127.0.0.1:9")
+        config = generation_config(tmp_path, "http://127.0.0.1:9/v1", 1, 1)
+        assert main(["eval", "--config", str(config)]) == EXIT_ENDPOINT
+        err = capsys.readouterr().err
+        assert "socks5" in err and "pw" not in err and len(err.splitlines()) == 1
+
+    def test_bearer_header(self):
+        with ChatStub() as stub:
+            backend = HTTPBackend(stub.url, api_key="sk-test")
+            backend.complete(simple_request())
+            backend.close()
+        assert stub.headers[0]["Authorization"] == "Bearer sk-test"
+        assert stub.headers[0]["Content-Type"] == "application/json"
+
+    def test_netrc_entry_replaces_bearer(self, tmp_path, monkeypatch):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login alice password s3cret\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        with ChatStub() as stub:
+            backend = HTTPBackend(stub.url, api_key="sk-test")
+            backend.complete(simple_request())
+            backend.close()
+        expected = "Basic " + base64.b64encode(b"alice:s3cret").decode()
+        assert stub.headers[0].get_all("Authorization") == [expected]
+
+
 def cache_line(digest, token):
     record = {
         "request_digest": digest,
@@ -259,6 +528,7 @@ def cache_line(digest, token):
     return json.dumps(record) + "\n"
 
 
+@closes_everything
 class TestCacheDamage:
     def test_torn_last_line_skipped_then_cut_on_append(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
@@ -271,6 +541,7 @@ class TestCacheDamage:
         assert "cache.jsonl:3" in caplog.text and "torn" in caplog.text
 
         cache.put("d4", CompletionResponse.from_json(json.loads(cache_line("d4", "e"))["response"]))
+        cache.close()
         assert path.read_text().startswith(cache_line("d1", "a") + cache_line("d2", "b"))
         assert len(path.read_text().splitlines()) == 3
         assert ResponseCache(path).get("d4") is not None
