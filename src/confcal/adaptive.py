@@ -9,15 +9,12 @@ threshold does not retrieve.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-import requests
-
-from .client import ModelClient
-from .errors import EndpointUnreachable, RetrievalMiss
+from .client import JSONPoster, ModelClient
+from .errors import MalformedResponse, RetrievalMiss
 from .harness import DatasetExample, answer_and_self_evaluate, is_correct, run_pool
 from .metrics import retrieval_efficiency
 
@@ -40,24 +37,25 @@ class StaticRetriever:
 
 
 class HTTPRetriever:
-    """Thin client for a {"query", "top_k"} -> {"passages": [{"text"}]} endpoint."""
+    """Thin client for a {"query", "top_k"} -> {"passages": [{"text"}]}
+    endpoint; posts through a ``JSONPoster`` of ``pool_size`` connections."""
 
-    def __init__(self, url: str, top_k: int = 5, timeout_s: float = 30.0):
+    def __init__(self, url: str, top_k: int = 5, timeout_s: float = 30.0, pool_size: int = 1):
         self.url = url
         self.top_k = top_k
-        self.timeout_s = timeout_s
+        self._poster = JSONPoster(url, timeout_s=timeout_s, pool_size=pool_size)
+
+    def close(self) -> None:
+        """Closes the pooled connections."""
+        self._poster.close()
 
     def retrieve(self, example: DatasetExample) -> str:
-        try:
-            resp = requests.post(
-                self.url,
-                json={"query": example.input, "top_k": self.top_k},
-                timeout=self.timeout_s,
-            )
-            resp.raise_for_status()
-            passages = resp.json()["passages"]
-        except (requests.RequestException, KeyError, json.JSONDecodeError) as exc:
-            raise EndpointUnreachable(f"retriever failed: {exc}") from exc
+        reply = self._poster.post({"query": example.input, "top_k": self.top_k})
+        passages = reply.get("passages") if isinstance(reply, dict) else None
+        if not isinstance(passages, list) or not all(
+            isinstance(p, dict) and isinstance(p.get("text"), str) for p in passages
+        ):
+            raise MalformedResponse(f"retriever reply from {self.url} lacks passages[].text strings")
         return "\n\n".join(p["text"] for p in passages)
 
 

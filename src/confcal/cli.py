@@ -17,9 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import adaptive, harness, metrics, sandbox
+from . import adaptive, harness, metrics
 from .client import HTTPBackend, MockBackend, ModelClient, ResponseCache
 from .confidence import MissingPolicy
 from .errors import (
@@ -115,6 +113,8 @@ class RunConfig:
                 setattr(cfg, key, converters.get(key, str)(raw))
             except ValueError as exc:
                 raise ConfigInvalid(f"bad value for {key!r}: {exc}") from exc
+        if cfg.n_bins < 1:
+            raise ConfigInvalid(f"n_bins must be >= 1, got {cfg.n_bins}")
         if cfg.confidence_mode not in ("normalized", "raw", "both"):
             raise ConfigInvalid(f"confidence_mode must be normalized|raw|both, got {cfg.confidence_mode!r}")
         if cfg.missing_policy not in ("error", "neutral", "skip"):
@@ -245,21 +245,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
-    taus = [float(t) for t in args.taus.split(",")] if args.taus else cfg.taus
-    if not taus:
+    if not cfg.taus:
         raise ConfigInvalid("missing tau list (flag --taus or config key taus)")
     task, examples, client, out = _open_run(cfg)
     if cfg.retriever_url:
-        retriever = adaptive.HTTPRetriever(cfg.retriever_url)
+        retriever = adaptive.HTTPRetriever(cfg.retriever_url, pool_size=_pool_size(cfg))
     else:
         retriever = adaptive.StaticRetriever.from_examples(examples)
-
     try:
         rows = adaptive.sweep(
-            examples, taus, client, retriever, task.matcher, concurrency=_pool_size(cfg)
+            examples, cfg.taus, client, retriever, task.matcher, concurrency=_pool_size(cfg)
         )
     finally:
         client.close()
+        if cfg.retriever_url:
+            retriever.close()
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"])
@@ -302,12 +302,14 @@ def cmd_ece_from_bins(args: argparse.Namespace) -> int:
 
 
 def cmd_sandbox(args: argparse.Namespace) -> int:
+    from . import sandbox  # numpy: only the sandbox needs it
+
     cfg = _load_run_config(args)
     dist = cfg.data_distribution or [0.7, 0.3]
     if len(dist) < 2:
         raise ConfigInvalid("data_distribution needs at least 2 options")
     try:
-        task = sandbox.ToyTask(np.asarray(dist))
+        task = sandbox.ToyTask(dist)
         sandbox_cfg = sandbox.SandboxConfig(
             steps=cfg.steps, lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed
         )
@@ -353,7 +355,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         values = load_config_file(args.config)
     values = apply_env_overrides(values)
-    for key in ("dataset", "task_spec", "mock_script", "output_dir", "cache_path", "seed"):
+    for key in ("dataset", "task_spec", "mock_script", "output_dir", "cache_path", "seed", "taus"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = str(flag)

@@ -8,10 +8,13 @@ response cache keyed by a stable request digest.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import ipaddress
 import json
 import logging
 import math
+import netrc
 import os
 import random
 import threading
@@ -22,17 +25,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Protocol
+from urllib.parse import unquote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
+import certifi
 import urllib3
-from requests.utils import (
-    DEFAULT_CA_BUNDLE_PATH,
-    get_auth_from_url,
-    get_environ_proxies,
-    get_netrc_auth,
-    prepend_scheme_if_needed,
-    select_proxy,
-)
-from urllib3.util import make_headers
 
 from .confidence import (
     DEFAULT_NO_ALIASES,
@@ -47,6 +44,7 @@ from .confidence import (
 )
 from .errors import (
     ConfcalError,
+    ConfigInvalid,
     EndpointUnreachable,
     InvalidInput,
     MalformedResponse,
@@ -213,42 +211,84 @@ class MockBackend:
             return response
 
 
-class HTTPBackend:
-    """Adapter to a chat-completion endpoint exposing top_logprobs.
+def _basic_auth(user: str, password: str, source: str) -> str:
+    """A Basic credential; an error names ``source``, never the credential."""
+    try:
+        pair = f"{user}:{password}".encode("latin-1")
+    except UnicodeEncodeError:
+        raise ConfigInvalid(f"{source}: login or password is not latin-1") from None
+    return "Basic " + base64.b64encode(pair).decode("ascii")
 
-    Posts through one keep-alive connection pool that holds up to
-    ``pool_size`` connections, built when the backend is: proxies (NO_PROXY
-    included), the CA bundle and netrc auth are read from the environment
-    then, by requests' rules, and a netrc entry for the host replaces the
-    Bearer header. Redirects are not followed, and this class's own loop is
-    the only one that retries.
+
+def _proxy_for(url: str) -> str | None:
+    """The proxy the environment names for ``url`` (its scheme's, else
+    ``all``), or None when NO_PROXY names the host or, for an IPv4 host, an
+    IPv4 network that holds it."""
+    parts = urlsplit(url)
+    host = parts.hostname or ""
+    proxies = getproxies()
+    proxy = proxies.get(parts.scheme) or proxies.get("all")
+    if not proxy or proxy_bypass(f"{host}:{parts.port}" if parts.port else host):
+        return None
+    for entry in proxies.get("no", "").split(","):
+        try:
+            if "/" in entry and ipaddress.IPv4Address(host) in ipaddress.IPv4Network(entry.strip(), strict=False):
+                return None
+        except ValueError:  # a host name, or an entry that is not an IPv4 network
+            pass
+    return proxy if "://" in proxy else f"http://{proxy}"
+
+
+def _netrc_auth(host: str) -> str | None:
+    """The Basic credential of the netrc entry for ``host`` ($NETRC, else
+    ~/.netrc), where the login falls back to the account; a file that does
+    not parse is ignored."""
+    path = os.path.expanduser(os.environ.get("NETRC", "~/.netrc"))
+    try:
+        # an explicit path: netrc checks the file's permissions only for its default
+        entry = netrc.netrc(path).authenticators(host)
+    except (netrc.NetrcParseError, OSError, UnicodeDecodeError):  # a missing file included
+        return None
+    if not entry:
+        return None
+    login, account, password = entry
+    return _basic_auth(login or account, password or "", f"netrc entry for {host}")
+
+
+class JSONPoster:
+    """POSTs JSON to one URL through one keep-alive pool of up to
+    ``pool_size`` connections, and returns the decoded JSON reply.
+
+    Proxies (NO_PROXY included), the CA bundle (REQUESTS_CA_BUNDLE, else
+    CURL_CA_BUNDLE, else certifi's) and netrc auth are read from the
+    environment once, here; a netrc entry for the host replaces the Bearer
+    header. A 429 or 5xx is retried up to ``max_retries`` times, after its
+    Retry-After or a doubling backoff with full jitter. Redirects are not
+    followed.
     """
 
     def __init__(
         self,
-        base_url: str,
+        url: str,
         api_key: str | None = None,
         max_retries: int = 3,
         backoff_start_s: float = 0.5,
         timeout_s: float = 120.0,
         pool_size: int = 1,
     ):
-        self.base_url = base_url.rstrip("/")
-        self.api_key = api_key
+        self.url = url
         self.max_retries = max_retries
         self.backoff_start_s = backoff_start_s
-        self.timeout_s = timeout_s
-        self._url = f"{self.base_url}/chat/completions"
         self._headers = {"Content-Type": "application/json", "Accept-Encoding": "gzip, deflate"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
-        netrc_auth = get_netrc_auth(self._url)
+        netrc_auth = _netrc_auth(urlsplit(url).hostname or "")
         if netrc_auth:
-            self._headers["Authorization"] = make_headers(basic_auth=":".join(netrc_auth))["authorization"]
+            self._headers["Authorization"] = netrc_auth
         ca_bundle = (
             os.environ.get("REQUESTS_CA_BUNDLE")
             or os.environ.get("CURL_CA_BUNDLE")
-            or DEFAULT_CA_BUNDLE_PATH
+            or certifi.where()
         )
         pool_kw = {
             "maxsize": max(1, pool_size),
@@ -256,15 +296,17 @@ class HTTPBackend:
             "cert_reqs": "CERT_REQUIRED",
             ("ca_cert_dir" if os.path.isdir(ca_bundle) else "ca_certs"): ca_bundle,
         }
-        proxy = select_proxy(self._url, get_environ_proxies(self._url))
+        proxy = _proxy_for(url)
         if proxy:
-            proxy = prepend_scheme_if_needed(proxy, "http")
-            user, password = get_auth_from_url(proxy)
-            proxy_headers = make_headers(proxy_basic_auth=f"{user}:{password}") if user else None
+            parts = urlsplit(proxy)
+            proxy_headers = None
+            if parts.username:
+                auth = _basic_auth(unquote(parts.username), unquote(parts.password or ""), f"proxy for {url}")
+                proxy_headers = {"Proxy-Authorization": auth}
             try:
                 self._pool = urllib3.ProxyManager(proxy, proxy_headers=proxy_headers, **pool_kw)
             except ValueError as exc:  # a scheme urllib3 does not speak, such as socks5
-                raise EndpointUnreachable(f"proxy for {self._url}: {exc}") from exc
+                raise EndpointUnreachable(f"proxy for {url}: {exc}") from exc
         else:
             self._pool = urllib3.PoolManager(**pool_kw)
 
@@ -272,19 +314,8 @@ class HTTPBackend:
         """Closes the pooled connections."""
         self._pool.clear()
 
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        body = json.dumps(
-            {
-                "model": request.model_name,
-                "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-                "max_tokens": request.max_tokens,
-                "temperature": request.temperature,
-                "logprobs": True,
-                "top_logprobs": request.top_logprobs,
-            },
-            allow_nan=False,
-        ).encode("utf-8")
-
+    def post(self, payload: object) -> object:
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         delay = self.backoff_start_s
         wait = 0.0
         last_error: Exception | None = None
@@ -294,17 +325,16 @@ class HTTPBackend:
             retry_after = None
             try:
                 resp = self._pool.urlopen(
-                    "POST", self._url, body=body, headers=self._headers, retries=False, redirect=False
+                    "POST", self.url, body=body, headers=self._headers, retries=False, redirect=False
                 )
             except (urllib3.exceptions.HTTPError, OSError) as exc:
                 last_error = EndpointUnreachable(str(exc))
             else:
                 if resp.status == 200:
                     try:
-                        data = json.loads(resp.data)
+                        return json.loads(resp.data)
                     except ValueError as exc:
                         raise MalformedResponse(f"response is not JSON: {exc}") from exc
-                    return self._parse(data)
                 text = resp.data[:200].decode("utf-8", "replace")
                 if resp.status != 429 and resp.status < 500:
                     raise EndpointUnreachable(f"HTTP {resp.status}: {text}")
@@ -315,6 +345,42 @@ class HTTPBackend:
             wait = retry_after if retry_after is not None else random.uniform(0.0, delay)
             delay *= 2
         raise last_error if last_error is not None else EndpointUnreachable("no attempts made")
+
+
+class HTTPBackend:
+    """Adapter to a chat-completion endpoint exposing top_logprobs; posts
+    through a ``JSONPoster`` on ``{base_url}/chat/completions``."""
+
+    def __init__(
+        self,
+        base_url: str,
+        api_key: str | None = None,
+        max_retries: int = 3,
+        backoff_start_s: float = 0.5,
+        timeout_s: float = 120.0,
+        pool_size: int = 1,
+    ):
+        self._poster = JSONPoster(
+            f"{base_url.rstrip('/')}/chat/completions", api_key, max_retries, backoff_start_s, timeout_s, pool_size
+        )
+
+    def close(self) -> None:
+        """Closes the pooled connections."""
+        self._poster.close()
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        return self._parse(
+            self._poster.post(
+                {
+                    "model": request.model_name,
+                    "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+                    "max_tokens": request.max_tokens,
+                    "temperature": request.temperature,
+                    "logprobs": True,
+                    "top_logprobs": request.top_logprobs,
+                }
+            )
+        )
 
     @staticmethod
     def _parse(body: dict) -> CompletionResponse:

@@ -10,8 +10,8 @@ is reported as None rather than 0.5 so broken runs stay visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from scipy.stats import rankdata
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import AllEmptyBins, DegenerateClasses, EmptyInput, ZeroRetrieval
 
@@ -69,8 +69,14 @@ def auroc_from_scores(scores: list[float], labels: list[bool]) -> float:
         raise DegenerateClasses(
             f"need both classes, got {n_pos} correct / {n_neg} incorrect"
         )
-    ranks = rankdata(scores, method="average")
-    pos_rank_sum = sum(rank for rank, lab in zip(ranks, labels) if lab)
+    # k tied scores above r lower ones share the midrank r + (k + 1) / 2, a
+    # half-integer, so the sum is exact in any order
+    pos_rank_sum = 0.0
+    lower = 0
+    for _, run in groupby(sorted(zip(scores, labels)), key=itemgetter(0)):
+        tied = [lab for _, lab in run]
+        pos_rank_sum += (lower + (len(tied) + 1) / 2.0) * sum(tied)
+        lower += len(tied)
     u = pos_rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

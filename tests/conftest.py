@@ -1,9 +1,13 @@
-"""Shared fixtures: record builders, bin-table loaders, scripted backends."""
+"""Shared fixtures: record builders, bin-table loaders, scripted backends,
+loopback HTTP stubs."""
 
 import contextlib
 import csv
+import json
 import math
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from unittest import mock
 
@@ -108,3 +112,116 @@ def thread_starts():
 
     with mock.patch.object(threading.Thread, "start", start):
         yield started
+
+
+# An append handle or a pooled connection left open fails the test. A
+# ResourceWarning raised while an object is finalized reaches pytest as an
+# unraisable-exception warning, hence the second filter.
+closes_everything = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
+def chat_body(token):
+    return {
+        "choices": [
+            {
+                "logprobs": {
+                    "content": [
+                        {"token": token, "top_logprobs": [{"token": token, "logprob": -0.1}]}
+                    ]
+                },
+                "finish_reason": "stop",
+            }
+        ]
+    }
+
+
+def chat_reply(token):
+    return 200, {"Content-Type": "application/json"}, json.dumps(chat_body(token)).encode()
+
+
+class ChatStub:
+    """Loopback HTTP/1.1 JSON server that keeps connections alive. It
+    answers with ``replies`` in order, each a (status, headers, body)
+    triple, and then with ``default``, a triple or a function of the decoded
+    request body that returns one; it counts accepted connections and keeps
+    the path, the headers and the decoded body of every request."""
+
+    def __init__(self, replies=(), default=chat_reply("ok"), delay_s=0.0):
+        self.replies = list(replies)
+        self.default = default
+        self.connections = 0
+        self.paths = []
+        self.headers = []
+        self.bodies = []
+        lock = threading.Lock()
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                with lock:
+                    stub.connections += 1
+
+            def do_POST(self):
+                request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with lock:
+                    stub.paths.append(self.path)
+                    stub.headers.append(self.headers)
+                    stub.bodies.append(request)
+                    reply = stub.replies.pop(0) if stub.replies else stub.default
+                status, headers, body = reply(request) if callable(reply) else reply
+                time.sleep(delay_s)
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._server.server_port}/v1"
+
+    def __enter__(self):
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.02,), daemon=True)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+
+
+HTML = (200, {"Content-Type": "text/html"}, b"<html>sign in</html>")
+
+
+@pytest.fixture
+def plain_env(monkeypatch, tmp_path):
+    """No proxy and no netrc entry from the surrounding environment."""
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("NETRC", str(tmp_path / "no-netrc"))
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The waits of the test's own thread, recorded instead of slept."""
+    slept = []
+    test_thread = threading.get_ident()
+    real_sleep = time.sleep
+
+    def sleep(seconds):
+        if threading.get_ident() == test_thread:
+            slept.append(seconds)
+        else:
+            real_sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    return slept

@@ -1,5 +1,8 @@
 """Tests for the confidence-gated retrieval controller and sweeps."""
 
+import hashlib
+import json
+import math
 import threading
 from unittest import mock
 
@@ -15,13 +18,23 @@ from confcal.adaptive import (
     answer_adaptive,
     sweep,
 )
+from confcal.cli import EXIT_ENDPOINT, EXIT_OK, main
 from confcal.client import MockBackend, ModelClient, SelfEvalResult, request_digest
 from confcal.confidence import ConfidenceScore, Method, MissingPolicy
 from confcal.errors import NoNumberFound, RetrievalMiss
 from confcal.harness import DatasetExample, TaskSpec, match_answer, run_eval
 from confcal.metrics import retrieval_efficiency
 
-from conftest import MemoryCache, PureBackend, answer_entry, thread_starts, yes_no_entry
+from conftest import (
+    HTML,
+    ChatStub,
+    MemoryCache,
+    PureBackend,
+    answer_entry,
+    closes_everything,
+    thread_starts,
+    yes_no_entry,
+)
 
 
 def example(i="e0", gold="Paris", context="the retrieved passage"):
@@ -424,6 +437,51 @@ class TestLazyPool:
         assert bool(started) == (calls > 0 and n > 1)
 
 
+def passages_reply(*texts):
+    return 200, {"Content-Type": "application/json"}, json.dumps(
+        {"passages": [{"text": t} for t in texts]}
+    ).encode()
+
+
+def pure_chat_reply(request):
+    """A chat-completions reply that is a function of the request alone: the
+    answer is right when the prompt carries a passage and otherwise on half
+    of the digests, and the Yes probability of a self-evaluation follows the
+    digest."""
+    n = int(hashlib.sha256(json.dumps(request, sort_keys=True).encode()).hexdigest()[:8], 16)
+    if request["max_tokens"] > 1:
+        right = "passage" in request["messages"][0]["content"] or n % 2
+        top = [{"token": "Paris" if right else "Lyon", "logprob": -0.01}]
+    else:
+        p_yes = (n % 97 + 1) / 99
+        top = [{"token": "Yes", "logprob": math.log(p_yes)}, {"token": "No", "logprob": math.log(1 - p_yes)}]
+    content = [{"token": top[0]["token"], "top_logprobs": top}]
+    body = {"choices": [{"logprobs": {"content": content}, "finish_reason": "stop"}]}
+    return 200, {"Content-Type": "application/json"}, json.dumps(body).encode()
+
+
+def sweep_config(tmp_path, base_url, n, retriever_url=None):
+    """A generation sweep over ``n`` examples whose dataset context for
+    input q is "passage about q"."""
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        "".join(
+            json.dumps({"id": f"e{i}", "input": f"q{i}?", "gold": "Paris", "context": f"passage about q{i}?"}) + "\n"
+            for i in range(n)
+        )
+    )
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"task_id": "t", "kind": "generation", "matcher": "substring"}))
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"base_url = {base_url}\ntask_spec = {task}\ndataset = {dataset}\nconcurrency = 4\n"
+        + (f"retriever_url = {retriever_url}\n" if retriever_url else "")
+    )
+    return config
+
+
+@closes_everything
+@pytest.mark.usefixtures("plain_env")
 class TestRetrievers:
     def test_static_miss_raises(self):
         with pytest.raises(RetrievalMiss):
@@ -433,23 +491,52 @@ class TestRetrievers:
         retriever = StaticRetriever.from_examples([example(i="a", context="ctx")])
         assert retriever.retrieve(example(i="a")) == "ctx"
 
-    def test_http_retriever_wire_format(self, monkeypatch):
-        sent = {}
-
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"passages": [{"text": "p1"}, {"text": "p2"}]}
-
-        def fake_post(url, json=None, timeout=None):
-            sent["url"] = url
-            sent["payload"] = json
-            return FakeResponse()
-
-        monkeypatch.setattr("confcal.adaptive.requests.post", fake_post)
-        retriever = HTTPRetriever("http://retriever/search", top_k=2)
-        context = retriever.retrieve(example())
-        assert sent["payload"] == {"query": "capital of France?", "top_k": 2}
+    def test_http_retriever_wire_format(self):
+        with ChatStub(default=passages_reply("p1", "p2")) as stub:
+            retriever = HTTPRetriever(stub.url, top_k=2)
+            context = retriever.retrieve(example())
+            retriever.close()
+        assert stub.bodies[0] == {"query": "capital of France?", "top_k": 2}
         assert context == "p1\n\np2"
+
+    def test_http_retriever_retries_429_after_retry_after(self, sleeps):
+        with ChatStub([(429, {"Retry-After": "2"}, b"slow down")], default=passages_reply("p")) as stub:
+            retriever = HTTPRetriever(stub.url)
+            assert retriever.retrieve(example()) == "p"
+            retriever.close()
+        assert len(stub.bodies) == 2
+        assert sleeps == [2.0]
+
+    def test_cli_sweep_through_retriever_equals_static_sweep(self, tmp_path):
+        with ChatStub(default=pure_chat_reply) as backend, ChatStub(
+            default=lambda request: passages_reply(f"passage about {request['query']}")
+        ) as retriever:
+            for name, url in (("static", None), ("remote", retriever.url)):
+                config = sweep_config(tmp_path, backend.url, 12, retriever_url=url)
+                argv = ["sweep", "--config", str(config), "--taus", "0.0,0.3,0.6,1.01"]
+                assert main(argv + ["--output-dir", str(tmp_path / name)]) == EXIT_OK
+        static_csv = (tmp_path / "static" / "sweep.csv").read_text()
+        assert (tmp_path / "remote" / "sweep.csv").read_text() == static_csv
+        assert len(retriever.bodies) == 12  # tau 1.01 retrieves for every example
+        assert any(float(row.split(",")[3]) > 0 for row in static_csv.splitlines()[1:])
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            ((200, {}, b'{"passages": [{"body": "x"}]}'), "lacks passages"),
+            ((200, {}, b'{"passages": "abc"}'), "lacks passages"),
+            ((200, {}, b'{"passages": [{"text": 3}]}'), "lacks passages"),
+            ((200, {}, b"[1]"), "lacks passages"),
+            (HTML, "response is not JSON"),
+        ],
+        ids=["no-text", "not-a-list", "text-not-a-string", "not-an-object", "not-json"],
+    )
+    def test_malformed_retriever_reply_is_one_endpoint_error(self, tmp_path, capsys, reply, message):
+        with ChatStub(default=pure_chat_reply) as backend, ChatStub(default=reply) as retriever:
+            config = sweep_config(tmp_path, backend.url, 3, retriever_url=retriever.url)
+            code = main(["sweep", "--config", str(config), "--taus", "1.01", "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_ENDPOINT
+        assert err.startswith("endpoint error:") and len(err.splitlines()) == 1
+        assert message in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()

@@ -3,12 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import confcal
 from confcal import adaptive, harness
 from confcal.cli import (
     EXIT_CONFIG,
@@ -21,6 +25,7 @@ from confcal.cli import (
     load_config_file,
     main,
 )
+from confcal.client import MockBackend
 from confcal.errors import ConfigInvalid
 
 from conftest import answer_entry, yes_no_entry
@@ -89,6 +94,14 @@ class TestConfig:
             RunConfig.from_mapping({"mock_script": "a", "bogus": "1"})
 
 
+class TestImportCost:
+    def test_cli_imports_no_numpy_scipy_or_requests(self):
+        code = "import sys, confcal.cli; print([m for m in ('numpy', 'scipy', 'requests') if m in sys.modules])"
+        env = {**os.environ, "PYTHONPATH": str(Path(confcal.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+
 class TestEval:
     def test_writes_three_outputs(self, tmp_path):
         config, out = make_generation_run(tmp_path)
@@ -130,6 +143,16 @@ class TestEval:
         (tmp_path / "data.jsonl").unlink()
         assert main(["eval", "--config", str(config)]) == EXIT_CONFIG
         assert "base_url" in capsys.readouterr().err
+
+    def test_n_bins_below_one_is_config_error_before_any_call(self, tmp_path, monkeypatch, capsys):
+        config, out = make_generation_run(tmp_path)
+        monkeypatch.setenv("CONFCAL_N_BINS", "0")
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
+        assert main(["eval", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: n_bins must be >= 1, got 0\n"
+        assert calls == [] and not out.exists()
 
     def test_bad_dataset_is_data_error(self, tmp_path):
         config, _ = make_generation_run(tmp_path)
@@ -213,6 +236,17 @@ class TestSweep:
     def test_empty_taus_is_config_error(self, tmp_path):
         config, _ = make_generation_run(tmp_path)
         assert main(["sweep", "--config", str(config)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("taus, code", [("x", EXIT_CONFIG), ("0.5,", EXIT_OK)])
+    def test_taus_flag_parses_like_the_config_key(self, tmp_path, capsys, taus, code):
+        config, out = make_generation_run(tmp_path, with_context=True)
+        assert main(["sweep", "--config", str(config), "--taus", taus]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_CONFIG:
+            assert err.startswith("config error: bad value for 'taus'") and len(err.splitlines()) == 1
+            assert not out.exists()
+        else:
+            assert (out / "sweep.csv").read_text().splitlines()[1].startswith("0.500000,")
 
 
 class TestEceFromBins:

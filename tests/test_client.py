@@ -8,14 +8,12 @@ import logging
 import math
 import sys
 import threading
-import time
 from concurrent.futures import Future
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from confcal import client as client_module
-from confcal.cli import EXIT_ENDPOINT, EXIT_OK, main
+from confcal.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_OK, main
 from confcal.client import (
     RETRY_AFTER_CAP_S,
     SELF_EVAL_PROMPT,
@@ -39,7 +37,7 @@ from confcal.errors import (
     UnmappableLabel,
 )
 
-from conftest import PureBackend
+from conftest import HTML, ChatStub, PureBackend, chat_reply, closes_everything
 
 
 def simple_request(content="hello", **kwargs):
@@ -92,14 +90,6 @@ class TestMockBackend:
         script.write_text(json.dumps({"tokens": ["hi"], "distributions": [{"hi": -0.2}]}) + "\n")
         backend = MockBackend.from_jsonl(script)
         assert backend.complete(simple_request()).text == "hi"
-
-
-# An append handle or a pooled connection left open fails the test. A
-# ResourceWarning raised while an object is finalized reaches pytest as an
-# unraisable-exception warning, hence the second filter.
-closes_everything = pytest.mark.filterwarnings(
-    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
-)
 
 
 @closes_everything
@@ -251,79 +241,6 @@ class TestSingleFlight:
         assert backend.calls == len(requests_)
 
 
-def chat_body(token):
-    return {
-        "choices": [
-            {
-                "logprobs": {
-                    "content": [
-                        {"token": token, "top_logprobs": [{"token": token, "logprob": -0.1}]}
-                    ]
-                },
-                "finish_reason": "stop",
-            }
-        ]
-    }
-
-
-def chat_reply(token):
-    return 200, {"Content-Type": "application/json"}, json.dumps(chat_body(token)).encode()
-
-
-class ChatStub:
-    """Loopback HTTP/1.1 chat-completions server that keeps connections
-    alive. It answers with ``replies`` in order, each a (status, headers,
-    body) triple, and then with ``default``; it counts accepted connections
-    and keeps the path and the headers of every request."""
-
-    def __init__(self, replies=(), default=chat_reply("ok"), delay_s=0.0):
-        self.replies = list(replies)
-        self.default = default
-        self.connections = 0
-        self.paths = []
-        self.headers = []
-        lock = threading.Lock()
-        stub = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def setup(self):
-                super().setup()
-                with lock:
-                    stub.connections += 1
-
-            def do_POST(self):
-                self.rfile.read(int(self.headers["Content-Length"]))
-                with lock:
-                    stub.paths.append(self.path)
-                    stub.headers.append(self.headers)
-                    status, headers, body = stub.replies.pop(0) if stub.replies else stub.default
-                time.sleep(delay_s)
-                self.send_response(status)
-                for name, value in headers.items():
-                    self.send_header(name, value)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self._server.server_port}/v1"
-
-    def __enter__(self):
-        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.02,), daemon=True)
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=10)
-
-
 @contextlib.contextmanager
 def serving(token, paths):
     """A stub that answers every POST with ``token`` and notes the request
@@ -346,34 +263,6 @@ class TestHTTPEnvironment:
             monkeypatch.setenv("NO_PROXY", "127.0.0.1")
             assert HTTPBackend(target_url).complete(simple_request()).text == "direct"
             assert direct == ["/chat/completions"] and len(proxied) == 1
-
-
-HTML = (200, {"Content-Type": "text/html"}, b"<html>sign in</html>")
-
-
-@pytest.fixture
-def plain_env(monkeypatch, tmp_path):
-    """No proxy and no netrc entry from the surrounding environment."""
-    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("NETRC", str(tmp_path / "no-netrc"))
-
-
-@pytest.fixture
-def sleeps(monkeypatch):
-    """The waits of the test's own thread, recorded instead of slept."""
-    slept = []
-    test_thread = threading.get_ident()
-    real_sleep = time.sleep
-
-    def sleep(seconds):
-        if threading.get_ident() == test_thread:
-            slept.append(seconds)
-        else:
-            real_sleep(seconds)
-
-    monkeypatch.setattr(time, "sleep", sleep)
-    return slept
 
 
 def generation_config(tmp_path, base_url, n, concurrency):
@@ -518,6 +407,27 @@ class TestHTTPTransport:
             backend.close()
         expected = "Basic " + base64.b64encode(b"alice:s3cret").decode()
         assert stub.headers[0].get_all("Authorization") == [expected]
+
+    def test_netrc_login_outside_latin1_is_one_config_error(self, tmp_path, monkeypatch, capsys):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login Łukasz password s3cret\n", encoding="utf-8")
+        monkeypatch.setenv("NETRC", str(netrc))
+        config = generation_config(tmp_path, "http://127.0.0.1:9/v1", 1, 1)
+        assert main(["eval", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "netrc entry for 127.0.0.1" in err and len(err.splitlines()) == 1
+        assert "ukasz" not in err and "s3cret" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_proxy_cidr_bypasses_the_proxy(self, monkeypatch):
+        proxied, direct = [], []
+        with serving("proxied", proxied) as proxy_url, serving("direct", direct) as target_url:
+            monkeypatch.setenv("HTTP_PROXY", proxy_url)
+            monkeypatch.setenv("NO_PROXY", "example.com, 10.0.0.0/8,127.0.0.0/8")
+            backend = HTTPBackend(target_url)
+            assert backend.complete(simple_request()).text == "direct"
+            backend.close()
+        assert direct == ["/chat/completions"] and proxied == []
 
 
 def cache_line(digest, token):
