@@ -15,7 +15,7 @@ from itertools import accumulate
 
 from .client import JSONPoster, ModelClient
 from .errors import MalformedResponse, RetrievalMiss
-from .harness import DatasetExample, answer_and_self_evaluate, is_correct, run_pool
+from .harness import DatasetExample, answer_and_self_evaluate, is_correct, run_pool, truncate_context
 from .metrics import retrieval_efficiency
 
 
@@ -90,7 +90,7 @@ def _second_pass(
     example: DatasetExample, client: ModelClient, retriever
 ) -> tuple[str | None, float | None, set[str]]:
     try:
-        context = retriever.retrieve(example)
+        context = truncate_context(retriever.retrieve(example))
     except RetrievalMiss:
         return None, None, {"retrieval_miss"}
     answer, conf, flags, _ = answer_and_self_evaluate(client, example.input, context)

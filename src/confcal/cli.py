@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -43,6 +44,14 @@ def _fmt(value: float | None) -> str:
 
 def _round(value: float | None) -> float | None:
     return None if value is None else round(value, 6)
+
+
+def _float_list(text: str) -> list[float]:
+    """Comma-separated numbers; empty items are skipped, NaN is refused."""
+    values = [float(x) for x in text.split(",") if x.strip()]
+    if any(math.isnan(v) for v in values):
+        raise ValueError(f"NaN is not a number here: {text!r}")
+    return values
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -103,8 +112,8 @@ class RunConfig:
             "steps": int,
             "batch_size": int,
             "lr": float,
-            "taus": lambda s: [float(x) for x in s.split(",") if x.strip()],
-            "data_distribution": lambda s: [float(x) for x in s.split(",") if x.strip()],
+            "taus": _float_list,
+            "data_distribution": _float_list,
         }
         for key, raw in values.items():
             if not hasattr(cfg, key):
@@ -248,18 +257,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not cfg.taus:
         raise ConfigInvalid("missing tau list (flag --taus or config key taus)")
     task, examples, client, out = _open_run(cfg)
-    if cfg.retriever_url:
-        retriever = adaptive.HTTPRetriever(cfg.retriever_url, pool_size=_pool_size(cfg))
-    else:
-        retriever = adaptive.StaticRetriever.from_examples(examples)
+    remote = None
     try:
+        if task.kind != "generation":
+            raise ConfigInvalid(f"sweep needs a generation task; {cfg.task_spec} is {task.kind}")
+        if cfg.retriever_url:
+            remote = adaptive.HTTPRetriever(cfg.retriever_url, pool_size=_pool_size(cfg))
+        retriever = remote or adaptive.StaticRetriever.from_examples(examples)
         rows = adaptive.sweep(
             examples, cfg.taus, client, retriever, task.matcher, concurrency=_pool_size(cfg)
         )
     finally:
         client.close()
-        if cfg.retriever_url:
-            retriever.close()
+        if remote is not None:
+            remote.close()
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"])

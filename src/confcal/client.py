@@ -32,7 +32,6 @@ import certifi
 import urllib3
 
 from .confidence import (
-    DEFAULT_NO_ALIASES,
     DEFAULT_TOP_K,
     DEFAULT_YES_ALIASES,
     CandidateScore,
@@ -101,13 +100,28 @@ def request_digest(request: CompletionRequest) -> str:
 
 @dataclass(frozen=True)
 class CompletionResponse:
+    """Model output: the generated tokens and the top-K distribution at each.
+
+    Every response, whether from a backend or the cache, is checked here:
+    tokens must be strings, one distribution per token.
+    """
+
     generated_tokens: tuple[str, ...]
     token_distributions: tuple[TokenDistribution, ...]
-    finish_reason: str = "stop"
 
     def __post_init__(self):
+        if not isinstance(self.generated_tokens, (list, tuple)):
+            raise MalformedResponse("generated tokens must be a list of strings")
         object.__setattr__(self, "generated_tokens", tuple(self.generated_tokens))
         object.__setattr__(self, "token_distributions", tuple(self.token_distributions))
+        for token in self.generated_tokens:
+            if not isinstance(token, str):
+                raise MalformedResponse(f"generated token {token!r} is not a string")
+        if len(self.token_distributions) != len(self.generated_tokens):
+            raise MalformedResponse(
+                f"{len(self.generated_tokens)} tokens but "
+                f"{len(self.token_distributions)} distributions"
+            )
 
     @property
     def text(self) -> str:
@@ -117,25 +131,20 @@ class CompletionResponse:
         return {
             "generated_tokens": list(self.generated_tokens),
             "token_distributions": [
-                {"position_index": d.position_index, "entries": [[t, lp] for t, lp in d.entries]}
-                for d in self.token_distributions
+                {"entries": [[t, lp] for t, lp in d.entries]} for d in self.token_distributions
             ],
-            "finish_reason": self.finish_reason,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "CompletionResponse":
-        dists = tuple(
-            TokenDistribution(
-                entries=tuple((t, lp) for t, lp in d["entries"]),
-                position_index=d.get("position_index", i),
-            )
-            for i, d in enumerate(data["token_distributions"])
-        )
+        """Reads ``to_json`` output; any other key, as older cache lines
+        carry, is ignored."""
         return cls(
-            generated_tokens=tuple(data["generated_tokens"]),
-            token_distributions=dists,
-            finish_reason=data.get("finish_reason", "stop"),
+            generated_tokens=data["generated_tokens"],
+            token_distributions=tuple(
+                TokenDistribution(tuple((t, lp) for t, lp in d["entries"]))
+                for d in data["token_distributions"]
+            ),
         )
 
 
@@ -143,10 +152,9 @@ class Backend(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResponse: ...
 
 
-def _distribution_from_map(entries: dict[str, float], position: int) -> TokenDistribution:
+def _distribution_from_map(entries: dict[str, float]) -> TokenDistribution:
     # Scripted maps may be arbitrarily ordered; keep them sorted for stable digests.
-    ordered = tuple(sorted(entries.items(), key=lambda kv: (-kv[1], kv[0])))
-    return TokenDistribution(entries=ordered, position_index=position)
+    return TokenDistribution(tuple(sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))))
 
 
 class MockBackend:
@@ -166,16 +174,11 @@ class MockBackend:
 
     def _add(self, entry: dict) -> None:
         tokens = entry["tokens"]
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise SchemaViolation("tokens must be a list of strings")
         raw_dists = entry.get("distributions")
         if raw_dists is None:
             # Tokens without scripted distributions get a certain (logprob 0) dist.
             raw_dists = [{tok: 0.0} for tok in tokens]
-        dists = tuple(
-            _distribution_from_map(d, i) for i, d in enumerate(raw_dists)
-        )
-        response = CompletionResponse(generated_tokens=tuple(tokens), token_distributions=dists)
+        response = CompletionResponse(tokens, tuple(_distribution_from_map(d) for d in raw_dists))
         digest = entry.get("digest")
         if digest:
             self._by_digest[digest] = response
@@ -385,29 +388,24 @@ class HTTPBackend:
     @staticmethod
     def _parse(body: dict) -> CompletionResponse:
         try:
-            choice = body["choices"][0]
-            content = choice["logprobs"]["content"]
+            content = body["choices"][0]["logprobs"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise MalformedResponse(f"response missing logprob fields: {exc}") from exc
-        if content is None:
-            raise MalformedResponse("endpoint returned null logprobs")
+        if not isinstance(content, list):
+            raise MalformedResponse(f"endpoint returned logprobs content {content!r:.60}, not a list")
         tokens: list[str] = []
         dists: list[TokenDistribution] = []
         for position, item in enumerate(content):
             try:
                 tokens.append(item["token"])
-                top = item["top_logprobs"]
-                entries = tuple((alt["token"], min(alt["logprob"], 0.0)) for alt in top)
+                dists.append(
+                    TokenDistribution(
+                        tuple((alt["token"], min(alt["logprob"], 0.0)) for alt in item["top_logprobs"])
+                    )
+                )
             except (KeyError, TypeError) as exc:
                 raise MalformedResponse(f"malformed logprob entry at position {position}") from exc
-            dists.append(
-                TokenDistribution(entries=entries, position_index=position, max_entries=max(len(entries), DEFAULT_TOP_K))
-            )
-        return CompletionResponse(
-            generated_tokens=tuple(tokens),
-            token_distributions=tuple(dists),
-            finish_reason=choice.get("finish_reason", "stop"),
-        )
+        return CompletionResponse(tokens, dists)
 
 
 def _retry_after_s(value: str | None) -> float | None:
@@ -487,6 +485,11 @@ class ResponseCache:
                 self._file = None
 
 
+def _user_turn(question: str, context: str | None) -> Message:
+    """The user turn that asks ``question``, after ``context`` and a blank line when given."""
+    return Message("user", f"{context}\n\n{question}" if context else question)
+
+
 @dataclass(frozen=True)
 class ClassifyResult:
     label: str
@@ -512,18 +515,12 @@ class ModelClient:
         backend: Backend,
         model_name: str = "mock",
         cache: ResponseCache | None = None,
-        yes_aliases: frozenset[str] = DEFAULT_YES_ALIASES,
-        no_aliases: frozenset[str] = DEFAULT_NO_ALIASES,
         missing_policy: MissingPolicy = MissingPolicy.NEUTRAL,
-        top_logprobs: int = DEFAULT_TOP_K,
     ):
         self.backend = backend
         self.model_name = model_name
         self.cache = cache
-        self.yes_aliases = frozenset(yes_aliases)
-        self.no_aliases = frozenset(no_aliases)
         self.missing_policy = missing_policy
-        self.top_logprobs = top_logprobs
         self._flights: dict[str, Future] = {}
         self._flights_lock = threading.Lock()
         self._local = threading.local()
@@ -568,11 +565,6 @@ class ModelClient:
             return flight.result()
         try:
             response = self.backend.complete(request)
-            if len(response.token_distributions) != len(response.generated_tokens):
-                raise MalformedResponse(
-                    f"{len(response.generated_tokens)} tokens but "
-                    f"{len(response.token_distributions)} distributions"
-                )
             if self.cache is not None:
                 self.cache.put(digest, response)
         except Exception as exc:
@@ -587,15 +579,14 @@ class ModelClient:
             with self._flights_lock:
                 del self._flights[digest]
 
-    def _single_token_distribution(self, messages: list[Message]) -> TokenDistribution:
-        request = CompletionRequest(
-            messages=tuple(messages),
-            model_name=self.model_name,
-            max_tokens=1,
-            temperature=0.0,
-            top_logprobs=self.top_logprobs,
+    def _ask(self, messages: list[Message], max_tokens: int) -> CompletionResponse:
+        """The response to ``messages`` at temperature 0, with the top-K logprobs."""
+        return self.complete(
+            CompletionRequest(tuple(messages), self.model_name, max_tokens, 0.0, DEFAULT_TOP_K)
         )
-        response = self.complete(request)
+
+    def _single_token_distribution(self, messages: list[Message]) -> TokenDistribution:
+        response = self._ask(messages, max_tokens=1)
         if not response.token_distributions:
             raise MalformedResponse("no token distribution at first answer position")
         return response.token_distributions[0]
@@ -619,7 +610,7 @@ class ModelClient:
             probs[label] = math.fsum(dist.probability(tok) for tok in aliases)
         if all(p == 0.0 for p in probs.values()):
             raise NoLabelTokenPresent(
-                f"no alias of any label in {sorted(probs)} present in top-{self.top_logprobs}"
+                f"no alias of any label in {sorted(probs)} present in top-{DEFAULT_TOP_K}"
             )
 
         chosen = min(probs, key=lambda lab: (-probs[lab], lab))
@@ -633,9 +624,8 @@ class ModelClient:
     def _self_eval_messages(
         self, question: str, answer: str, context: str | None
     ) -> list[Message]:
-        user_content = f"{context}\n\n{question}" if context else question
         return [
-            Message("user", user_content),
+            _user_turn(question, context),
             Message("assistant", answer),
             Message("user", SELF_EVAL_PROMPT),
         ]
@@ -646,16 +636,9 @@ class ModelClient:
         dist = self._single_token_distribution(
             self._self_eval_messages(question, answer, context)
         )
-        confidence = self_eval_confidence(
-            dist, self.yes_aliases, self.no_aliases, self.missing_policy
-        )
-        raw_yes = math.fsum(dist.probability(tok) for tok in self.yes_aliases)
+        confidence = self_eval_confidence(dist, missing_policy=self.missing_policy)
+        raw_yes = math.fsum(dist.probability(tok) for tok in DEFAULT_YES_ALIASES)
         return SelfEvalResult(confidence=confidence, raw_yes_probability=raw_yes)
-
-    def self_evaluate(
-        self, question: str, answer: str, context: str | None = None
-    ) -> ConfidenceScore | None:
-        return self.self_evaluate_with_raw(question, answer, context).confidence
 
     def generate_answer(
         self, question: str, context: str | None = None
@@ -663,13 +646,5 @@ class ModelClient:
         """Free-form answer pass of up to 256 tokens, at temperature 0."""
         if not question.strip():
             raise InvalidInput("question is empty")
-        user_content = f"{context}\n\n{question}" if context else question
-        request = CompletionRequest(
-            messages=(Message("user", user_content),),
-            model_name=self.model_name,
-            max_tokens=256,
-            temperature=0.0,
-            top_logprobs=self.top_logprobs,
-        )
-        response = self.complete(request)
+        response = self._ask([_user_turn(question, context)], max_tokens=256)
         return response.text, response.generated_tokens

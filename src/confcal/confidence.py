@@ -23,7 +23,7 @@ from .errors import (
 DEFAULT_TOP_K = 20
 
 # Tokenizers differ on casing and leading spaces; these cover the common
-# single-token variants and are configurable at every call site.
+# single-token variants.
 DEFAULT_YES_ALIASES = frozenset({"Yes", " Yes", "yes", " yes"})
 DEFAULT_NO_ALIASES = frozenset({"No", " No", "no", " no"})
 
@@ -51,18 +51,10 @@ class TokenDistribution:
     """Truncated top-K map from token to log-probability at one position."""
 
     entries: tuple[tuple[str, float], ...]
-    position_index: int = 0
-    max_entries: int = DEFAULT_TOP_K
     _logprobs: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        if self.position_index < 0:
-            raise InvalidLogProb(f"position_index must be >= 0, got {self.position_index}")
-        if len(self.entries) > self.max_entries:
-            raise InvalidLogProb(
-                f"distribution has {len(self.entries)} entries, truncation limit is {self.max_entries}"
-            )
         logprobs: dict[str, float] = {}
         for token, logprob in self.entries:
             if logprob > 0:

@@ -520,6 +520,15 @@ class TestRetrievers:
         assert len(retriever.bodies) == 12  # tau 1.01 retrieves for every example
         assert any(float(row.split(",")[3]) > 0 for row in static_csv.splitlines()[1:])
 
+    def test_retrieved_passage_is_cut_to_the_context_budget(self, tmp_path):
+        passage = "p" * 10_000
+        with ChatStub(default=pure_chat_reply) as backend, ChatStub(default=passages_reply(passage)) as retriever:
+            config = sweep_config(tmp_path, backend.url, 1, retriever_url=retriever.url)
+            argv = ["sweep", "--config", str(config), "--taus", "1.01", "--output-dir", str(tmp_path / "out")]
+            assert main(argv) == EXIT_OK
+        answers = [b for b in backend.bodies if b["max_tokens"] > 1 and "p" * 100 in b["messages"][0]["content"]]
+        assert [b["messages"][0]["content"] for b in answers] == ["p" * 8000 + "\n\nq0?"]
+
     @pytest.mark.parametrize(
         "reply, message",
         [

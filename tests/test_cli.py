@@ -25,7 +25,7 @@ from confcal.cli import (
     load_config_file,
     main,
 )
-from confcal.client import MockBackend
+from confcal.client import MockBackend, ModelClient
 from confcal.errors import ConfigInvalid
 
 from conftest import answer_entry, yes_no_entry
@@ -248,6 +248,31 @@ class TestSweep:
         else:
             assert (out / "sweep.csv").read_text().splitlines()[1].startswith("0.500000,")
 
+    @pytest.mark.parametrize("taus", ["nan,0.9", "0.9,nan"])
+    def test_nan_tau_is_config_error(self, tmp_path, capsys, taus):
+        config, out = make_generation_run(tmp_path, with_context=True)
+        assert main(["sweep", "--config", str(config), "--taus", taus]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad value for 'taus'") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_classification_task_is_config_error_before_any_call(self, tmp_path, capsys, monkeypatch):
+        config, out = make_generation_run(tmp_path, with_context=True)
+        (tmp_path / "task.json").write_text(
+            json.dumps(
+                {"task_id": "c", "kind": "classification", "matcher": "exact",
+                 "label_set": [{"label": "A", "aliases": ["A"]}, {"label": "B", "aliases": ["B"]}]}
+            )
+        )
+        calls, closed = [], []
+        monkeypatch.setattr(ModelClient, "complete", lambda self, request: calls.append(request))
+        monkeypatch.setattr(ModelClient, "close", lambda self: closed.append(self))
+        assert main(["sweep", "--config", str(config), "--taus", "0.5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep needs a generation task") and len(err.splitlines()) == 1
+        assert calls == [] and len(closed) == 1
+        assert not (out / "sweep.csv").exists()
+
 
 class TestEceFromBins:
     def test_known_aggregates(self, tmp_path, capsys):
@@ -304,6 +329,14 @@ class TestSandbox:
     def test_single_option_is_config_error(self, tmp_path):
         code, _ = self.run_sandbox(tmp_path, extra="data_distribution = 1.0\n")
         assert code == EXIT_CONFIG
+
+    def test_nan_in_data_distribution_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONFCAL_DATA_DISTRIBUTION", "nan,1")
+        code, out = self.run_sandbox(tmp_path)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: bad value for 'data_distribution'") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["batch_size = 0", "steps = 0", "lr = -1"])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, setting):

@@ -11,6 +11,7 @@ import threading
 from concurrent.futures import Future
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confcal import client as client_module
 from confcal.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_OK, main
@@ -37,7 +38,7 @@ from confcal.errors import (
     UnmappableLabel,
 )
 
-from conftest import HTML, ChatStub, PureBackend, chat_reply, closes_everything
+from conftest import HTML, ChatStub, PureBackend, chat_body, chat_reply, closes_everything
 
 
 def simple_request(content="hello", **kwargs):
@@ -98,8 +99,8 @@ class TestCache:
         response = CompletionResponse(
             generated_tokens=("a", "b"),
             token_distributions=(
-                TokenDistribution(entries=(("a", -0.1), ("c", -3.0)), position_index=0),
-                TokenDistribution(entries=(("b", -0.5),), position_index=1),
+                TokenDistribution(entries=(("a", -0.1), ("c", -3.0))),
+                TokenDistribution(entries=(("b", -0.5),)),
             ),
         )
         assert CompletionResponse.from_json(response.to_json()) == response
@@ -465,6 +466,86 @@ class TestCacheDamage:
         assert path.read_text() == content
 
 
+DISTRIBUTIONS = st.one_of(
+    st.dictionaries(st.text(max_size=4), st.floats(max_value=0.0, allow_nan=False), max_size=20),
+    st.dictionaries(st.text(max_size=4), st.floats(max_value=0.0, allow_nan=False), min_size=21, max_size=30),
+)
+
+
+def wide_reply(request):
+    """A reply with 25 top_logprobs per token: an answer, or a Yes/No self-evaluation."""
+    token = "ok" if request["max_tokens"] > 1 else "Yes"
+    top = [{"token": token, "logprob": -0.1}, {"token": "No", "logprob": -2.5}]
+    top += [{"token": f"alt{k}", "logprob": -5.0 - k} for k in range(23)]
+    body = {"choices": [{"logprobs": {"content": [{"token": token, "top_logprobs": top}]}}]}
+    return 200, {"Content-Type": "application/json"}, json.dumps(body).encode()
+
+
+@closes_everything
+class TestResponseForm:
+    """A response is checked in one place, whether a backend or the cache made it."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.text(max_size=4), DISTRIBUTIONS), max_size=4))
+    def test_json_round_trip(self, positions):
+        response = CompletionResponse(
+            [token for token, _ in positions],
+            [TokenDistribution(tuple(dist.items())) for _, dist in positions],
+        )
+        line = json.dumps(response.to_json(), ensure_ascii=False)
+        assert CompletionResponse.from_json(json.loads(line)) == response
+
+    def test_cache_line_with_older_fields_loads(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            '{"request_digest": "d1", "response": {"generated_tokens": ["Yes"], "token_distributions": '
+            '[{"position_index": 0, "entries": [["Yes", -0.2], ["No", -1.8]]}], "finish_reason": "stop"}, '
+            '"created_at": 1760000000.0}\n'
+        )
+        expected = CompletionResponse(("Yes",), (TokenDistribution((("Yes", -0.2), ("No", -1.8))),))
+        assert ResponseCache(path).get("d1") == expected
+
+    def test_int_token_in_a_cache_line_fails_the_load_with_its_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        bad = {"generated_tokens": [7], "token_distributions": [{"entries": [["7", -0.1]]}]}
+        path.write_text(cache_line("d1", "a") + json.dumps({"request_digest": "d2", "response": bad}) + "\n")
+        with pytest.raises(SchemaViolation, match=r"cache\.jsonl:2: .*not a string"):
+            ResponseCache(path)
+
+    @pytest.mark.parametrize("tokens", [("a", 7), "ab", None])
+    def test_tokens_must_be_a_list_of_strings(self, tokens):
+        dist = TokenDistribution((("a", -0.1),))
+        with pytest.raises(MalformedResponse):
+            CompletionResponse(tokens, (dist, dist))
+
+    @pytest.mark.usefixtures("plain_env")
+    def test_a_cache_of_25_entry_replies_reloads(self, tmp_path):
+        argv = ["eval", "--cache-path", str(tmp_path / "cache.jsonl")]
+        with ChatStub(default=wide_reply) as stub:
+            argv += ["--config", str(generation_config(tmp_path, stub.url, 3, 2))]
+            assert main(argv) == EXIT_OK
+            first_calls = len(stub.bodies)
+            records = (tmp_path / "out" / "records.jsonl").read_bytes()
+            assert main(argv) == EXIT_OK
+        assert first_calls == 6 and len(stub.bodies) == first_calls
+        assert (tmp_path / "out" / "records.jsonl").read_bytes() == records
+
+    @pytest.mark.usefixtures("plain_env")
+    def test_int_token_from_the_endpoint_is_an_error_record(self, tmp_path, capsys):
+        body = chat_body("x")
+        body["choices"][0]["logprobs"]["content"][0]["token"] = 7
+        reply = (200, {"Content-Type": "application/json"}, json.dumps(body).encode())
+        cache = tmp_path / "cache.jsonl"
+        with ChatStub(default=reply) as stub:
+            config = generation_config(tmp_path, stub.url, 2, 1)
+            assert main(["eval", "--config", str(config), "--cache-path", str(cache)]) == EXIT_OK
+        records = [json.loads(line) for line in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+        assert len(records) == 2
+        assert all("error:MalformedResponse" in r["flags"] for r in records)
+        assert capsys.readouterr().err == ""
+        assert not cache.exists()
+
+
 class TestHTTPBackendParsing:
     def test_parse_well_formed(self):
         body = {
@@ -496,6 +577,10 @@ class TestHTTPBackendParsing:
     def test_null_logprobs_is_malformed(self):
         with pytest.raises(MalformedResponse):
             HTTPBackend._parse({"choices": [{"logprobs": {"content": None}}]})
+
+    def test_logprobs_content_not_a_list_is_malformed(self):
+        with pytest.raises(MalformedResponse, match="not a list"):
+            HTTPBackend._parse({"choices": [{"logprobs": {"content": 5}}]})
 
 
 class TestClassify:
@@ -551,13 +636,13 @@ class TestSelfEvaluate:
     def test_yes_heavy(self, scripted_client):
         dist = {"Yes": math.log(0.8), "No": math.log(0.2)}
         client = scripted_client([{"tokens": ["Yes"], "distributions": [dist]}])
-        score = client.self_evaluate("q?", "a")
+        score = client.self_evaluate_with_raw("q?", "a").confidence
         assert score.value == pytest.approx(0.8)
 
     def test_symmetric(self, scripted_client):
         dist = {"Yes": math.log(0.4), "No": math.log(0.4)}
         client = scripted_client([{"tokens": ["Yes"], "distributions": [dist]}])
-        assert client.self_evaluate("q?", "a").value == pytest.approx(0.5)
+        assert client.self_evaluate_with_raw("q?", "a").confidence.value == pytest.approx(0.5)
 
     def test_conversation_shape(self, scripted_client):
         client = scripted_client([])
@@ -579,7 +664,7 @@ class TestSelfEvaluate:
     def test_anchor_missing_flags(self, scripted_client):
         dist = {"Yes": math.log(0.3), "Other": math.log(0.5)}
         client = scripted_client([{"tokens": ["Yes"], "distributions": [dist]}])
-        score = client.self_evaluate("q?", "a")
+        score = client.self_evaluate_with_raw("q?", "a").confidence
         assert score.value == 1.0
         assert Flag.ANCHOR_MISSING_NO in score.flags
 

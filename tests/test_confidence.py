@@ -194,11 +194,6 @@ class TestTypes:
         with pytest.raises(DuplicateCandidate):
             TokenDistribution(entries=(("x", -1.0), ("x", -2.0)))
 
-    def test_distribution_truncation_limit(self):
-        entries = tuple((f"t{i}", -1.0) for i in range(21))
-        with pytest.raises(InvalidLogProb):
-            TokenDistribution(entries=entries)
-
     def test_confidence_score_bounds(self):
         with pytest.raises(InvalidLogProb):
             ConfidenceScore(value=1.2, method=Method.RAW)
