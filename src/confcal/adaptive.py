@@ -18,6 +18,10 @@ from .errors import MalformedResponse, RetrievalMiss
 from .harness import DatasetExample, answer_and_self_evaluate, is_correct, run_pool, truncate_context
 from .metrics import retrieval_efficiency
 
+# passages asked of an HTTP retriever, and its timeout in seconds
+RETRIEVER_TOP_K = 5
+RETRIEVER_TIMEOUT_S = 30.0
+
 
 class StaticRetriever:
     """Serves pre-associated contexts by example id."""
@@ -40,17 +44,16 @@ class HTTPRetriever:
     """Thin client for a {"query", "top_k"} -> {"passages": [{"text"}]}
     endpoint; posts through a ``JSONPoster`` of ``pool_size`` connections."""
 
-    def __init__(self, url: str, top_k: int = 5, timeout_s: float = 30.0, pool_size: int = 1):
+    def __init__(self, url: str, pool_size: int = 1):
         self.url = url
-        self.top_k = top_k
-        self._poster = JSONPoster(url, timeout_s=timeout_s, pool_size=pool_size)
+        self._poster = JSONPoster(url, timeout_s=RETRIEVER_TIMEOUT_S, pool_size=pool_size)
 
     def close(self) -> None:
         """Closes the pooled connections."""
         self._poster.close()
 
     def retrieve(self, example: DatasetExample) -> str:
-        reply = self._poster.post({"query": example.input, "top_k": self.top_k})
+        reply = self._poster.post({"query": example.input, "top_k": RETRIEVER_TOP_K})
         passages = reply.get("passages") if isinstance(reply, dict) else None
         if not isinstance(passages, list) or not all(
             isinstance(p, dict) and isinstance(p.get("text"), str) for p in passages

@@ -207,16 +207,15 @@ def _open_run(
     cfg: RunConfig,
 ) -> tuple[harness.TaskSpec, list[harness.DatasetExample], ModelClient, Path]:
     """Task spec, dataset, client and output directory of an eval or sweep;
-    config errors, the backend's included, come before any file is read."""
+    config errors, the backend's included, come before any file is read.
+    The directory is made by the command, just before its first write."""
     for key in ("task_spec", "dataset"):
         if not getattr(cfg, key):
             raise ConfigInvalid(f"missing config field: {key}")
     client = build_client(cfg)
     task = harness.TaskSpec.from_file(cfg.task_spec)
     examples = harness.load_dataset(cfg.dataset, task)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return task, examples, client, out
+    return task, examples, client, Path(cfg.output_dir)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -232,6 +231,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     finally:
         client.close()
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
         for rec in result.records:
             fh.write(json.dumps(_record_to_json(rec), ensure_ascii=False) + "\n")
@@ -271,6 +271,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         client.close()
         if remote is not None:
             remote.close()
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"])

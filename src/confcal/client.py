@@ -59,7 +59,11 @@ SELF_EVAL_PROMPT = "Is this answer correct? Answer only Yes/No."
 
 _NEG_INF = float("-inf")
 
-# Longest wait, in seconds, that a Retry-After header is obeyed for.
+# A 429 or 5xx is retried this many times, after a full-jitter backoff that
+# starts at BACKOFF_START_S seconds and doubles, or after its Retry-After,
+# obeyed for at most RETRY_AFTER_CAP_S seconds.
+MAX_RETRIES = 3
+BACKOFF_START_S = 0.5
 RETRY_AFTER_CAP_S = 60.0
 
 
@@ -74,25 +78,22 @@ class CompletionRequest:
     messages: tuple[Message, ...]
     model_name: str = "mock"
     max_tokens: int = 1
-    temperature: float = 0.0
-    top_logprobs: int = DEFAULT_TOP_K
 
     def __post_init__(self):
         object.__setattr__(self, "messages", tuple(self.messages))
         if self.max_tokens < 1:
             raise InvalidInput(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.top_logprobs < 1:
-            raise InvalidInput(f"top_logprobs must be >= 1, got {self.top_logprobs}")
 
 
 def request_digest(request: CompletionRequest) -> str:
-    """Stable hash over everything that affects the response."""
+    """Stable hash over everything that affects the response; every request
+    is made at temperature 0 with the top-``DEFAULT_TOP_K`` logprobs."""
     payload = {
         "model_name": request.model_name,
         "messages": [[m.role, m.content] for m in request.messages],
         "max_tokens": request.max_tokens,
-        "temperature": request.temperature,
-        "top_logprobs": request.top_logprobs,
+        "temperature": 0.0,
+        "top_logprobs": DEFAULT_TOP_K,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -265,7 +266,7 @@ class JSONPoster:
     Proxies (NO_PROXY included), the CA bundle (REQUESTS_CA_BUNDLE, else
     CURL_CA_BUNDLE, else certifi's) and netrc auth are read from the
     environment once, here; a netrc entry for the host replaces the Bearer
-    header. A 429 or 5xx is retried up to ``max_retries`` times, after its
+    header. A 429 or 5xx is retried up to ``MAX_RETRIES`` times, after its
     Retry-After or a doubling backoff with full jitter. Redirects are not
     followed.
     """
@@ -274,14 +275,10 @@ class JSONPoster:
         self,
         url: str,
         api_key: str | None = None,
-        max_retries: int = 3,
-        backoff_start_s: float = 0.5,
         timeout_s: float = 120.0,
         pool_size: int = 1,
     ):
         self.url = url
-        self.max_retries = max_retries
-        self.backoff_start_s = backoff_start_s
         self._headers = {"Content-Type": "application/json", "Accept-Encoding": "gzip, deflate"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
@@ -319,10 +316,10 @@ class JSONPoster:
 
     def post(self, payload: object) -> object:
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        delay = self.backoff_start_s
+        delay = BACKOFF_START_S
         wait = 0.0
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 time.sleep(wait)
             retry_after = None
@@ -354,18 +351,8 @@ class HTTPBackend:
     """Adapter to a chat-completion endpoint exposing top_logprobs; posts
     through a ``JSONPoster`` on ``{base_url}/chat/completions``."""
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str | None = None,
-        max_retries: int = 3,
-        backoff_start_s: float = 0.5,
-        timeout_s: float = 120.0,
-        pool_size: int = 1,
-    ):
-        self._poster = JSONPoster(
-            f"{base_url.rstrip('/')}/chat/completions", api_key, max_retries, backoff_start_s, timeout_s, pool_size
-        )
+    def __init__(self, base_url: str, api_key: str | None = None, pool_size: int = 1):
+        self._poster = JSONPoster(f"{base_url.rstrip('/')}/chat/completions", api_key, pool_size=pool_size)
 
     def close(self) -> None:
         """Closes the pooled connections."""
@@ -378,9 +365,9 @@ class HTTPBackend:
                     "model": request.model_name,
                     "messages": [{"role": m.role, "content": m.content} for m in request.messages],
                     "max_tokens": request.max_tokens,
-                    "temperature": request.temperature,
+                    "temperature": 0.0,
                     "logprobs": True,
-                    "top_logprobs": request.top_logprobs,
+                    "top_logprobs": DEFAULT_TOP_K,
                 }
             )
         )
@@ -581,9 +568,7 @@ class ModelClient:
 
     def _ask(self, messages: list[Message], max_tokens: int) -> CompletionResponse:
         """The response to ``messages`` at temperature 0, with the top-K logprobs."""
-        return self.complete(
-            CompletionRequest(tuple(messages), self.model_name, max_tokens, 0.0, DEFAULT_TOP_K)
-        )
+        return self.complete(CompletionRequest(tuple(messages), self.model_name, max_tokens))
 
     def _single_token_distribution(self, messages: list[Message]) -> TokenDistribution:
         response = self._ask(messages, max_tokens=1)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
-    AliasOverlap,
     AnchorTokensAbsent,
     DuplicateCandidate,
     EmptySequence,
@@ -57,8 +56,8 @@ class TokenDistribution:
         object.__setattr__(self, "entries", tuple(self.entries))
         logprobs: dict[str, float] = {}
         for token, logprob in self.entries:
-            if logprob > 0:
-                raise InvalidLogProb(f"logprob for token {token!r} is positive: {logprob}")
+            if not logprob <= 0:  # NaN included
+                raise InvalidLogProb(f"logprob for token {token!r} is not <= 0: {logprob}")
             if token in logprobs:
                 raise DuplicateCandidate(f"token {token!r} appears twice in one distribution")
             logprobs[token] = logprob
@@ -156,25 +155,17 @@ def normalized_confidence(
 
 
 def self_eval_confidence(
-    dist: TokenDistribution,
-    yes_aliases: frozenset[str] | set[str] = DEFAULT_YES_ALIASES,
-    no_aliases: frozenset[str] | set[str] = DEFAULT_NO_ALIASES,
-    missing_policy: MissingPolicy = MissingPolicy.NEUTRAL,
+    dist: TokenDistribution, missing_policy: MissingPolicy = MissingPolicy.NEUTRAL
 ) -> ConfidenceScore | None:
-    """Yes/No anchor-token confidence: c_yes / (c_yes + c_no).
+    """Yes/No anchor-token confidence: c_yes / (c_yes + c_no), each summed
+    over ``DEFAULT_YES_ALIASES`` / ``DEFAULT_NO_ALIASES``.
 
     Tokens absent from the truncated distribution contribute probability 0.
     When both alias sets are entirely absent the result is policy-defined:
     raise, return 0.5 with a fallback flag, or return None (skip).
     """
-    if not yes_aliases or not no_aliases:
-        raise AliasOverlap("alias sets must be non-empty")
-    overlap = set(yes_aliases) & set(no_aliases)
-    if overlap:
-        raise AliasOverlap(f"yes/no alias sets intersect: {sorted(overlap)}")
-
-    c_yes = math.fsum(dist.probability(tok) for tok in yes_aliases)
-    c_no = math.fsum(dist.probability(tok) for tok in no_aliases)
+    c_yes = math.fsum(dist.probability(tok) for tok in DEFAULT_YES_ALIASES)
+    c_no = math.fsum(dist.probability(tok) for tok in DEFAULT_NO_ALIASES)
 
     flags: set[Flag] = set()
     if c_yes == 0.0:

@@ -27,10 +27,6 @@ class AnchorTokensAbsent(ConfcalError):
     pass
 
 
-class AliasOverlap(ConfcalError):
-    pass
-
-
 # --- calibration metrics ---
 
 class DegenerateClasses(ConfcalError):

@@ -95,10 +95,9 @@ class DatasetExample:
     context: str | None = None
 
 
-def truncate_context(context: str, token_budget: int = CONTEXT_TOKEN_BUDGET) -> str:
-    """Tail-cut one document to the configured token budget."""
-    limit = token_budget * _CHARS_PER_TOKEN
-    return context[:limit]
+def truncate_context(context: str) -> str:
+    """Tail-cut one document to ``CONTEXT_TOKEN_BUDGET`` tokens."""
+    return context[: CONTEXT_TOKEN_BUDGET * _CHARS_PER_TOKEN]
 
 
 def _parse_gold_number(gold) -> float:
@@ -171,6 +170,8 @@ def load_dataset(path: str | Path, task: TaskSpec) -> list[DatasetExample]:
             )
     if errors:
         raise SchemaViolation(f"{path}: {len(errors)} bad line(s); first: {errors[0]}")
+    if not examples:
+        raise SchemaViolation(f"{path}: no examples")
     return examples
 
 

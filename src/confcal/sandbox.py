@@ -17,6 +17,13 @@ from .errors import InvalidInput
 
 LOGIT_CLAMP = 50.0
 
+# advantage_step: weight of the KL(pi || pi_ref) penalty, and ascent steps per update
+KL_COEF = 0.001
+INNER_STEPS = 10
+
+# run_paradigm_comparison records a trace point every TRACE_EVERY steps
+TRACE_EVERY = 10
+
 
 def _clamped(logits: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.clip(logits + delta, -LOGIT_CLAMP, LOGIT_CLAMP)
@@ -127,8 +134,6 @@ def advantage_step(
     lr: float = 0.1,
     batch_size: int = 64,
     rng: np.random.Generator | None = None,
-    kl_coef: float = 0.001,
-    inner_steps: int = 10,
 ) -> ToyPolicy:
     """One clipped-ratio advantage-weighted update from an old-policy snapshot.
 
@@ -154,8 +159,8 @@ def advantage_step(
     # plain arrays inside the loop; one policy is built from the result
     logits = policy.logits
     log_ref = np.log(policy.reference_probs)
-    sub_lr = lr / inner_steps
-    for _ in range(inner_steps):
+    sub_lr = lr / INNER_STEPS
+    for _ in range(INNER_STEPS):
         probs = _softmax(logits)
         ratios = probs[actions] / old_probs[actions]
         # standard clip mask: no gradient once the clipped branch is active
@@ -168,7 +173,7 @@ def advantage_step(
             np.bincount(actions, weights=weights, minlength=task.num_options)
             - weights.sum() * probs
         )
-        grad -= kl_coef * _kl_penalty_gradient(probs, log_ref)
+        grad -= KL_COEF * _kl_penalty_gradient(probs, log_ref)
         logits = _clamped(logits, sub_lr * grad)
     return ToyPolicy(logits=logits, reference_logits=policy.reference_logits)
 
@@ -212,13 +217,6 @@ class SandboxConfig:
     lr: float = 0.1
     batch_size: int = 64
     seed: int = 0
-    clip_eps: float = 0.2
-    beta: float = 0.1
-    kl_coef: float = 0.001
-    trace_every: int = 10
-    reward_option: int | None = 0
-    preferred: int | None = 0
-    rejected: int = 1
 
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
@@ -262,7 +260,9 @@ class ComparisonResult:
 
 
 def run_paradigm_comparison(task: ToyTask, config: SandboxConfig = SandboxConfig()) -> ComparisonResult:
-    """Train CE, advantage-weighted, and preference arms from one init."""
+    """Train CE, advantage-weighted, and preference arms from one init: the
+    advantage arm rewards option 0, the preference arm prefers option 0 over
+    option 1, each at its step function's default clip or beta."""
     init = ToyPolicy.uniform(task.num_options)
     traces = {name: TrainTrace(method=name) for name in ("ce", "advantage", "dpo")}
 
@@ -282,25 +282,10 @@ def run_paradigm_comparison(task: ToyTask, config: SandboxConfig = SandboxConfig
             policies["ce"], task, config.batch_size, config.lr, rng=rng_ce
         )
         policies["advantage"] = advantage_step(
-            policies["advantage"],
-            task,
-            config.reward_option,
-            clip_eps=config.clip_eps,
-            lr=config.lr,
-            batch_size=config.batch_size,
-            rng=rng_adv,
-            kl_coef=config.kl_coef,
+            policies["advantage"], task, 0, lr=config.lr, batch_size=config.batch_size, rng=rng_adv
         )
-        if config.preferred is not None:
-            policies["dpo"] = dpo_step(
-                policies["dpo"],
-                task,
-                config.preferred,
-                config.rejected,
-                beta=config.beta,
-                lr=config.lr,
-            )
-        if step % config.trace_every == 0 or step == config.steps:
+        policies["dpo"] = dpo_step(policies["dpo"], task, 0, 1, lr=config.lr)
+        if step % TRACE_EVERY == 0 or step == config.steps:
             for name in traces:
                 traces[name].record(step, task, policies[name])
 

@@ -493,10 +493,10 @@ class TestRetrievers:
 
     def test_http_retriever_wire_format(self):
         with ChatStub(default=passages_reply("p1", "p2")) as stub:
-            retriever = HTTPRetriever(stub.url, top_k=2)
+            retriever = HTTPRetriever(stub.url)
             context = retriever.retrieve(example())
             retriever.close()
-        assert stub.bodies[0] == {"query": "capital of France?", "top_k": 2}
+        assert stub.bodies[0] == {"query": "capital of France?", "top_k": 5}
         assert context == "p1\n\np2"
 
     def test_http_retriever_retries_429_after_retry_after(self, sleeps):

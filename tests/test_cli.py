@@ -274,6 +274,30 @@ class TestSweep:
         assert not (out / "sweep.csv").exists()
 
 
+class TestNoOutputDirOnEarlyError:
+    """A run that fails before its first write leaves no output directory."""
+
+    @pytest.mark.parametrize("argv", [["eval"], ["sweep", "--taus", "0.5"]])
+    @pytest.mark.parametrize("content", [b"", b"\n  \n"], ids=["empty", "blank-lines"])
+    def test_empty_dataset_is_one_data_error_before_any_call(self, tmp_path, capsys, monkeypatch, argv, content):
+        config, out = make_generation_run(tmp_path, with_context=True)
+        (tmp_path / "data.jsonl").write_bytes(content)
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
+        assert main(argv + ["--config", str(config)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {tmp_path / 'data.jsonl'}: no examples\n"
+        assert calls == [] and not out.exists()
+
+    def test_classification_sweep(self, tmp_path, capsys):
+        config, out = make_generation_run(tmp_path, with_context=True)
+        (tmp_path / "task.json").write_text(
+            json.dumps({"task_id": "c", "kind": "classification", "matcher": "exact",
+                        "label_set": [{"label": "A", "aliases": ["A"]}]})
+        )
+        assert main(["sweep", "--config", str(config), "--taus", "0.5"]) == EXIT_CONFIG
+        assert not out.exists()
+
+
 class TestEceFromBins:
     def test_known_aggregates(self, tmp_path, capsys):
         from conftest import DATA_DIR
@@ -404,6 +428,7 @@ class TestMalformedInput:
             ("task", b'{"task_id": "t", "kind": "generation", "matcher": "substring", '
                      b'"prompt_template": "{question}"}', EXIT_DATA),
             ("mock", b'{"tokens": ["Paris"], "distributions": [{"Par\n', EXIT_DATA),
+            ("mock", b'{"tokens": ["Yes"], "distributions": [{"Yes": NaN}]}\n', EXIT_DATA),
             ("report", b'{"bins": 3}', EXIT_DATA),
             ("report", b"not json", EXIT_DATA),
             ("dataset", b"1\n", EXIT_DATA),

@@ -54,12 +54,25 @@ class TestDigest:
         [
             {"model_name": "other"},
             {"max_tokens": 2},
-            {"temperature": 0.5},
-            {"top_logprobs": 5},
         ],
     )
     def test_changes_with_each_field(self, kwargs):
         assert request_digest(simple_request(**kwargs)) != request_digest(simple_request())
+
+    @pytest.mark.parametrize(
+        "request_, digest",
+        [
+            (simple_request(), "ebf363c1463c50ad0b5e3009b0b4ced548b1823b6c222b455c25b438f87d1388"),
+            (
+                CompletionRequest((Message("user", "hello"),), "m", 256),
+                "40610cc959243e3d508c460cd0251cf23f58047d61d38b460d77746a05b95535",
+            ),
+        ],
+        ids=["defaults", "m-256-tokens"],
+    )
+    def test_pinned(self, request_, digest):
+        # every cache on disk is keyed by these: temperature 0.0, top_logprobs 20
+        assert request_digest(request_) == digest
 
     def test_changes_with_messages(self):
         assert request_digest(simple_request("a")) != request_digest(simple_request("b"))
@@ -296,6 +309,16 @@ class TestHTTPTransport:
         assert len(stub.headers) == 5
         assert stub.connections == 1
 
+    def test_request_body(self):
+        with ChatStub() as stub:
+            backend = HTTPBackend(stub.url)
+            backend.complete(CompletionRequest((Message("user", "hello"),), "m", 256))
+            backend.close()
+        assert json.dumps(stub.bodies[0]) == (
+            '{"model": "m", "messages": [{"role": "user", "content": "hello"}], "max_tokens": 256, '
+            '"temperature": 0.0, "logprobs": true, "top_logprobs": 20}'
+        )
+
     @pytest.mark.parametrize("concurrency", [4, 8])
     def test_run_keeps_at_most_concurrency_connections(self, tmp_path, caplog, concurrency):
         caplog.set_level(logging.WARNING, logger="urllib3")
@@ -330,15 +353,16 @@ class TestHTTPTransport:
             (500, {"Retry-After": "9"}, b""),  # only 429 and 503 are obeyed
         ]
         with ChatStub(replies) as stub:
-            backend = HTTPBackend(stub.url, backoff_start_s=0.5)
+            backend = HTTPBackend(stub.url)
             assert backend.complete(simple_request()).text == "ok"
             backend.close()
         assert bounds == [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0)]
         assert sleeps == [0.25, 0.5, 1.0]
 
-    def test_5xx_on_every_attempt_is_rate_limited(self, sleeps):
+    def test_5xx_on_every_attempt_is_rate_limited(self, monkeypatch, sleeps):
+        monkeypatch.setattr(client_module, "MAX_RETRIES", 2)
         with ChatStub(default=(500, {}, b"overloaded")) as stub:
-            backend = HTTPBackend(stub.url, max_retries=2)
+            backend = HTTPBackend(stub.url)
             with pytest.raises(RateLimited, match="HTTP 500: overloaded"):
                 backend.complete(simple_request())
             backend.close()
@@ -354,10 +378,11 @@ class TestHTTPTransport:
         assert len(stub.headers) == 1
         assert sleeps == []
 
-    def test_refused_connection_is_unreachable(self, sleeps):
+    def test_refused_connection_is_unreachable(self, monkeypatch, sleeps):
+        monkeypatch.setattr(client_module, "MAX_RETRIES", 1)
         with ChatStub() as stub:
             url = stub.url
-        backend = HTTPBackend(url, max_retries=1)
+        backend = HTTPBackend(url)
         with pytest.raises(EndpointUnreachable):
             backend.complete(simple_request())
         backend.close()
@@ -529,6 +554,39 @@ class TestResponseForm:
             assert main(argv) == EXIT_OK
         assert first_calls == 6 and len(stub.bodies) == first_calls
         assert (tmp_path / "out" / "records.jsonl").read_bytes() == records
+
+    @pytest.mark.parametrize("name", ["mock.jsonl", "cache.jsonl"])
+    def test_nan_logprob_fails_the_load_with_its_line(self, tmp_path, name):
+        path = tmp_path / name
+        if name == "mock.jsonl":
+            path.write_text('{"tokens": ["a"]}\n{"tokens": ["Yes"], "distributions": [{"Yes": NaN}]}\n')
+            load = MockBackend.from_jsonl
+        else:
+            path.write_text(cache_line("d1", "a") + cache_line("d2", "b").replace("-0.1", "NaN"))
+            load = ResponseCache
+        with pytest.raises(SchemaViolation, match=rf"{name}:2: "):
+            load(path)
+
+    @pytest.mark.usefixtures("plain_env")
+    def test_nan_logprob_from_the_endpoint_is_an_error_record_and_not_cached(self, tmp_path):
+        def reply(request):
+            if request["max_tokens"] > 1:
+                return chat_reply("ok")
+            body = chat_body("Yes")
+            body["choices"][0]["logprobs"]["content"][0]["top_logprobs"][0]["logprob"] = math.nan
+            return 200, {"Content-Type": "application/json"}, json.dumps(body).encode()
+
+        cache = tmp_path / "cache.jsonl"
+        with ChatStub(default=reply) as stub:
+            argv = ["eval", "--config", str(generation_config(tmp_path, stub.url, 2, 1)), "--cache-path", str(cache)]
+            assert main(argv) == EXIT_OK
+            assert len(stub.bodies) == 4
+            assert main(argv) == EXIT_OK
+            assert len(stub.bodies) == 6  # the self-evaluations are asked again
+        records = [json.loads(line) for line in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+        assert all("error:InvalidLogProb" in r["flags"] for r in records) and len(records) == 2
+        assert len(cache.read_text().splitlines()) == 2  # the two answers only
+        assert "NaN" not in cache.read_text()
 
     @pytest.mark.usefixtures("plain_env")
     def test_int_token_from_the_endpoint_is_an_error_record(self, tmp_path, capsys):

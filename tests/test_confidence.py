@@ -17,16 +17,12 @@ from confcal.confidence import (
     sequence_logprob,
 )
 from confcal.errors import (
-    AliasOverlap,
     AnchorTokensAbsent,
     DuplicateCandidate,
     EmptySequence,
     InvalidLogProb,
     UnknownCandidate,
 )
-
-YES = frozenset({"Yes"})
-NO = frozenset({"No"})
 
 
 def dist(**tokens):
@@ -121,50 +117,46 @@ class TestNormalizedConfidence:
 class TestSelfEvalConfidence:
     def test_hand_arithmetic(self):
         d = dist(Yes=math.log(0.03), No=math.log(0.01))
-        assert self_eval_confidence(d, YES, NO).value == pytest.approx(0.75)
+        assert self_eval_confidence(d).value == pytest.approx(0.75)
 
     def test_symmetry(self):
         d = dist(Yes=math.log(0.2), No=math.log(0.2))
-        assert self_eval_confidence(d, YES, NO).value == pytest.approx(0.5)
+        assert self_eval_confidence(d).value == pytest.approx(0.5)
 
     def test_no_absent_from_top_k(self):
         d = dist(Yes=math.log(0.4), Other=math.log(0.3))
-        score = self_eval_confidence(d, YES, NO)
+        score = self_eval_confidence(d)
         assert score.value == pytest.approx(1.0)
         assert Flag.ANCHOR_MISSING_NO in score.flags
         assert Flag.FALLBACK_NEUTRAL not in score.flags
 
     def test_yes_absent_from_top_k(self):
         d = dist(No=math.log(0.4))
-        score = self_eval_confidence(d, YES, NO)
+        score = self_eval_confidence(d)
         assert score.value == 0.0
         assert Flag.ANCHOR_MISSING_YES in score.flags
 
     def test_both_absent_neutral(self):
         d = dist(Maybe=math.log(0.9))
-        score = self_eval_confidence(d, YES, NO, missing_policy=MissingPolicy.NEUTRAL)
+        score = self_eval_confidence(d, missing_policy=MissingPolicy.NEUTRAL)
         assert score.value == 0.5
         assert score.flags == {Flag.ANCHOR_MISSING_YES, Flag.ANCHOR_MISSING_NO, Flag.FALLBACK_NEUTRAL}
 
     def test_both_absent_error(self):
         d = dist(Maybe=math.log(0.9))
         with pytest.raises(AnchorTokensAbsent):
-            self_eval_confidence(d, YES, NO, missing_policy=MissingPolicy.ERROR)
+            self_eval_confidence(d, missing_policy=MissingPolicy.ERROR)
 
     def test_both_absent_skip(self):
         d = dist(Maybe=math.log(0.9))
-        assert self_eval_confidence(d, YES, NO, missing_policy=MissingPolicy.SKIP) is None
+        assert self_eval_confidence(d, missing_policy=MissingPolicy.SKIP) is None
 
     def test_alias_summing(self):
         d = TokenDistribution(
             entries=(("Yes", math.log(0.2)), (" yes", math.log(0.2)), ("No", math.log(0.1)))
         )
-        score = self_eval_confidence(d, frozenset({"Yes", " yes"}), NO)
+        score = self_eval_confidence(d)
         assert score.value == pytest.approx(0.8)
-
-    def test_overlapping_aliases_rejected(self):
-        with pytest.raises(AliasOverlap):
-            self_eval_confidence(dist(Yes=-0.5), frozenset({"Yes"}), frozenset({"Yes", "No"}))
 
     @given(
         p_yes=st.floats(min_value=0.0, max_value=0.5),
@@ -177,7 +169,7 @@ class TestSelfEvalConfidence:
         if p_no > 0:
             entries.append(("No", math.log(p_no)))
         d = TokenDistribution(entries=tuple(entries))
-        score = self_eval_confidence(d, YES, NO)
+        score = self_eval_confidence(d)
         assert 0.0 <= score.value <= 1.0
         if p_no == 0 and p_yes > 0:
             assert score.value == 1.0
@@ -189,6 +181,10 @@ class TestTypes:
     def test_distribution_rejects_positive_logprob(self):
         with pytest.raises(InvalidLogProb):
             TokenDistribution(entries=(("x", 0.2),))
+
+    def test_distribution_rejects_nan_logprob(self):
+        with pytest.raises(InvalidLogProb):
+            TokenDistribution(entries=(("x", -1.0), ("y", math.nan)))
 
     def test_distribution_rejects_duplicates(self):
         with pytest.raises(DuplicateCandidate):

@@ -337,4 +337,4 @@ class TestBuildReport:
 
 
 def test_truncate_context_budget():
-    assert truncate_context("abcd" * 10, token_budget=2) == "abcd" * 2
+    assert truncate_context("abcd" * 2001) == "abcd" * 2000  # 2000 tokens of ~4 chars

@@ -169,10 +169,13 @@ class TestComparison:
 
     def test_symmetric_fixed_point(self):
         task = ToyTask(np.array([0.5, 0.5]))
-        config = SandboxConfig(steps=500, reward_option=None, preferred=None)
-        result = run_paradigm_comparison(task, config)
-        for trace in result.traces.values():
-            assert trace.final.max_prob < 0.6
+        ce_rng, adv_rng = np.random.default_rng(0), np.random.default_rng(1)
+        ce = advantage = ToyPolicy.uniform(2)
+        for _ in range(500):
+            ce = ce_step(ce, task, rng=ce_rng)
+            advantage = advantage_step(advantage, task, reward_option=None, rng=adv_rng)
+        assert ce.probs.max() < 0.6
+        assert advantage.probs.max() < 0.6
 
     def test_fixed_seed_reproducible(self):
         config = SandboxConfig(steps=200)
@@ -182,7 +185,7 @@ class TestComparison:
             assert a.traces[name].steps == b.traces[name].steps
 
     def test_softmax_normalized_every_step(self):
-        config = SandboxConfig(steps=100, trace_every=1)
+        config = SandboxConfig(steps=100)
         result = run_paradigm_comparison(binary_task(), config)
         # traces are finite and probabilities implicitly normalized; spot-check arms
         task = binary_task()
