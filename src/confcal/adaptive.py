@@ -13,9 +13,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .client import JSONPoster, ModelClient
+from .client import JSONPoster, ModelClient, Readout
 from .errors import MalformedResponse, RetrievalMiss
-from .harness import DatasetExample, answer_and_self_evaluate, is_correct, run_pool, truncate_context
+from .harness import DatasetExample, is_correct, run_pool, truncate_context
 from .metrics import retrieval_efficiency
 
 # passages asked of an HTTP retriever, and its timeout in seconds
@@ -84,20 +84,17 @@ class SweepRow:
     efficiency: float | None
 
 
-def _first_pass(example: DatasetExample, client: ModelClient) -> tuple[str, float, set[str]]:
-    answer, conf, flags, _ = answer_and_self_evaluate(client, example.input)
-    return answer, conf, flags
+def _first_pass(example: DatasetExample, client: ModelClient) -> Readout:
+    return client.answer(example.input)
 
 
-def _second_pass(
-    example: DatasetExample, client: ModelClient, retriever
-) -> tuple[str | None, float | None, set[str]]:
+def _second_pass(example: DatasetExample, client: ModelClient, retriever) -> Readout | None:
+    """The readout with retrieved context, or None on a retrieval miss."""
     try:
         context = truncate_context(retriever.retrieve(example))
     except RetrievalMiss:
-        return None, None, {"retrieval_miss"}
-    answer, conf, flags, _ = answer_and_self_evaluate(client, example.input, context)
-    return answer, conf, flags
+        return None
+    return client.answer(example.input, context)
 
 
 def _retrieves(first_conf: float, tau: float) -> bool:
@@ -105,30 +102,31 @@ def _retrieves(first_conf: float, tau: float) -> bool:
     return first_conf < tau
 
 
-def _swaps(first_conf: float, second_answer: str | None, second_conf: float | None) -> bool:
+def _swaps(first: Readout, second: Readout | None) -> bool:
     """The second answer replaces the first only when strictly more confident."""
-    return second_answer is not None and second_conf > first_conf
+    return second is not None and second.confidence > first.confidence
 
 
 def answer_adaptive(
     example: DatasetExample, tau: float, client: ModelClient, retriever
 ) -> AdaptiveOutcome:
-    first_answer, first_conf, flags = _first_pass(example, client)
-    retrieved = _retrieves(first_conf, tau)
-    second_answer, second_conf = None, None
+    first = _first_pass(example, client)
+    flags = set(first.flags)
+    retrieved = _retrieves(first.confidence, tau)
+    second = None
     if retrieved:
-        second_answer, second_conf, extra = _second_pass(example, client, retriever)
-        flags |= extra
-    swapped = _swaps(first_conf, second_answer, second_conf)
+        second = _second_pass(example, client, retriever)
+        flags |= second.flags if second is not None else {"retrieval_miss"}
+    final = second if _swaps(first, second) else first
     return AdaptiveOutcome(
         id=example.id,
-        first_answer=first_answer,
-        first_conf=first_conf,
+        first_answer=first.answer,
+        first_conf=first.confidence,
         retrieved=retrieved,
-        second_answer=second_answer,
-        second_conf=second_conf,
-        final_answer=second_answer if swapped else first_answer,
-        final_conf=second_conf if swapped else first_conf,
+        second_answer=second.answer if second is not None else None,
+        second_conf=second.confidence if second is not None else None,
+        final_answer=final.answer,
+        final_conf=final.confidence,
         flags=frozenset(flags),
     )
 
@@ -158,7 +156,7 @@ def sweep(
 
     first = run_pool(lambda ex: _first_pass(ex, client), examples, concurrency, client)
     max_tau = max(taus)
-    gated = [i for i, (_, conf, _) in enumerate(first) if _retrieves(conf, max_tau)]
+    gated = [i for i, readout in enumerate(first) if _retrieves(readout.confidence, max_tau)]
     # An HTTP retriever waits on the network even when the cache holds every
     # answer, so that pass starts all its threads at once.
     second = run_pool(
@@ -170,19 +168,19 @@ def sweep(
 
     n = len(examples)
     first_correct = [
-        is_correct(answer, ex.gold, matcher) for ex, (answer, _, _) in zip(examples, first)
+        is_correct(readout.answer, ex.gold, matcher) for ex, readout in zip(examples, first)
     ]
     baseline_correct = sum(first_correct)
     baseline_acc_pct = 100.0 * baseline_correct / n
 
     # change in the number correct when example i retrieves
     delta = [0] * n
-    for i, (second_answer, second_conf, _) in zip(gated, second):
-        if _swaps(first[i][1], second_answer, second_conf):
-            delta[i] = is_correct(second_answer, examples[i].gold, matcher) - first_correct[i]
+    for i, readout in zip(gated, second):
+        if _swaps(first[i], readout):
+            delta[i] = is_correct(readout.answer, examples[i].gold, matcher) - first_correct[i]
 
-    order = sorted(range(n), key=lambda i: first[i][1])
-    confs = [first[i][1] for i in order]
+    order = sorted(range(n), key=lambda i: first[i].confidence)
+    confs = [first[i].confidence for i in order]
     prefix = [0, *accumulate(delta[i] for i in order)]
 
     rows: list[SweepRow] = []

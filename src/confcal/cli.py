@@ -295,15 +295,23 @@ def cmd_ece_from_bins(args: argparse.Namespace) -> int:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"count", "mean_accuracy", "mean_confidence"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise SchemaViolation(f"{path}: need columns {sorted(required)}")
-        for row in reader:
-            try:
-                bins.append(
-                    (int(row["count"]), float(row["mean_accuracy"]), float(row["mean_confidence"]))
-                )
-            except ValueError as exc:
-                raise SchemaViolation(f"{path}: bad row {row}: {exc}") from exc
+        try:
+            if reader.fieldnames is None or not required <= set(reader.fieldnames):
+                raise SchemaViolation(f"{path}: need columns {sorted(required)}")
+            for row in reader:
+                count = int(row["count"])
+                acc, conf = float(row["mean_accuracy"]), float(row["mean_confidence"])
+                if count < 0 or not (0.0 <= acc <= 1.0 and 0.0 <= conf <= 1.0):  # NaN included
+                    raise SchemaViolation(
+                        f"{path}:{reader.line_num}: bad row {row}: need count >= 0 and means in [0, 1]"
+                    )
+                bins.append((count, acc, conf))
+        except UnicodeDecodeError as exc:  # decoded a block at a time, so no line number
+            raise SchemaViolation(f"{path}: not UTF-8 ({exc})") from exc
+        except (TypeError, ValueError) as exc:  # TypeError: a short row
+            raise SchemaViolation(
+                f"{path}:{reader.line_num}: bad row ({type(exc).__name__}: {exc})"
+            ) from exc
     if not bins:
         raise SchemaViolation(f"{path}: no bin rows")
     ece_val = metrics.ece_from_bins(bins)

@@ -34,8 +34,8 @@ import urllib3
 from .confidence import (
     DEFAULT_TOP_K,
     DEFAULT_YES_ALIASES,
+    NEUTRAL_CONFIDENCE,
     CandidateScore,
-    ConfidenceScore,
     MissingPolicy,
     TokenDistribution,
     self_eval_confidence,
@@ -478,20 +478,19 @@ def _user_turn(question: str, context: str | None) -> Message:
 
 
 @dataclass(frozen=True)
-class ClassifyResult:
-    label: str
-    confidence: ConfidenceScore
-    raw_probability: float  # unnormalized summed alias probability of the chosen label
+class Readout:
+    """One confidence readout: the chosen label or generated answer, its
+    confidence in [0, 1], the flag names it carries, and the raw value
+    behind it (the chosen label's summed alias probability, or P(Yes))."""
 
-
-@dataclass(frozen=True)
-class SelfEvalResult:
-    confidence: ConfidenceScore | None
-    raw_yes_probability: float
+    answer: str
+    confidence: float
+    flags: frozenset[str]
+    raw: float
 
 
 class ModelClient:
-    """High-level classification / self-evaluation protocol over a backend.
+    """Classification and answer-then-self-evaluation readouts over a backend.
 
     Requests that miss the cache on one digest at the same time share a
     single backend call, and its response or its failure.
@@ -566,19 +565,16 @@ class ModelClient:
             with self._flights_lock:
                 del self._flights[digest]
 
-    def _ask(self, messages: list[Message], max_tokens: int) -> CompletionResponse:
-        """The response to ``messages`` at temperature 0, with the top-K logprobs."""
-        return self.complete(CompletionRequest(tuple(messages), self.model_name, max_tokens))
-
-    def _single_token_distribution(self, messages: list[Message]) -> TokenDistribution:
-        response = self._ask(messages, max_tokens=1)
+    def _first_distribution(self, messages: list[Message]) -> TokenDistribution:
+        """The top-K distribution at the first position of a one-token reply."""
+        response = self.complete(CompletionRequest(tuple(messages), self.model_name, 1))
         if not response.token_distributions:
             raise MalformedResponse("no token distribution at first answer position")
         return response.token_distributions[0]
 
     def classify(
         self, input: str, label_set: list[tuple[str, frozenset[str] | set[str]]]
-    ) -> ClassifyResult:
+    ) -> Readout:
         """Single-token readout: per-label summed alias probability, normalized.
 
         Labels whose aliases are all absent from the top-K score probability 0.
@@ -588,7 +584,7 @@ class ModelClient:
             if not aliases:
                 raise UnmappableLabel(f"label {label!r} has no single-token alias")
 
-        dist = self._single_token_distribution([Message("user", input)])
+        dist = self._first_distribution([Message("user", input)])
 
         probs: dict[str, float] = {}
         for label, aliases in label_set:
@@ -603,33 +599,26 @@ class ModelClient:
             CandidateScore(label, math.log(p) if p > 0 else _NEG_INF)
             for label, p in probs.items()
         ]
-        confidence = normalized_confidence(candidates, chosen)
-        return ClassifyResult(label=chosen, confidence=confidence, raw_probability=probs[chosen])
+        confidence = normalized_confidence(candidates, chosen).value
+        return Readout(chosen, confidence, frozenset(), probs[chosen])
 
-    def _self_eval_messages(
-        self, question: str, answer: str, context: str | None
-    ) -> list[Message]:
-        return [
-            _user_turn(question, context),
-            Message("assistant", answer),
-            Message("user", SELF_EVAL_PROMPT),
-        ]
-
-    def self_evaluate_with_raw(
-        self, question: str, answer: str, context: str | None = None
-    ) -> SelfEvalResult:
-        dist = self._single_token_distribution(
-            self._self_eval_messages(question, answer, context)
-        )
-        confidence = self_eval_confidence(dist, missing_policy=self.missing_policy)
-        raw_yes = math.fsum(dist.probability(tok) for tok in DEFAULT_YES_ALIASES)
-        return SelfEvalResult(confidence=confidence, raw_yes_probability=raw_yes)
-
-    def generate_answer(
-        self, question: str, context: str | None = None
-    ) -> tuple[str, tuple[str, ...]]:
-        """Free-form answer pass of up to 256 tokens, at temperature 0."""
+    def answer(self, question: str, context: str | None = None) -> Readout:
+        """Free-form answer of up to 256 tokens, then its one-token Yes/No
+        self-evaluation, both at temperature 0 and after ``context`` when
+        given. A self-evaluation that the missing policy skips scores the
+        neutral 0.5 with the fallback flags plus ``self_eval_skipped``."""
         if not question.strip():
             raise InvalidInput("question is empty")
-        response = self._ask([_user_turn(question, context)], max_tokens=256)
-        return response.text, response.generated_tokens
+        turn = _user_turn(question, context)
+        answer = self.complete(CompletionRequest((turn,), self.model_name, 256)).text
+        dist = self._first_distribution(
+            [turn, Message("assistant", answer), Message("user", SELF_EVAL_PROMPT)]
+        )
+        score = self_eval_confidence(dist, missing_policy=self.missing_policy)
+        flags = set()
+        if score is None:
+            score = NEUTRAL_CONFIDENCE
+            flags.add("self_eval_skipped")
+        flags |= {f.value for f in score.flags}
+        raw_yes = math.fsum(dist.probability(tok) for tok in DEFAULT_YES_ALIASES)
+        return Readout(answer, score.value, frozenset(flags), raw_yes)

@@ -80,9 +80,9 @@ class CandidateScore:
     sequence_logprob: float
 
     def __post_init__(self):
-        if self.sequence_logprob > 0:
+        if not self.sequence_logprob <= 0:  # NaN included
             raise InvalidLogProb(
-                f"sequence_logprob for {self.candidate_id!r} is positive: {self.sequence_logprob}"
+                f"sequence_logprob for {self.candidate_id!r} is not <= 0: {self.sequence_logprob}"
             )
 
 
@@ -117,8 +117,8 @@ def sequence_logprob(token_logprobs: list[float]) -> float:
     if not token_logprobs:
         raise EmptySequence("token logprob list is empty")
     for lp in token_logprobs:
-        if lp > 0:
-            raise InvalidLogProb(f"token logprob is positive: {lp}")
+        if not lp <= 0:  # NaN included
+            raise InvalidLogProb(f"token logprob is not <= 0: {lp}")
     return math.fsum(token_logprobs)
 
 

@@ -12,11 +12,11 @@ import json
 import re
 import threading
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TypeVar
 
-from .client import ModelClient
+from .client import ModelClient, Readout
 from .confidence import NEUTRAL_CONFIDENCE, Method
 from .errors import ConfcalError, NoNumberFound, SchemaViolation
 from .metrics import EvalRecord
@@ -227,28 +227,9 @@ def is_correct(
         return False
 
 
-def answer_and_self_evaluate(
-    client: ModelClient, question: str, context: str | None = None
-) -> tuple[str, float, set[str], float]:
-    """Generate an answer, then read its Yes/No self-evaluation confidence.
-
-    A skipped self-evaluation scores the neutral 0.5 with the fallback flags
-    plus ``self_eval_skipped``. Returns (answer, confidence, flags, raw P(Yes)).
-    """
-    answer, _ = client.generate_answer(question, context=context)
-    se = client.self_evaluate_with_raw(question, answer, context=context)
-    score = NEUTRAL_CONFIDENCE if se.confidence is None else se.confidence
-    flags = {f.value for f in score.flags}
-    if se.confidence is None:
-        flags.add("self_eval_skipped")
-    return answer, score.value, flags, se.raw_yes_probability
-
-
 def _eval_one(
     task: TaskSpec, example: DatasetExample, client: ModelClient, want_raw: bool
 ) -> tuple[EvalRecord, EvalRecord | None]:
-    flags: set[str] = set()
-    raw_value: float | None = None
     try:
         if task.kind == "classification":
             prompt = task.prompt_template.format(
@@ -256,51 +237,31 @@ def _eval_one(
                 choices="\n".join(example.choices or ()),
                 context=example.context or "",
             )
-            result = client.classify(prompt, [(l.label, l.aliases) for l in task.label_set])
-            prediction = result.label
-            confidence = result.confidence.value
-            method = result.confidence.method.value
-            flags |= {f.value for f in result.confidence.flags}
-            raw_value = result.raw_probability
+            readout = client.classify(prompt, [(l.label, l.aliases) for l in task.label_set])
         else:
-            prompt = task.prompt_template.format(
-                input=example.input, choices="", context=""
-            )
-            prediction, confidence, flags, raw_value = answer_and_self_evaluate(
-                client, prompt, example.context
-            )
-            method = Method.SELF_EVAL.value
+            prompt = task.prompt_template.format(input=example.input, choices="", context="")
+            readout = client.answer(prompt, example.context)
     except ConfcalError as exc:
-        prediction = ""
-        method = Method.SELF_EVAL.value if task.kind == "generation" else Method.CLASSIFICATION_NORMALIZED.value
-        confidence = NEUTRAL_CONFIDENCE.value
-        flags |= {f.value for f in NEUTRAL_CONFIDENCE.flags}
-        flags.add(f"error:{type(exc).__name__}")
-        raw_value = 0.0
+        flags = {f.value for f in NEUTRAL_CONFIDENCE.flags} | {f"error:{type(exc).__name__}"}
+        readout = Readout("", NEUTRAL_CONFIDENCE.value, frozenset(flags), 0.0)
 
-    correct = is_correct(prediction, example.gold, task.matcher, flags)
-
+    flags = set(readout.flags)
+    correct = is_correct(readout.answer, example.gold, task.matcher, flags)
+    method = Method.SELF_EVAL if task.kind == "generation" else Method.CLASSIFICATION_NORMALIZED
     record = EvalRecord(
         id=example.id,
         task_id=task.task_id,
-        prediction=prediction,
+        prediction=readout.answer,
         gold=example.gold,
         correct=correct,
-        confidence=confidence,
-        method=method,
+        confidence=readout.confidence,
+        method=method.value,
         flags=frozenset(flags),
     )
     raw_record = None
     if want_raw:
-        raw_record = EvalRecord(
-            id=example.id,
-            task_id=task.task_id,
-            prediction=prediction,
-            gold=example.gold,
-            correct=correct,
-            confidence=min(max(raw_value or 0.0, 0.0), 1.0),
-            method=Method.RAW.value,
-            flags=frozenset(flags),
+        raw_record = replace(
+            record, confidence=min(max(readout.raw, 0.0), 1.0), method=Method.RAW.value
         )
     return record, raw_record
 

@@ -71,6 +71,19 @@ def scripted_client():
     return _factory
 
 
+class CountingClient(ModelClient):
+    """Counts ``answer`` calls made without context (= first passes)."""
+
+    def __init__(self, backend):
+        super().__init__(backend)
+        self.pass1_generations = 0
+
+    def answer(self, question, context=None):
+        if context is None:
+            self.pass1_generations += 1
+        return super().answer(question, context)
+
+
 class PureBackend:
     """Answers each request as a function of its digest alone, so the calls
     may come in any order, and counts the calls."""

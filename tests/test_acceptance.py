@@ -27,7 +27,7 @@ from confcal.metrics import (
 )
 from confcal.sandbox import SandboxConfig, ToyTask, run_paradigm_comparison
 
-from conftest import answer_entry, load_bin_csv, make_record, yes_no_entry
+from conftest import CountingClient, answer_entry, load_bin_csv, make_record, yes_no_entry
 
 
 def report(criterion, ok=True):
@@ -153,18 +153,6 @@ class TestCriterion6ConfidenceAlgebra:
         expected = math.e / (1.0 + math.e)
         assert normalized_confidence(underflow, "a").value == pytest.approx(expected, abs=1e-9)
         report("6 confidence algebra incl. underflow")
-
-
-class CountingClient(ModelClient):
-    def __init__(self, backend):
-        super().__init__(backend)
-        self.pass1_generations = 0
-
-    def generate_answer(self, question, context=None, params=None):
-        if context is None:
-            self.pass1_generations += 1
-        kwargs = {"params": params} if params is not None else {}
-        return super().generate_answer(question, context=context, **kwargs)
 
 
 class TestCriterion7AdaptiveController:

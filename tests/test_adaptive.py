@@ -19,8 +19,8 @@ from confcal.adaptive import (
     sweep,
 )
 from confcal.cli import EXIT_ENDPOINT, EXIT_OK, main
-from confcal.client import MockBackend, ModelClient, SelfEvalResult, request_digest
-from confcal.confidence import ConfidenceScore, Method, MissingPolicy
+from confcal.client import MockBackend, ModelClient, Readout, request_digest
+from confcal.confidence import MissingPolicy
 from confcal.errors import NoNumberFound, RetrievalMiss
 from confcal.harness import DatasetExample, TaskSpec, match_answer, run_eval
 from confcal.metrics import retrieval_efficiency
@@ -28,6 +28,7 @@ from confcal.metrics import retrieval_efficiency
 from conftest import (
     HTML,
     ChatStub,
+    CountingClient,
     MemoryCache,
     PureBackend,
     answer_entry,
@@ -43,20 +44,6 @@ def example(i="e0", gold="Paris", context="the retrieved passage"):
 
 def scripted(*entries):
     return ModelClient(MockBackend(list(entries)))
-
-
-class CountingClient(ModelClient):
-    """Counts context-free generation calls (= pass-1 pipelines)."""
-
-    def __init__(self, backend):
-        super().__init__(backend)
-        self.pass1_generations = 0
-
-    def generate_answer(self, question, context=None, params=None):
-        if context is None:
-            self.pass1_generations += 1
-        kwargs = {"params": params} if params is not None else {}
-        return super().generate_answer(question, context=context, **kwargs)
 
 
 class TestAnswerAdaptive:
@@ -242,20 +229,22 @@ def brute_force_sweep(examples, taus, client, retriever, matcher):
     tau, and matches every final answer again, in O(n*T)."""
     first = {ex.id: _first_pass(ex, client) for ex in examples}
     second = {
-        ex.id: _second_pass(ex, client, retriever) for ex in examples if first[ex.id][1] < max(taus)
+        ex.id: _second_pass(ex, client, retriever)
+        for ex in examples
+        if first[ex.id].confidence < max(taus)
     }
     n = len(examples)
-    baseline_acc_pct = 100.0 * sum(_correct(first[ex.id][0], ex.gold) for ex in examples) / n
+    baseline_acc_pct = 100.0 * sum(_correct(first[ex.id].answer, ex.gold) for ex in examples) / n
     rows = []
     for tau in taus:
         retrieved = correct = 0
         for ex in examples:
-            final_answer, first_conf, _ = first[ex.id]
+            final_answer, first_conf = first[ex.id].answer, first[ex.id].confidence
             if first_conf < tau:
                 retrieved += 1
-                second_answer, second_conf, _ = second[ex.id]
-                if second_answer is not None and second_conf > first_conf:
-                    final_answer = second_answer
+                second_pass = second[ex.id]
+                if second_pass is not None and second_pass.confidence > first_conf:
+                    final_answer = second_pass.answer
             correct += _correct(final_answer, ex.gold)
         rate_pct = 100.0 * retrieved / n
         acc_pct = 100.0 * correct / n
@@ -272,12 +261,9 @@ class TableClient:
     def __init__(self, table):
         self.table = table
 
-    def generate_answer(self, question, context=None):
-        return self.table[question, context][0], ()
-
-    def self_evaluate_with_raw(self, question, answer, context=None):
-        conf = self.table[question, context][1]
-        return SelfEvalResult(ConfidenceScore(conf, Method.SELF_EVAL), conf)
+    def answer(self, question, context=None):
+        answer, conf = self.table[question, context]
+        return Readout(answer, conf, frozenset(), conf)
 
 
 # Confidences and taus share one grid so that ties between them, and between

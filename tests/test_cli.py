@@ -314,10 +314,22 @@ class TestEceFromBins:
         assert main(["ece-from-bins", str(path)]) == EXIT_OK
         assert "ece = 0.000000" in capsys.readouterr().out
 
-    def test_bad_schema(self, tmp_path):
+    def test_bad_schema(self, tmp_path, capsys):
         path = tmp_path / "bins.csv"
-        path.write_text("a,b\n1,2\n")
-        assert main(["ece-from-bins", str(path)]) == EXIT_DATA
+        header = b"count,mean_accuracy,mean_confidence\n"
+        for data in (
+            b"a,b\n1,2\n",
+            header + b"10,nan,0.5\n",
+            header + b"10,0.1,inf\n",
+            header + b"-10,0.1,0.9\n20,0.5,0.6\n",
+            header + b"10,1.5,0.5\n",
+            header + b"10\n",
+            header + b"10,0.5,0.5\xff\n",
+        ):
+            path.write_bytes(data)
+            assert main(["ece-from-bins", str(path)]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1, err
 
 
 class TestSandbox:

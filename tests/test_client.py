@@ -648,23 +648,23 @@ class TestClassify:
         dist = {"B": math.log(0.6), "A": math.log(0.2), "C": math.log(0.1), "D": math.log(0.1)}
         client = scripted_client([{"tokens": ["B"], "distributions": [dist]}])
         result = client.classify("pick one", self.LABELS)
-        assert result.label == "B"
-        assert result.confidence.value == pytest.approx(0.6)
-        assert result.raw_probability == pytest.approx(0.6)
+        assert result.answer == "B"
+        assert result.confidence == pytest.approx(0.6)
+        assert result.raw == pytest.approx(0.6)
 
     def test_single_surviving_label(self, scripted_client):
         dist = {"A": math.log(0.05), "Z": math.log(0.9)}
         client = scripted_client([{"tokens": ["Z"], "distributions": [dist]}])
         result = client.classify("pick one", self.LABELS)
-        assert result.label == "A"
-        assert result.confidence.value == pytest.approx(1.0)
+        assert result.answer == "A"
+        assert result.confidence == pytest.approx(1.0)
 
     def test_uniform_tie_breaks_alphabetically(self, scripted_client):
         dist = {lab: math.log(0.25) for lab in "ABCD"}
         client = scripted_client([{"tokens": ["A"], "distributions": [dist]}])
         result = client.classify("pick one", self.LABELS)
-        assert result.label == "A"
-        assert result.confidence.value == pytest.approx(0.25)
+        assert result.answer == "A"
+        assert result.confidence == pytest.approx(0.25)
 
     def test_confidence_sums_to_one(self):
         # label scores as classify builds them, incl. an absent label at -inf
@@ -690,69 +690,82 @@ class TestClassify:
             client.classify("pick one", [("A", frozenset()), ("B", frozenset({"B"}))])
 
 
+def self_eval_entries(dist, answer="a"):
+    """Script for one ``ModelClient.answer``: the answer, then the self-evaluation."""
+    return [{"tokens": [answer]}, {"tokens": ["Yes"], "distributions": [dist]}]
+
+
+def spied_requests(backend):
+    """The list that every request ``backend`` answers is appended to."""
+    requests = []
+    original = backend.complete
+
+    def spy(request):
+        requests.append(request)
+        return original(request)
+
+    backend.complete = spy
+    return requests
+
+
 class TestSelfEvaluate:
     def test_yes_heavy(self, scripted_client):
         dist = {"Yes": math.log(0.8), "No": math.log(0.2)}
-        client = scripted_client([{"tokens": ["Yes"], "distributions": [dist]}])
-        score = client.self_evaluate_with_raw("q?", "a").confidence
-        assert score.value == pytest.approx(0.8)
+        client = scripted_client(self_eval_entries(dist))
+        readout = client.answer("q?")
+        assert readout.confidence == pytest.approx(0.8)
 
     def test_symmetric(self, scripted_client):
         dist = {"Yes": math.log(0.4), "No": math.log(0.4)}
-        client = scripted_client([{"tokens": ["Yes"], "distributions": [dist]}])
-        assert client.self_evaluate_with_raw("q?", "a").confidence.value == pytest.approx(0.5)
+        client = scripted_client(self_eval_entries(dist))
+        assert client.answer("q?").confidence == pytest.approx(0.5)
 
-    def test_conversation_shape(self, scripted_client):
-        client = scripted_client([])
-        messages = client._self_eval_messages(
-            "Which American-born Sinclair won the Nobel Prize for Literature in 1930?",
-            "Sinclair Lewis won the Nobel Prize for Literature in 1930",
-            None,
+    def test_conversation_shape(self):
+        answer = "Sinclair Lewis won the Nobel Prize for Literature in 1930"
+        backend = MockBackend(self_eval_entries({"Yes": -0.1}, answer=answer))
+        requests = spied_requests(backend)
+        ModelClient(backend).answer(
+            "Which American-born Sinclair won the Nobel Prize for Literature in 1930?"
         )
+        messages = requests[1].messages
         assert [m.role for m in messages] == ["user", "assistant", "user"]
         assert messages[1].content == "Sinclair Lewis won the Nobel Prize for Literature in 1930"
         assert messages[2].content == SELF_EVAL_PROMPT
 
-    def test_context_included_before_question(self, scripted_client):
-        client = scripted_client([])
-        messages = client._self_eval_messages("q?", "a", context="some passage")
+    def test_context_included_before_question(self):
+        backend = MockBackend(self_eval_entries({"Yes": -0.1}))
+        requests = spied_requests(backend)
+        ModelClient(backend).answer("q?", context="some passage")
+        messages = requests[1].messages
         assert messages[0].content.startswith("some passage")
         assert messages[0].content.endswith("q?")
 
     def test_anchor_missing_flags(self, scripted_client):
         dist = {"Yes": math.log(0.3), "Other": math.log(0.5)}
-        client = scripted_client([{"tokens": ["Yes"], "distributions": [dist]}])
-        score = client.self_evaluate_with_raw("q?", "a").confidence
-        assert score.value == 1.0
-        assert Flag.ANCHOR_MISSING_NO in score.flags
+        client = scripted_client(self_eval_entries(dist))
+        readout = client.answer("q?")
+        assert readout.confidence == 1.0
+        assert Flag.ANCHOR_MISSING_NO.value in readout.flags
 
 
 class TestGenerateAnswer:
     def test_scripted_answer(self, scripted_client):
-        client = scripted_client([{"tokens": ["42"], "distributions": [{"42": -0.01}]}])
-        answer, tokens = client.generate_answer("what is six times seven?")
+        client = scripted_client(self_eval_entries({"Yes": -0.1}, answer="42"))
+        answer = client.answer("what is six times seven?").answer
         assert answer == "42"
-        assert tokens == ("42",)
 
     def test_context_injected_before_question(self, scripted_client):
-        backend = MockBackend([{"tokens": ["ok"]}])
-        captured = {}
-        original = backend.complete
-
-        def spy(request):
-            captured["request"] = request
-            return original(request)
-
-        backend.complete = spy
+        backend = MockBackend(self_eval_entries({"Yes": -0.1}, answer="ok"))
+        requests = spied_requests(backend)
         client = ModelClient(backend)
-        client.generate_answer("the question", context="the context")
-        content = captured["request"].messages[0].content
+        client.answer("the question", context="the context")
+        content = requests[0].messages[0].content
         assert content.index("the context") < content.index("the question")
 
     def test_empty_question_rejected(self, scripted_client):
         client = scripted_client([])
         with pytest.raises(InvalidInput):
-            client.generate_answer("  ")
+            client.answer("  ")
 
 
 class TestResponseInvariant:

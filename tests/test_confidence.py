@@ -44,8 +44,9 @@ class TestSequenceLogprob:
             sequence_logprob([])
 
     def test_positive_logprob_rejected(self):
-        with pytest.raises(InvalidLogProb):
-            sequence_logprob([0.1])
+        for logprobs in ([0.1], [math.nan, -1.0]):
+            with pytest.raises(InvalidLogProb):
+                sequence_logprob(logprobs)
 
 
 class TestNormalizedConfidence:
@@ -185,6 +186,11 @@ class TestTypes:
     def test_distribution_rejects_nan_logprob(self):
         with pytest.raises(InvalidLogProb):
             TokenDistribution(entries=(("x", -1.0), ("y", math.nan)))
+
+    def test_candidate_rejects_positive_or_nan_logprob(self):
+        for logprob in (0.2, math.nan):
+            with pytest.raises(InvalidLogProb):
+                CandidateScore("a", logprob)
 
     def test_distribution_rejects_duplicates(self):
         with pytest.raises(DuplicateCandidate):
