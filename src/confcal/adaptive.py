@@ -154,17 +154,10 @@ def sweep(
     if not examples:
         raise ValueError("example list is empty")
 
-    first = run_pool(lambda ex: _first_pass(ex, client), examples, concurrency, client)
+    first = run_pool(lambda ex: _first_pass(ex, client), examples, concurrency)
     max_tau = max(taus)
     gated = [i for i, readout in enumerate(first) if _retrieves(readout.confidence, max_tau)]
-    # An HTTP retriever waits on the network even when the cache holds every
-    # answer, so that pass starts all its threads at once.
-    second = run_pool(
-        lambda i: _second_pass(examples[i], client, retriever),
-        gated,
-        concurrency,
-        None if isinstance(retriever, HTTPRetriever) else client,
-    )
+    second = run_pool(lambda i: _second_pass(examples[i], client, retriever), gated, concurrency)
 
     n = len(examples)
     first_correct = [

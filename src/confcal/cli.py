@@ -169,8 +169,8 @@ def _record_to_json(rec: metrics.EvalRecord) -> dict:
     }
 
 
-def _report_to_json(report: metrics.CalibrationReport, raw_auroc: float | None = None) -> dict:
-    data = {
+def _report_to_json(report: metrics.CalibrationReport) -> dict:
+    return {
         "task_id": report.task_id,
         "n": report.n,
         "accuracy": _round(report.accuracy),
@@ -186,9 +186,6 @@ def _report_to_json(report: metrics.CalibrationReport, raw_auroc: float | None =
         ],
         "flag_counts": dict(sorted(report.flag_counts.items())),
     }
-    if raw_auroc is not None:
-        data["raw_auroc"] = _round(raw_auroc)
-    return data
 
 
 def _write_curve_csv(path: Path, report_data: dict) -> None:
@@ -236,14 +233,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for rec in result.records:
             fh.write(json.dumps(_record_to_json(rec), ensure_ascii=False) + "\n")
 
-    report = metrics.build_report(result.records, n_bins=cfg.n_bins)
-    raw_auroc = None
-    if cfg.confidence_mode == "both" and result.raw_records:
-        try:
-            raw_auroc = metrics.auroc(result.raw_records)
-        except ConfcalError:
-            raw_auroc = None
-    report_data = _report_to_json(report, raw_auroc=raw_auroc)
+    report_data = _report_to_json(metrics.build_report(result.records, n_bins=cfg.n_bins))
+    if cfg.confidence_mode == "both":
+        report_data["raw_auroc"] = _round(metrics.build_report(result.raw_records, cfg.n_bins).auroc)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report_data, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
@@ -325,11 +317,8 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
     from . import sandbox  # numpy: only the sandbox needs it
 
     cfg = _load_run_config(args)
-    dist = cfg.data_distribution or [0.7, 0.3]
-    if len(dist) < 2:
-        raise ConfigInvalid("data_distribution needs at least 2 options")
     try:
-        task = sandbox.ToyTask(dist)
+        task = sandbox.ToyTask(cfg.data_distribution or [0.7, 0.3])
         sandbox_cfg = sandbox.SandboxConfig(
             steps=cfg.steps, lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed
         )

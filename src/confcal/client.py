@@ -66,6 +66,27 @@ MAX_RETRIES = 3
 BACKOFF_START_S = 0.5
 RETRY_AFTER_CAP_S = 60.0
 
+_wait_hook = threading.local()
+
+
+@contextmanager
+def on_wait(callback: Callable[[], None]) -> Iterator[None]:
+    """Inside the block, ``callback()`` runs on this thread ahead of each
+    wait on a remote: a request the response cache does not answer, and
+    every HTTP post."""
+    _wait_hook.callback = callback
+    try:
+        yield
+    finally:
+        _wait_hook.callback = None
+
+
+def about_to_wait() -> None:
+    """Runs this thread's ``on_wait`` callback, if there is one."""
+    callback = getattr(_wait_hook, "callback", None)
+    if callback is not None:
+        callback()
+
 
 @dataclass(frozen=True)
 class Message:
@@ -316,9 +337,9 @@ class JSONPoster:
 
     def post(self, payload: object) -> object:
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        about_to_wait()
         delay = BACKOFF_START_S
         wait = 0.0
-        last_error: Exception | None = None
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 time.sleep(wait)
@@ -344,7 +365,7 @@ class JSONPoster:
             # full jitter on a doubling backoff, unless the server named a wait
             wait = retry_after if retry_after is not None else random.uniform(0.0, delay)
             delay *= 2
-        raise last_error if last_error is not None else EndpointUnreachable("no attempts made")
+        raise last_error
 
 
 class HTTPBackend:
@@ -509,7 +530,6 @@ class ModelClient:
         self.missing_policy = missing_policy
         self._flights: dict[str, Future] = {}
         self._flights_lock = threading.Lock()
-        self._local = threading.local()
 
     def close(self) -> None:
         """Closes the backend's connections and the cache's append handle."""
@@ -519,25 +539,13 @@ class ModelClient:
         if self.cache is not None:
             self.cache.close()
 
-    @contextmanager
-    def before_fetch(self, callback: Callable[[], None]) -> Iterator[None]:
-        """Inside the block, ``callback()`` runs on this thread ahead of each
-        request that the cache does not answer."""
-        self._local.before_fetch = callback
-        try:
-            yield
-        finally:
-            self._local.before_fetch = None
-
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         digest = request_digest(request)
         if self.cache is not None:
             hit = self.cache.get(digest)
             if hit is not None:
                 return hit
-        callback = getattr(self._local, "before_fetch", None)
-        if callback is not None:
-            callback()
+        about_to_wait()
         with self._flights_lock:
             flight = self._flights.get(digest)
             leader = flight is None

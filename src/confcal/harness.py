@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TypeVar
 
-from .client import ModelClient, Readout
+from .client import ModelClient, Readout, on_wait
 from .confidence import NEUTRAL_CONFIDENCE, Method
 from .errors import ConfcalError, NoNumberFound, SchemaViolation
 from .metrics import EvalRecord
@@ -56,8 +56,12 @@ class TaskSpec:
             raise SchemaViolation("classification task needs a non-empty label_set")
         if self.kind == "generation" and self.matcher == "exact":
             raise SchemaViolation("generation tasks use numeric or substring matching")
-        if not all(isinstance(spec.label, str) for spec in self.label_set):
-            raise SchemaViolation("labels must be strings")
+        labels = [spec.label for spec in self.label_set]
+        aliases = [alias for spec in self.label_set for alias in spec.aliases]
+        if not all(isinstance(x, str) for x in labels + aliases):
+            raise SchemaViolation("labels and their aliases must be strings")
+        if len(set(labels)) != len(labels):
+            raise SchemaViolation(f"labels must be unique, got {labels}")
         try:
             self.prompt_template.format(input="", choices="", context="")
         except (AttributeError, IndexError, KeyError, ValueError) as exc:
@@ -65,10 +69,11 @@ class TaskSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "TaskSpec":
-        labels = tuple(
-            LabelSpec(label=item["label"], aliases=frozenset(item["aliases"]))
-            for item in data.get("label_set", [])
-        )
+        labels = []
+        for item in data.get("label_set", []):
+            if not isinstance(item["aliases"], list):
+                raise SchemaViolation(f"aliases of label {item['label']!r} must be a list")
+            labels.append(LabelSpec(label=item["label"], aliases=frozenset(item["aliases"])))
         return cls(
             task_id=data["task_id"],
             kind=data["kind"],
@@ -242,11 +247,12 @@ def _eval_one(
             prompt = task.prompt_template.format(input=example.input, choices="", context="")
             readout = client.answer(prompt, example.context)
     except ConfcalError as exc:
+        readout = Readout("", NEUTRAL_CONFIDENCE.value, frozenset(), 0.0)
         flags = {f.value for f in NEUTRAL_CONFIDENCE.flags} | {f"error:{type(exc).__name__}"}
-        readout = Readout("", NEUTRAL_CONFIDENCE.value, frozenset(flags), 0.0)
-
-    flags = set(readout.flags)
-    correct = is_correct(readout.answer, example.gold, task.matcher, flags)
+        correct = False
+    else:
+        flags = set(readout.flags)
+        correct = is_correct(readout.answer, example.gold, task.matcher, flags)
     method = Method.SELF_EVAL if task.kind == "generation" else Method.CLASSIFICATION_NORMALIZED
     record = EvalRecord(
         id=example.id,
@@ -266,24 +272,16 @@ def _eval_one(
     return record, raw_record
 
 
-def run_pool(
-    fn: Callable[[_T], _R],
-    items: Sequence[_T],
-    concurrency: int,
-    client: ModelClient | None = None,
-) -> list[_R]:
+def run_pool(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int) -> list[_R]:
     """``fn`` over ``items`` on up to ``concurrency`` threads, results in item
-    order. The calling thread takes items itself. The other threads start at
-    once without a ``client``; with one, just before its first backend call,
-    so a run that the response cache serves in full stays on the calling
+    order. The calling thread takes items itself, and starts the other
+    threads just before its first wait on a remote (``client.on_wait``), so
+    a run that the response cache serves in full stays on the calling
     thread. Items start in order, so at concurrency 1 an in-order mock script
     serves them exactly as a plain loop would. After a failure no further
     item starts, and the exception of the first failing item is raised. An
     exception or interrupt on the calling thread stops the pool, and the
     other threads end before it propagates."""
-    workers = min(concurrency, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
     results: list = [None] * len(items)
     failures: list[tuple[int, Exception]] = []
     stop = threading.Event()
@@ -305,21 +303,17 @@ def run_pool(
                 failures.append((i, exc))
                 stop.set()
 
-    # Runs on the calling thread only, as the client's callback is per thread.
+    # Runs on the calling thread only, as the wait callback is per thread.
     def start_helpers() -> None:
         if not helpers:
-            for _ in range(workers - 1):
+            for _ in range(min(concurrency, len(items)) - 1):
                 thread = threading.Thread(target=drain)
                 thread.start()
                 helpers.append(thread)
 
     try:
-        if client is None:
-            start_helpers()
+        with on_wait(start_helpers):
             drain()
-        else:
-            with client.before_fetch(start_helpers):
-                drain()
     finally:
         stop.set()
         for thread in helpers:
@@ -346,9 +340,7 @@ def run_eval(
         raise SchemaViolation(f"unknown confidence mode {confidence_mode!r}")
     want_raw = confidence_mode in ("raw", "both")
 
-    pairs = run_pool(
-        lambda ex: _eval_one(task, ex, client, want_raw), examples, concurrency, client
-    )
+    pairs = run_pool(lambda ex: _eval_one(task, ex, client, want_raw), examples, concurrency)
 
     records = sorted((rec for rec, _ in pairs), key=lambda r: r.id)
     raw_records = sorted((raw for _, raw in pairs if raw is not None), key=lambda r: r.id)

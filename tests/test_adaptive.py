@@ -493,6 +493,37 @@ class TestRetrievers:
         assert len(stub.bodies) == 2
         assert sleeps == [2.0]
 
+    def test_warm_sweep_keeps_every_retrieval_in_flight(self):
+        """With every answer in the cache, the retrievals are the only waits,
+        and they start the pool: the first ``concurrency`` of them wait for
+        each other at the stub."""
+        n, concurrency = 12, 4
+        examples = [DatasetExample(id=f"e{i}", input=f"q{i}?", gold="answer 1") for i in range(n)]
+        cache = MemoryCache()
+        static = StaticRetriever({ex.id: f"passage about {ex.input}" for ex in examples})
+        cold = sweep(examples, PURE_TAUS, ModelClient(PureBackend(), cache=cache), static, "substring")
+        gate = threading.Barrier(concurrency, timeout=10)
+        queries = []
+        lock = threading.Lock()
+
+        def reply(request):
+            with lock:
+                queries.append(request["query"])
+                gated = len(queries) <= concurrency
+            if gated:
+                gate.wait()
+            return passages_reply(f"passage about {request['query']}")
+
+        backend = PureBackend()
+        with ChatStub(default=reply) as stub:
+            retriever = HTTPRetriever(stub.url, pool_size=concurrency)
+            client = ModelClient(backend, cache=cache)
+            warm = sweep(examples, PURE_TAUS, client, retriever, "substring", concurrency)
+            retriever.close()
+        assert not gate.broken
+        assert sorted(queries) == sorted(ex.input for ex in examples)  # tau 1.01 retrieves all
+        assert backend.calls == 0 and warm == cold
+
     def test_cli_sweep_through_retriever_equals_static_sweep(self, tmp_path):
         with ChatStub(default=pure_chat_reply) as backend, ChatStub(
             default=lambda request: passages_reply(f"passage about {request['query']}")

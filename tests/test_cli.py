@@ -135,6 +135,34 @@ class TestEval:
         assert "raw_auroc" in report
         assert "auroc" in report
 
+    def test_mode_both_writes_undefined_raw_auroc_as_null(self, tmp_path, monkeypatch):
+        config, out = make_generation_run(tmp_path)
+        write_jsonl(tmp_path / "mock.jsonl", [answer_entry("Paris"), yes_no_entry(0.6, 0.2)] * 4)
+        monkeypatch.setenv("CONFCAL_CONFIDENCE_MODE", "both")
+        assert main(["eval", "--config", str(config)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["accuracy"] == 1.0
+        assert report["auroc"] is None and report["raw_auroc"] is None
+
+    @pytest.mark.parametrize(
+        "label_set",
+        [
+            [{"label": "Yes", "aliases": "Yes"}],
+            [{"label": "A", "aliases": [1, 2]}],
+            [{"label": "A", "aliases": ["A"]}, {"label": "A", "aliases": ["a"]}],
+        ],
+        ids=["aliases-a-string", "aliases-not-strings", "repeated-label"],
+    )
+    def test_bad_label_set_is_one_data_error(self, tmp_path, capsys, label_set):
+        config, out = make_generation_run(tmp_path)
+        (tmp_path / "task.json").write_text(
+            json.dumps({"task_id": "c", "kind": "classification", "matcher": "exact", "label_set": label_set})
+        )
+        assert main(["eval", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "not a task spec" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_no_backend_is_config_error_before_reading_data(self, tmp_path, capsys):
         config, _ = make_generation_run(tmp_path)
         config.write_text(
@@ -182,9 +210,9 @@ class TestPoolSize:
         sizes = []
         real = harness.run_pool
 
-        def spy(fn, items, concurrency, client=None):
+        def spy(fn, items, concurrency):
             sizes.append(concurrency)
-            return real(fn, items, concurrency, client)
+            return real(fn, items, concurrency)
 
         monkeypatch.setattr(harness, "run_pool", spy)
         monkeypatch.setattr(adaptive, "run_pool", spy)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from confcal.client import CompletionRequest, Message, MockBackend, ModelClient
+from confcal.client import CompletionRequest, Message, MockBackend, ModelClient, about_to_wait
 from confcal.errors import NoNumberFound, SchemaViolation
 from confcal.metrics import build_report
 from confcal.harness import (
@@ -200,6 +200,7 @@ class TestRunPool:
         calls = []
 
         def fn(x):
+            about_to_wait()
             calls.append(x)
             return -x
 
@@ -258,7 +259,7 @@ class TestRunPool:
 
         with thread_starts() as started:
             with pytest.raises(KeyboardInterrupt):
-                run_pool(fn, list(range(200)), 4, client)
+                run_pool(fn, list(range(200)), 4)
         assert len(started) == 3
         assert not any(thread.is_alive() for thread in started)
         assert len(ran) < 200
@@ -302,6 +303,17 @@ class TestRunEvalGeneration:
         records = run_eval(task, examples, client).records
         assert not records[0].correct
         assert "no_number_found" in records[0].flags
+
+    def test_error_record_is_wrong_without_matching(self):
+        task = TaskSpec(task_id="math", kind="generation", matcher="numeric")
+        client = ModelClient(MockBackend([]))  # exhausted: every call fails
+        examples = [DatasetExample(id="e0", input="2+2?", gold="4")]
+        records = run_eval(task, examples, client).records
+        assert not records[0].correct
+        assert records[0].flags == {
+            "anchor_missing_no", "anchor_missing_yes", "error:MalformedResponse", "fallback_neutral"
+        }
+        assert "no_number_found" not in build_report(records).flag_counts
 
     def test_deterministic_across_runs(self):
         def run_once():
