@@ -219,21 +219,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     task, examples, client, out = _open_run(cfg)
     try:
-        result = harness.run_eval(
-            task,
-            examples,
-            client,
-            confidence_mode=cfg.confidence_mode,
-            concurrency=_pool_size(cfg),
-        )
+        result = harness.run_eval(task, examples, client, concurrency=_pool_size(cfg))
     finally:
         client.close()
+    records = result.raw_records if cfg.confidence_mode == "raw" else result.records
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
-        for rec in result.records:
+        for rec in records:
             fh.write(json.dumps(_record_to_json(rec), ensure_ascii=False) + "\n")
 
-    report_data = _report_to_json(metrics.build_report(result.records, n_bins=cfg.n_bins))
+    report_data = _report_to_json(metrics.build_report(records, n_bins=cfg.n_bins))
     if cfg.confidence_mode == "both":
         report_data["raw_auroc"] = _round(metrics.build_report(result.raw_records, cfg.n_bins).auroc)
     with open(out / "report.json", "w", encoding="utf-8") as fh:

@@ -33,13 +33,12 @@ import urllib3
 
 from .confidence import (
     DEFAULT_TOP_K,
-    DEFAULT_YES_ALIASES,
-    NEUTRAL_CONFIDENCE,
     CandidateScore,
     MissingPolicy,
     TokenDistribution,
-    self_eval_confidence,
     normalized_confidence,
+    p_yes,
+    self_eval_confidence,
 )
 from .errors import (
     ConfcalError,
@@ -594,9 +593,7 @@ class ModelClient:
 
         dist = self._first_distribution([Message("user", input)])
 
-        probs: dict[str, float] = {}
-        for label, aliases in label_set:
-            probs[label] = math.fsum(dist.probability(tok) for tok in aliases)
+        probs = {label: dist.mass(aliases) for label, aliases in label_set}
         if all(p == 0.0 for p in probs.values()):
             raise NoLabelTokenPresent(
                 f"no alias of any label in {sorted(probs)} present in top-{DEFAULT_TOP_K}"
@@ -613,8 +610,7 @@ class ModelClient:
     def answer(self, question: str, context: str | None = None) -> Readout:
         """Free-form answer of up to 256 tokens, then its one-token Yes/No
         self-evaluation, both at temperature 0 and after ``context`` when
-        given. A self-evaluation that the missing policy skips scores the
-        neutral 0.5 with the fallback flags plus ``self_eval_skipped``."""
+        given; ``self_eval_confidence`` applies the missing policy."""
         if not question.strip():
             raise InvalidInput("question is empty")
         turn = _user_turn(question, context)
@@ -623,10 +619,4 @@ class ModelClient:
             [turn, Message("assistant", answer), Message("user", SELF_EVAL_PROMPT)]
         )
         score = self_eval_confidence(dist, missing_policy=self.missing_policy)
-        flags = set()
-        if score is None:
-            score = NEUTRAL_CONFIDENCE
-            flags.add("self_eval_skipped")
-        flags |= {f.value for f in score.flags}
-        raw_yes = math.fsum(dist.probability(tok) for tok in DEFAULT_YES_ALIASES)
-        return Readout(answer, score.value, frozenset(flags), raw_yes)
+        return Readout(answer, score.value, frozenset(f.value for f in score.flags), p_yes(dist))

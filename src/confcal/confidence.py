@@ -8,6 +8,7 @@ probabilities underflow still produce correct ratios.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,6 +38,7 @@ class Flag(str, Enum):
     ANCHOR_MISSING_YES = "anchor_missing_yes"
     ANCHOR_MISSING_NO = "anchor_missing_no"
     FALLBACK_NEUTRAL = "fallback_neutral"
+    SELF_EVAL_SKIPPED = "self_eval_skipped"
 
 
 class MissingPolicy(str, Enum):
@@ -71,6 +73,10 @@ class TokenDistribution:
         lp = self.logprob(token)
         return math.exp(lp) if lp is not None else 0.0
 
+    def mass(self, tokens: Iterable[str]) -> float:
+        """Summed probability of ``tokens``, each alias of one answer."""
+        return math.fsum(self.probability(tok) for tok in tokens)
+
 
 @dataclass(frozen=True)
 class CandidateScore:
@@ -89,7 +95,6 @@ class CandidateScore:
 @dataclass(frozen=True)
 class ConfidenceScore:
     value: float
-    method: Method
     flags: frozenset[Flag] = field(default_factory=frozenset)
 
     def __post_init__(self):
@@ -102,14 +107,6 @@ class ConfidenceScore:
             raise AnchorTokensAbsent(
                 "fallback_neutral flag requires both anchor_missing flags"
             )
-
-
-# The score when both Yes/No anchors are absent under the neutral policy.
-NEUTRAL_CONFIDENCE = ConfidenceScore(
-    value=0.5,
-    method=Method.SELF_EVAL,
-    flags=frozenset({Flag.ANCHOR_MISSING_YES, Flag.ANCHOR_MISSING_NO, Flag.FALLBACK_NEUTRAL}),
-)
 
 
 def sequence_logprob(token_logprobs: list[float]) -> float:
@@ -151,21 +148,27 @@ def normalized_confidence(
     total = _logsumexp(logprobs)
     selected_lp = next(c.sequence_logprob for c in candidates if c.candidate_id == selected)
     value = math.exp(selected_lp - total)
-    return ConfidenceScore(value=min(value, 1.0), method=Method.CLASSIFICATION_NORMALIZED)
+    return ConfidenceScore(value=min(value, 1.0))
+
+
+def p_yes(dist: TokenDistribution) -> float:
+    """Raw P(Yes): the probability mass on ``DEFAULT_YES_ALIASES``."""
+    return dist.mass(DEFAULT_YES_ALIASES)
 
 
 def self_eval_confidence(
     dist: TokenDistribution, missing_policy: MissingPolicy = MissingPolicy.NEUTRAL
-) -> ConfidenceScore | None:
-    """Yes/No anchor-token confidence: c_yes / (c_yes + c_no), each summed
-    over ``DEFAULT_YES_ALIASES`` / ``DEFAULT_NO_ALIASES``.
+) -> ConfidenceScore:
+    """Yes/No anchor-token confidence: c_yes / (c_yes + c_no), the masses on
+    ``DEFAULT_YES_ALIASES`` / ``DEFAULT_NO_ALIASES``.
 
     Tokens absent from the truncated distribution contribute probability 0.
-    When both alias sets are entirely absent the result is policy-defined:
-    raise, return 0.5 with a fallback flag, or return None (skip).
+    When both alias sets are entirely absent the missing policy decides:
+    ``error`` raises, ``neutral`` gives 0.5 with ``fallback_neutral`` beside
+    the two anchor flags, and ``skip`` the same plus ``self_eval_skipped``.
     """
-    c_yes = math.fsum(dist.probability(tok) for tok in DEFAULT_YES_ALIASES)
-    c_no = math.fsum(dist.probability(tok) for tok in DEFAULT_NO_ALIASES)
+    c_yes = p_yes(dist)
+    c_no = dist.mass(DEFAULT_NO_ALIASES)
 
     flags: set[Flag] = set()
     if c_yes == 0.0:
@@ -176,9 +179,9 @@ def self_eval_confidence(
     if c_yes == 0.0 and c_no == 0.0:
         if missing_policy is MissingPolicy.ERROR:
             raise AnchorTokensAbsent("no yes/no anchor token present in top-K")
+        flags.add(Flag.FALLBACK_NEUTRAL)
         if missing_policy is MissingPolicy.SKIP:
-            return None
-        return NEUTRAL_CONFIDENCE
+            flags.add(Flag.SELF_EVAL_SKIPPED)
+        return ConfidenceScore(value=0.5, flags=frozenset(flags))
 
-    value = c_yes / (c_yes + c_no)
-    return ConfidenceScore(value=value, method=Method.SELF_EVAL, flags=frozenset(flags))
+    return ConfidenceScore(value=c_yes / (c_yes + c_no), flags=frozenset(flags))

@@ -12,12 +12,12 @@ import json
 import re
 import threading
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TypeVar
 
 from .client import ModelClient, Readout, on_wait
-from .confidence import NEUTRAL_CONFIDENCE, Method
+from .confidence import Method
 from .errors import ConfcalError, NoNumberFound, SchemaViolation
 from .metrics import EvalRecord
 
@@ -60,6 +60,9 @@ class TaskSpec:
         aliases = [alias for spec in self.label_set for alias in spec.aliases]
         if not all(isinstance(x, str) for x in labels + aliases):
             raise SchemaViolation("labels and their aliases must be strings")
+        for spec in self.label_set:
+            if not spec.aliases:
+                raise SchemaViolation(f"label {spec.label!r} has no alias")
         if len(set(labels)) != len(labels):
             raise SchemaViolation(f"labels must be unique, got {labels}")
         try:
@@ -215,8 +218,10 @@ def match_answer(prediction: str, gold: str | list[str], matcher: str) -> bool:
 
 @dataclass
 class EvalRunResult:
+    """Each record, and its raw-confidence twin on the same id."""
+
     records: list[EvalRecord]
-    raw_records: list[EvalRecord] = field(default_factory=list)
+    raw_records: list[EvalRecord]
 
 
 def is_correct(
@@ -233,8 +238,8 @@ def is_correct(
 
 
 def _eval_one(
-    task: TaskSpec, example: DatasetExample, client: ModelClient, want_raw: bool
-) -> tuple[EvalRecord, EvalRecord | None]:
+    task: TaskSpec, example: DatasetExample, client: ModelClient
+) -> tuple[EvalRecord, EvalRecord]:
     try:
         if task.kind == "classification":
             prompt = task.prompt_template.format(
@@ -247,8 +252,8 @@ def _eval_one(
             prompt = task.prompt_template.format(input=example.input, choices="", context="")
             readout = client.answer(prompt, example.context)
     except ConfcalError as exc:
-        readout = Readout("", NEUTRAL_CONFIDENCE.value, frozenset(), 0.0)
-        flags = {f.value for f in NEUTRAL_CONFIDENCE.flags} | {f"error:{type(exc).__name__}"}
+        readout = Readout("", 0.5, frozenset(), 0.0)
+        flags = {f"error:{type(exc).__name__}"}
         correct = False
     else:
         flags = set(readout.flags)
@@ -264,12 +269,9 @@ def _eval_one(
         method=method.value,
         flags=frozenset(flags),
     )
-    raw_record = None
-    if want_raw:
-        raw_record = replace(
-            record, confidence=min(max(readout.raw, 0.0), 1.0), method=Method.RAW.value
-        )
-    return record, raw_record
+    return record, replace(
+        record, confidence=min(max(readout.raw, 0.0), 1.0), method=Method.RAW.value
+    )
 
 
 def run_pool(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int) -> list[_R]:
@@ -327,26 +329,17 @@ def run_eval(
     task: TaskSpec,
     examples: list[DatasetExample],
     client: ModelClient,
-    confidence_mode: str = "normalized",
     concurrency: int = 1,
 ) -> EvalRunResult:
     """Evaluate every example; per-example failures become flagged records.
 
-    confidence_mode "both" pairs each record with a raw-confidence twin on
-    the same ids (unnormalized chosen-label probability for classification,
-    raw P(Yes) for self-evaluation).
+    Each record has a raw-confidence twin on the same id (unnormalized
+    chosen-label probability for classification, raw P(Yes) for
+    self-evaluation). Both lists are sorted by id.
     """
-    if confidence_mode not in ("normalized", "raw", "both"):
-        raise SchemaViolation(f"unknown confidence mode {confidence_mode!r}")
-    want_raw = confidence_mode in ("raw", "both")
-
-    pairs = run_pool(lambda ex: _eval_one(task, ex, client, want_raw), examples, concurrency)
-
-    records = sorted((rec for rec, _ in pairs), key=lambda r: r.id)
-    raw_records = sorted((raw for _, raw in pairs if raw is not None), key=lambda r: r.id)
-    if confidence_mode == "raw":
-        return EvalRunResult(records=raw_records, raw_records=[])
-    return EvalRunResult(records=records, raw_records=raw_records)
+    pairs = run_pool(lambda ex: _eval_one(task, ex, client), examples, concurrency)
+    pairs.sort(key=lambda pair: pair[0].id)
+    return EvalRunResult([rec for rec, _ in pairs], [raw for _, raw in pairs])
 
 
 def verify_records(task: TaskSpec, records: list[EvalRecord]) -> bool:

@@ -135,6 +135,25 @@ class TestEval:
         assert "raw_auroc" in report
         assert "auroc" in report
 
+    @pytest.mark.parametrize(
+        "mode, method, confidences",
+        [
+            # P(Yes), and P(Yes) / (P(Yes) + P(No)), as scripted by make_generation_run
+            ("raw", "raw", [0.6, 0.25, 0.76, 0.35]),
+            ("normalized", "self_eval", [0.6 / 0.8, 0.25 / 0.45, 0.76 / 0.96, 0.35 / 0.55]),
+        ],
+    )
+    def test_single_mode_writes_its_records_and_no_raw_auroc(
+        self, tmp_path, monkeypatch, mode, method, confidences
+    ):
+        config, out = make_generation_run(tmp_path)
+        monkeypatch.setenv("CONFCAL_CONFIDENCE_MODE", mode)
+        assert main(["eval", "--config", str(config)]) == EXIT_OK
+        records = [json.loads(l) for l in (out / "records.jsonl").read_text().splitlines()]
+        assert [r["method"] for r in records] == [method] * 4
+        assert [r["confidence"] for r in records] == pytest.approx(confidences, abs=1e-6)
+        assert "raw_auroc" not in json.loads((out / "report.json").read_text())
+
     def test_mode_both_writes_undefined_raw_auroc_as_null(self, tmp_path, monkeypatch):
         config, out = make_generation_run(tmp_path)
         write_jsonl(tmp_path / "mock.jsonl", [answer_entry("Paris"), yes_no_entry(0.6, 0.2)] * 4)
@@ -150,18 +169,21 @@ class TestEval:
             [{"label": "Yes", "aliases": "Yes"}],
             [{"label": "A", "aliases": [1, 2]}],
             [{"label": "A", "aliases": ["A"]}, {"label": "A", "aliases": ["a"]}],
+            [{"label": "A", "aliases": ["A"]}, {"label": "B", "aliases": []}],
         ],
-        ids=["aliases-a-string", "aliases-not-strings", "repeated-label"],
+        ids=["aliases-a-string", "aliases-not-strings", "repeated-label", "aliases-empty"],
     )
-    def test_bad_label_set_is_one_data_error(self, tmp_path, capsys, label_set):
+    def test_bad_label_set_is_one_data_error(self, tmp_path, capsys, monkeypatch, label_set):
         config, out = make_generation_run(tmp_path)
         (tmp_path / "task.json").write_text(
             json.dumps({"task_id": "c", "kind": "classification", "matcher": "exact", "label_set": label_set})
         )
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
         assert main(["eval", "--config", str(config)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "not a task spec" in err and len(err.splitlines()) == 1
-        assert not out.exists()
+        assert calls == [] and not out.exists()
 
     def test_no_backend_is_config_error_before_reading_data(self, tmp_path, capsys):
         config, _ = make_generation_run(tmp_path)

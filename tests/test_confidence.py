@@ -9,7 +9,6 @@ from confcal.confidence import (
     CandidateScore,
     ConfidenceScore,
     Flag,
-    Method,
     MissingPolicy,
     TokenDistribution,
     normalized_confidence,
@@ -64,10 +63,6 @@ class TestNormalizedConfidence:
         cands = [CandidateScore(c, -1.7) for c in "ABCD"]
         for c in "ABCD":
             assert normalized_confidence(cands, c).value == pytest.approx(0.25)
-
-    def test_method_tag(self):
-        cands = self.candidates(A=0.2, B=0.2)
-        assert normalized_confidence(cands, "A").method is Method.CLASSIFICATION_NORMALIZED
 
     def test_unknown_candidate(self):
         with pytest.raises(UnknownCandidate):
@@ -150,7 +145,11 @@ class TestSelfEvalConfidence:
 
     def test_both_absent_skip(self):
         d = dist(Maybe=math.log(0.9))
-        assert self_eval_confidence(d, missing_policy=MissingPolicy.SKIP) is None
+        score = self_eval_confidence(d, missing_policy=MissingPolicy.SKIP)
+        assert score.value == 0.5
+        assert score.flags == {
+            Flag.ANCHOR_MISSING_YES, Flag.ANCHOR_MISSING_NO, Flag.FALLBACK_NEUTRAL, Flag.SELF_EVAL_SKIPPED
+        }
 
     def test_alias_summing(self):
         d = TokenDistribution(
@@ -198,8 +197,8 @@ class TestTypes:
 
     def test_confidence_score_bounds(self):
         with pytest.raises(InvalidLogProb):
-            ConfidenceScore(value=1.2, method=Method.RAW)
+            ConfidenceScore(value=1.2)
 
     def test_fallback_flag_requires_both_anchors(self):
         with pytest.raises(AnchorTokensAbsent):
-            ConfidenceScore(value=0.5, method=Method.SELF_EVAL, flags={Flag.FALLBACK_NEUTRAL})
+            ConfidenceScore(value=0.5, flags={Flag.FALLBACK_NEUTRAL})

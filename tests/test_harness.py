@@ -170,12 +170,7 @@ class TestRunEvalClassification:
 
     def test_mode_both_pairs_ids(self):
         client = ModelClient(MockBackend(self.entries()))
-        result = run_eval(
-            CLASSIFICATION_TASK,
-            self.examples(["A", "B", "C", "D"]),
-            client,
-            confidence_mode="both",
-        )
+        result = run_eval(CLASSIFICATION_TASK, self.examples(["A", "B", "C", "D"]), client)
         assert [r.id for r in result.records] == [r.id for r in result.raw_records]
         assert all(r.method == "raw" for r in result.raw_records)
         # raw confidence is the unnormalized chosen-label probability
@@ -279,7 +274,7 @@ class TestRunEvalGeneration:
         entries = [answer_entry("maybe Lyon"), yes_no_entry(0.3, 0.6)]
         client = ModelClient(MockBackend(entries))
         examples = [DatasetExample(id="e0", input="capital of France?", gold="Paris")]
-        result = run_eval(GENERATION_TASK, examples, client, confidence_mode="both")
+        result = run_eval(GENERATION_TASK, examples, client)
         assert not result.records[0].correct
         assert result.records[0].confidence == pytest.approx(0.3 / 0.9)
         assert result.raw_records[0].confidence == pytest.approx(0.3)
@@ -310,10 +305,17 @@ class TestRunEvalGeneration:
         examples = [DatasetExample(id="e0", input="2+2?", gold="4")]
         records = run_eval(task, examples, client).records
         assert not records[0].correct
-        assert records[0].flags == {
-            "anchor_missing_no", "anchor_missing_yes", "error:MalformedResponse", "fallback_neutral"
-        }
+        assert records[0].confidence == 0.5
+        assert records[0].flags == {"error:MalformedResponse"}
         assert "no_number_found" not in build_report(records).flag_counts
+
+    def test_classification_error_record_has_no_anchor_flag(self):
+        # no alias of any label in the top-K
+        client = ModelClient(MockBackend([{"tokens": ["Z"], "distributions": [{"Z": -0.1}]}]))
+        examples = [DatasetExample(id="e0", input="pick", gold="A")]
+        records = run_eval(CLASSIFICATION_TASK, examples, client).records
+        assert not records[0].correct and records[0].confidence == 0.5
+        assert build_report(records).flag_counts == {"error:NoLabelTokenPresent": 1}
 
     def test_deterministic_across_runs(self):
         def run_once():
