@@ -309,7 +309,7 @@ def cmd_ece_from_bins(args: argparse.Namespace) -> int:
 
 
 def cmd_sandbox(args: argparse.Namespace) -> int:
-    from . import sandbox  # numpy: only the sandbox needs it
+    from . import sandbox  # numpy: only the sandbox's seeded Generator needs it
 
     cfg = _load_run_config(args)
     try:

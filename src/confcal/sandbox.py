@@ -5,10 +5,15 @@ training matches the data distribution (calibrated); clipped
 advantage-weighted updates and pairwise preference updates concentrate
 probability mass on rewarded/preferred options regardless of data
 frequencies (sharpened).
+
+The arms compute on Python floats: on vectors of K = 2 entries numpy's cost
+per call outweighs the arithmetic. Every draw still comes from the seeded
+``np.random.Generator``, and ``ToyTask`` and ``ToyPolicy`` hold numpy arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,14 +30,15 @@ INNER_STEPS = 10
 TRACE_EVERY = 10
 
 
-def _clamped(logits: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    return np.clip(logits + delta, -LOGIT_CLAMP, LOGIT_CLAMP)
+def _clamped(logits: list[float], delta: list[float]) -> list[float]:
+    return [min(max(x + d, -LOGIT_CLAMP), LOGIT_CLAMP) for x, d in zip(logits, delta)]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+def _softmax(logits: list[float]) -> list[float]:
+    top = max(logits)
+    e = [math.exp(x - top) for x in logits]
+    total = sum(e)
+    return [v / total for v in e]
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,8 @@ class ToyTask:
         object.__setattr__(self, "data_distribution", p)
         if p.ndim != 1 or p.size < 2:
             raise InvalidInput("data_distribution needs at least 2 options")
+        if not np.isfinite(p).all():
+            raise InvalidInput("data_distribution entries must be finite")
         if (p < 0).any() or abs(p.sum() - 1.0) > 1e-12:
             raise InvalidInput("data_distribution must be a probability vector")
 
@@ -58,11 +66,18 @@ class ToyPolicy:
     reference_logits: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=float).copy()
+        self.logits = np.array(self.logits, dtype=float)
         if self.reference_logits is None:
             self.reference_logits = self.logits.copy()
         else:
-            self.reference_logits = np.asarray(self.reference_logits, dtype=float).copy()
+            self.reference_logits = np.array(self.reference_logits, dtype=float)
+        if self.logits.ndim != 1 or self.reference_logits.shape != self.logits.shape:
+            raise InvalidInput("logits and reference_logits must be vectors of one length")
+        # the range every step keeps: no probability underflows to 0, so
+        # every log and ratio of the arms is defined
+        values = self.logits.tolist() + self.reference_logits.tolist()
+        if not all(-LOGIT_CLAMP <= x <= LOGIT_CLAMP for x in values):
+            raise InvalidInput(f"logits must lie in [-{LOGIT_CLAMP}, {LOGIT_CLAMP}]")
         self.reference_logits.setflags(write=False)
 
     @classmethod
@@ -71,31 +86,51 @@ class ToyPolicy:
 
     @property
     def probs(self) -> np.ndarray:
-        return _softmax(self.logits)
+        return np.array(_softmax(self.logits.tolist()))
 
     @property
     def reference_probs(self) -> np.ndarray:
-        return _softmax(self.reference_logits)
+        return np.array(_softmax(self.reference_logits.tolist()))
 
-    def _apply(self, delta: np.ndarray) -> "ToyPolicy":
-        return ToyPolicy(logits=_clamped(self.logits, delta), reference_logits=self.reference_logits)
+    def _apply(self, delta: list[float]) -> "ToyPolicy":
+        return ToyPolicy(logits=_clamped(self.logits.tolist(), delta), reference_logits=self.reference_logits)
+
+
+def _logits_on(policy: ToyPolicy, task: ToyTask) -> list[float]:
+    """The policy's logits as floats, once they are known to cover the task's options."""
+    if policy.logits.size != task.num_options:
+        raise InvalidInput(f"policy has {policy.logits.size} options, task has {task.num_options}")
+    return policy.logits.tolist()
+
+
+def _check_option(name: str, option: int, num_options: int) -> None:
+    if not 0 <= option < num_options:
+        raise InvalidInput(f"{name} must be an option index in [0, {num_options}), got {option}")
+
+
+def _check_step(lr: float, batch_size: int = 1) -> None:
+    if not lr >= 0:  # NaN included
+        raise InvalidInput("lr must be >= 0")
+    if batch_size < 1:
+        raise InvalidInput("batch_size must be >= 1")
 
 
 def kl_to_data(task: ToyTask, policy: ToyPolicy) -> float:
-    p = task.data_distribution
-    q = policy.probs
-    mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    q = _softmax(_logits_on(policy, task))
+    return sum(
+        p * (math.log(p) - math.log(r)) for p, r in zip(task.data_distribution.tolist(), q) if p > 0
+    )
 
 
 def ece_proxy(task: ToyTask, policy: ToyPolicy) -> float:
-    top = int(np.argmax(task.data_distribution))
-    return float(abs(policy.probs[top] - task.data_distribution[top]))
+    data = task.data_distribution.tolist()
+    top = data.index(max(data))
+    return abs(_softmax(_logits_on(policy, task))[top] - data[top])
 
 
 def ce_gradient_exact(policy: ToyPolicy, task: ToyTask) -> np.ndarray:
     """Exact expected NLL gradient: softmax(logits) - P_data."""
-    return policy.probs - task.data_distribution
+    return np.array(_softmax(_logits_on(policy, task))) - task.data_distribution
 
 
 def ce_step(
@@ -107,23 +142,24 @@ def ce_step(
     exact_gradient: bool = False,
 ) -> ToyPolicy:
     """One gradient step on mean NLL of a batch sampled from the data."""
-    if lr < 0:
-        raise InvalidInput("lr must be >= 0")
+    _check_step(lr, batch_size)
+    probs = _softmax(_logits_on(policy, task))
     if exact_gradient:
-        grad = ce_gradient_exact(policy, task)
+        target = task.data_distribution.tolist()
     else:
         if rng is None:
             rng = np.random.default_rng()
-        counts = rng.multinomial(batch_size, task.data_distribution)
-        grad = policy.probs - counts / batch_size
-    return policy._apply(-lr * grad)
+        counts = rng.multinomial(batch_size, task.data_distribution).tolist()
+        target = [c / batch_size for c in counts]
+    delta = [-lr * (p - t) for p, t in zip(probs, target)]
+    return policy._apply(delta)
 
 
-def _kl_penalty_gradient(q: np.ndarray, log_ref: np.ndarray) -> np.ndarray:
+def _kl_penalty_gradient(q: list[float], log_ref: list[float]) -> list[float]:
     # d/dlogits KL(pi || pi_ref) for a softmax parameterization, q = pi
-    diff = np.log(q) - log_ref
-    kl = float(np.sum(q * diff))
-    return q * (diff - kl)
+    diff = [math.log(p) - r for p, r in zip(q, log_ref)]
+    kl = sum(p * d for p, d in zip(q, diff))
+    return [p * (d - kl) for p, d in zip(q, diff)]
 
 
 def advantage_step(
@@ -143,45 +179,51 @@ def advantage_step(
     """
     if not 0 < clip_eps < 1:
         raise InvalidInput("clip_eps must be in (0,1)")
+    _check_step(lr, batch_size)
+    logits = _logits_on(policy, task)
+    num_options = len(logits)
+    if reward_option is not None:
+        _check_option("reward_option", reward_option, num_options)
     if rng is None:
         rng = np.random.default_rng()
 
-    old_probs = policy.probs
-    actions = rng.choice(task.num_options, size=batch_size, p=old_probs)
-    if reward_option is None:
-        rewards = np.ones(batch_size)
-    else:
-        rewards = (actions == reward_option).astype(float)
-    advantages = rewards - rewards.mean()
-    if not advantages.any():
+    old_probs = _softmax(logits)
+    actions = rng.choice(num_options, size=batch_size, p=old_probs).tolist()
+    hits = batch_size if reward_option is None else actions.count(reward_option)
+    if hits in (0, batch_size):
         return policy  # zero advantage everywhere: exactly no update
 
-    # plain arrays inside the loop; one policy is built from the result
-    logits = policy.logits
-    log_ref = np.log(policy.reference_probs)
+    # Reward, advantage and ratio depend only on the sampled option, so the
+    # batch reduces to a count per option and the loop costs O(K).
+    counts = [actions.count(k) for k in range(num_options)]
+    mean = hits / batch_size
+    advantages = [(1.0 if k == reward_option else 0.0) - mean for k in range(num_options)]
+    log_ref = [math.log(p) for p in _softmax(policy.reference_logits.tolist())]
     sub_lr = lr / INNER_STEPS
     for _ in range(INNER_STEPS):
         probs = _softmax(logits)
-        ratios = probs[actions] / old_probs[actions]
-        # standard clip mask: no gradient once the clipped branch is active
-        active = ~(
-            ((advantages > 0) & (ratios > 1 + clip_eps))
-            | ((advantages < 0) & (ratios < 1 - clip_eps))
-        )
-        weights = np.where(active, advantages * ratios, 0.0) / batch_size
-        grad = (
-            np.bincount(actions, weights=weights, minlength=task.num_options)
-            - weights.sum() * probs
-        )
-        grad -= KL_COEF * _kl_penalty_gradient(probs, log_ref)
-        logits = _clamped(logits, sub_lr * grad)
+        weights = []
+        for n, adv, p, old in zip(counts, advantages, probs, old_probs):
+            ratio = p / old
+            # standard clip mask: no gradient once the clipped branch is active
+            clipped = (adv > 0 and ratio > 1 + clip_eps) or (adv < 0 and ratio < 1 - clip_eps)
+            weights.append(0.0 if clipped else n * (adv * ratio / batch_size))
+        total = sum(weights)
+        penalty = _kl_penalty_gradient(probs, log_ref)
+        grad = [w - total * p - KL_COEF * k for w, p, k in zip(weights, probs, penalty)]
+        logits = _clamped(logits, [sub_lr * g for g in grad])
     return ToyPolicy(logits=logits, reference_logits=policy.reference_logits)
 
 
 def _dpo_margin(policy: ToyPolicy, preferred: int, rejected: int, beta: float) -> float:
     """beta (log r(y_w) - log r(y_l)) with r(y) = pi(y)/pi_ref(y)."""
-    log_ratio = np.log(policy.probs) - np.log(policy.reference_probs)
-    return beta * (log_ratio[preferred] - log_ratio[rejected])
+    for name, option in (("preferred", preferred), ("rejected", rejected)):
+        _check_option(name, option, policy.logits.size)
+    probs = _softmax(policy.logits.tolist())
+    ref = _softmax(policy.reference_logits.tolist())
+    log_ratio_w = math.log(probs[preferred]) - math.log(ref[preferred])
+    log_ratio_l = math.log(probs[rejected]) - math.log(ref[rejected])
+    return beta * (log_ratio_w - log_ratio_l)
 
 
 def dpo_step(
@@ -198,17 +240,20 @@ def dpo_step(
         raise InvalidInput("preferred and rejected must differ")
     if beta <= 0:
         raise InvalidInput("beta must be > 0")
+    _check_step(lr)
+    delta = [0.0] * len(_logits_on(policy, task))
     z = _dpo_margin(policy, preferred, rejected, beta)
-    sigma_neg = 1.0 / (1.0 + np.exp(min(z, LOGIT_CLAMP)))
-    direction = np.zeros_like(policy.logits)
-    direction[preferred] = 1.0
-    direction[rejected] = -1.0
-    return policy._apply(lr * beta * sigma_neg * direction)
+    sigma_neg = 1.0 / (1.0 + math.exp(min(z, LOGIT_CLAMP)))
+    step = lr * beta * sigma_neg
+    delta[preferred] = step
+    delta[rejected] = -step
+    return policy._apply(delta)
 
 
 def dpo_loss(policy: ToyPolicy, preferred: int, rejected: int, beta: float = 0.1) -> float:
     z = _dpo_margin(policy, preferred, rejected, beta)
-    return float(np.log1p(np.exp(-z)))
+    # log(1 + e^-z), written so that e^|z| never overflows
+    return max(-z, 0.0) + math.log1p(math.exp(-abs(z)))
 
 
 @dataclass(frozen=True)
@@ -244,7 +289,7 @@ class TrainTrace:
                 step=step,
                 kl=kl_to_data(task, policy),
                 ece_proxy=ece_proxy(task, policy),
-                max_prob=float(policy.probs.max()),
+                max_prob=max(_softmax(policy.logits.tolist())),
             )
         )
 
