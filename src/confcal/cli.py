@@ -122,6 +122,8 @@ class RunConfig:
                 setattr(cfg, key, converters.get(key, str)(raw))
             except ValueError as exc:
                 raise ConfigInvalid(f"bad value for {key!r}: {exc}") from exc
+        if cfg.concurrency < 1:
+            raise ConfigInvalid(f"concurrency must be >= 1, got {cfg.concurrency}")
         if cfg.n_bins < 1:
             raise ConfigInvalid(f"n_bins must be >= 1, got {cfg.n_bins}")
         if cfg.confidence_mode not in ("normalized", "raw", "both"):
@@ -326,8 +328,8 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
     with open(out / "trace.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "method", "kl", "max_prob", "ece_proxy"])
-        for name, trace in result.traces.items():
-            for point in trace.steps:
+        for name, points in result.traces.items():
+            for point in points:
                 writer.writerow(
                     [point.step, name, _fmt(point.kl), _fmt(point.max_prob), _fmt(point.ece_proxy)]
                 )
@@ -375,19 +377,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--output-dir", dest="output_dir", help="output directory")
+
+    def add_run_inputs(p):
+        add_common(p)
         p.add_argument("--dataset", help="dataset JSONL path")
         p.add_argument("--task-spec", dest="task_spec", help="task spec JSON path")
         p.add_argument("--mock-script", dest="mock_script", help="mock backend JSONL script")
-        p.add_argument("--output-dir", dest="output_dir", help="output directory")
         p.add_argument("--cache-path", dest="cache_path", help="response cache JSONL")
-        p.add_argument("--seed", type=int, help="RNG seed")
 
     p_eval = sub.add_parser("eval", help="run an evaluation and write records + report")
-    add_common(p_eval)
+    add_run_inputs(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="adaptive-retrieval threshold sweep")
-    add_common(p_sweep)
+    add_run_inputs(p_sweep)
     p_sweep.add_argument("--taus", help="comma-separated thresholds")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -397,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sandbox = sub.add_parser("sandbox", help="toy training-paradigm comparison")
     add_common(p_sandbox)
+    p_sandbox.add_argument("--seed", type=int, help="RNG seed")
     p_sandbox.set_defaults(func=cmd_sandbox)
 
     p_report = sub.add_parser("report", help="re-render a report JSON to plot-data CSV")

@@ -65,10 +65,16 @@ class TaskSpec:
                 raise SchemaViolation(f"label {spec.label!r} has no alias")
         if len(set(labels)) != len(labels):
             raise SchemaViolation(f"labels must be unique, got {labels}")
+        # a generation task fills only {input}; its context reaches the model
+        # as a separate part of the user turn
+        fields = ("input",) if self.kind == "generation" else ("input", "choices", "context")
         try:
-            self.prompt_template.format(input="", choices="", context="")
+            self.prompt_template.format(**dict.fromkeys(fields, ""))
         except (AttributeError, IndexError, KeyError, ValueError) as exc:
-            raise SchemaViolation(f"bad prompt_template ({exc!r})") from exc
+            raise SchemaViolation(
+                f"bad prompt_template ({exc!r}); a {self.kind} template may name only "
+                + ", ".join(f"{{{name}}}" for name in fields)
+            ) from exc
 
     @classmethod
     def from_json(cls, data: dict) -> "TaskSpec":
@@ -249,7 +255,7 @@ def _eval_one(
             )
             readout = client.classify(prompt, [(l.label, l.aliases) for l in task.label_set])
         else:
-            prompt = task.prompt_template.format(input=example.input, choices="", context="")
+            prompt = task.prompt_template.format(input=example.input)
             readout = client.answer(prompt, example.context)
     except ConfcalError as exc:
         readout = Readout("", 0.5, frozenset(), 0.0)

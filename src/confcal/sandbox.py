@@ -6,15 +6,16 @@ advantage-weighted updates and pairwise preference updates concentrate
 probability mass on rewarded/preferred options regardless of data
 frequencies (sharpened).
 
-The arms compute on Python floats: on vectors of K = 2 entries numpy's cost
-per call outweighs the arithmetic. Every draw still comes from the seeded
-``np.random.Generator``, and ``ToyTask`` and ``ToyPolicy`` hold numpy arrays.
+``ToyTask`` and ``ToyPolicy`` are immutable tuples of Python floats, and the
+arms compute on floats: on vectors of K = 2 entries numpy's cost per call
+outweighs the arithmetic. numpy only draws, from the seeded
+``np.random.Generator`` of each sampling arm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,77 +31,81 @@ INNER_STEPS = 10
 TRACE_EVERY = 10
 
 
-def _clamped(logits: list[float], delta: list[float]) -> list[float]:
+def _clamped(logits: tuple[float, ...], delta: list[float]) -> list[float]:
     return [min(max(x + d, -LOGIT_CLAMP), LOGIT_CLAMP) for x, d in zip(logits, delta)]
 
 
-def _softmax(logits: list[float]) -> list[float]:
+def _softmax(logits: tuple[float, ...] | list[float]) -> list[float]:
     top = max(logits)
     e = [math.exp(x - top) for x in logits]
     total = sum(e)
     return [v / total for v in e]
 
 
+def _vector(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats. float() refuses a list or an array
+    row, so a nested or non-numeric vector is one InvalidInput."""
+    try:
+        return tuple(map(float, values))
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{name} must be a flat vector of numbers") from None
+
+
 @dataclass(frozen=True)
 class ToyTask:
-    data_distribution: np.ndarray
+    data_distribution: tuple[float, ...]
 
     def __post_init__(self):
-        p = np.asarray(self.data_distribution, dtype=float)
+        p = _vector("data_distribution", self.data_distribution)
         object.__setattr__(self, "data_distribution", p)
-        if p.ndim != 1 or p.size < 2:
+        if len(p) < 2:
             raise InvalidInput("data_distribution needs at least 2 options")
-        if not np.isfinite(p).all():
+        if not all(math.isfinite(x) for x in p):
             raise InvalidInput("data_distribution entries must be finite")
-        if (p < 0).any() or abs(p.sum() - 1.0) > 1e-12:
+        if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
             raise InvalidInput("data_distribution must be a probability vector")
 
     @property
     def num_options(self) -> int:
-        return self.data_distribution.size
+        return len(self.data_distribution)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToyPolicy:
-    logits: np.ndarray
-    reference_logits: np.ndarray = field(default=None)  # type: ignore[assignment]
+    logits: tuple[float, ...]
+    reference_logits: tuple[float, ...] = None  # type: ignore[assignment]  # None: the logits
 
     def __post_init__(self):
-        self.logits = np.array(self.logits, dtype=float)
-        if self.reference_logits is None:
-            self.reference_logits = self.logits.copy()
-        else:
-            self.reference_logits = np.array(self.reference_logits, dtype=float)
-        if self.logits.ndim != 1 or self.reference_logits.shape != self.logits.shape:
+        logits = _vector("logits", self.logits)
+        reference = logits
+        if self.reference_logits is not None:
+            reference = _vector("reference_logits", self.reference_logits)
+        if len(reference) != len(logits):
             raise InvalidInput("logits and reference_logits must be vectors of one length")
         # the range every step keeps: no probability underflows to 0, so
         # every log and ratio of the arms is defined
-        values = self.logits.tolist() + self.reference_logits.tolist()
-        if not all(-LOGIT_CLAMP <= x <= LOGIT_CLAMP for x in values):
+        if not all(-LOGIT_CLAMP <= x <= LOGIT_CLAMP for x in logits + reference):
             raise InvalidInput(f"logits must lie in [-{LOGIT_CLAMP}, {LOGIT_CLAMP}]")
-        self.reference_logits.setflags(write=False)
+        object.__setattr__(self, "logits", logits)
+        object.__setattr__(self, "reference_logits", reference)
 
     @classmethod
     def uniform(cls, num_options: int) -> "ToyPolicy":
-        return cls(logits=np.zeros(num_options))
+        return cls(logits=(0.0,) * num_options)
 
     @property
-    def probs(self) -> np.ndarray:
-        return np.array(_softmax(self.logits.tolist()))
-
-    @property
-    def reference_probs(self) -> np.ndarray:
-        return np.array(_softmax(self.reference_logits.tolist()))
+    def probs(self) -> tuple[float, ...]:
+        return tuple(_softmax(self.logits))
 
     def _apply(self, delta: list[float]) -> "ToyPolicy":
-        return ToyPolicy(logits=_clamped(self.logits.tolist(), delta), reference_logits=self.reference_logits)
+        return ToyPolicy(logits=_clamped(self.logits, delta), reference_logits=self.reference_logits)
 
 
-def _logits_on(policy: ToyPolicy, task: ToyTask) -> list[float]:
-    """The policy's logits as floats, once they are known to cover the task's options."""
-    if policy.logits.size != task.num_options:
-        raise InvalidInput(f"policy has {policy.logits.size} options, task has {task.num_options}")
-    return policy.logits.tolist()
+def _logits_on(policy: ToyPolicy, task: ToyTask) -> tuple[float, ...]:
+    """The policy's logits, once they are known to cover the task's options."""
+    if len(policy.logits) != task.num_options:
+        raise InvalidInput(f"policy has {len(policy.logits)} options, task has {task.num_options}")
+    return policy.logits
 
 
 def _check_option(name: str, option: int, num_options: int) -> None:
@@ -109,28 +114,26 @@ def _check_option(name: str, option: int, num_options: int) -> None:
 
 
 def _check_step(lr: float, batch_size: int = 1) -> None:
-    if not lr >= 0:  # NaN included
-        raise InvalidInput("lr must be >= 0")
+    if not 0 <= lr < math.inf:  # NaN included
+        raise InvalidInput(f"lr must be finite and >= 0, got {lr}")
     if batch_size < 1:
         raise InvalidInput("batch_size must be >= 1")
 
 
 def kl_to_data(task: ToyTask, policy: ToyPolicy) -> float:
     q = _softmax(_logits_on(policy, task))
-    return sum(
-        p * (math.log(p) - math.log(r)) for p, r in zip(task.data_distribution.tolist(), q) if p > 0
-    )
+    return sum(p * (math.log(p) - math.log(r)) for p, r in zip(task.data_distribution, q) if p > 0)
 
 
 def ece_proxy(task: ToyTask, policy: ToyPolicy) -> float:
-    data = task.data_distribution.tolist()
+    data = task.data_distribution
     top = data.index(max(data))
     return abs(_softmax(_logits_on(policy, task))[top] - data[top])
 
 
-def ce_gradient_exact(policy: ToyPolicy, task: ToyTask) -> np.ndarray:
+def ce_gradient_exact(policy: ToyPolicy, task: ToyTask) -> list[float]:
     """Exact expected NLL gradient: softmax(logits) - P_data."""
-    return np.array(_softmax(_logits_on(policy, task))) - task.data_distribution
+    return [q - p for q, p in zip(_softmax(_logits_on(policy, task)), task.data_distribution)]
 
 
 def ce_step(
@@ -145,7 +148,7 @@ def ce_step(
     _check_step(lr, batch_size)
     probs = _softmax(_logits_on(policy, task))
     if exact_gradient:
-        target = task.data_distribution.tolist()
+        target = task.data_distribution
     else:
         if rng is None:
             rng = np.random.default_rng()
@@ -198,7 +201,7 @@ def advantage_step(
     counts = [actions.count(k) for k in range(num_options)]
     mean = hits / batch_size
     advantages = [(1.0 if k == reward_option else 0.0) - mean for k in range(num_options)]
-    log_ref = [math.log(p) for p in _softmax(policy.reference_logits.tolist())]
+    log_ref = [math.log(p) for p in _softmax(policy.reference_logits)]
     sub_lr = lr / INNER_STEPS
     for _ in range(INNER_STEPS):
         probs = _softmax(logits)
@@ -218,9 +221,9 @@ def advantage_step(
 def _dpo_margin(policy: ToyPolicy, preferred: int, rejected: int, beta: float) -> float:
     """beta (log r(y_w) - log r(y_l)) with r(y) = pi(y)/pi_ref(y)."""
     for name, option in (("preferred", preferred), ("rejected", rejected)):
-        _check_option(name, option, policy.logits.size)
-    probs = _softmax(policy.logits.tolist())
-    ref = _softmax(policy.reference_logits.tolist())
+        _check_option(name, option, len(policy.logits))
+    probs = _softmax(policy.logits)
+    ref = _softmax(policy.reference_logits)
     log_ratio_w = math.log(probs[preferred]) - math.log(ref[preferred])
     log_ratio_l = math.log(probs[rejected]) - math.log(ref[rejected])
     return beta * (log_ratio_w - log_ratio_l)
@@ -266,8 +269,7 @@ class SandboxConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise InvalidInput("steps and batch_size must be >= 1")
-        if self.lr < 0:
-            raise InvalidInput("lr must be >= 0")
+        _check_step(self.lr)
 
 
 @dataclass(frozen=True)
@@ -278,29 +280,18 @@ class TraceStep:
     max_prob: float
 
 
-@dataclass
-class TrainTrace:
-    method: str
-    steps: list[TraceStep] = field(default_factory=list)
-
-    def record(self, step: int, task: ToyTask, policy: ToyPolicy) -> None:
-        self.steps.append(
-            TraceStep(
-                step=step,
-                kl=kl_to_data(task, policy),
-                ece_proxy=ece_proxy(task, policy),
-                max_prob=max(_softmax(policy.logits.tolist())),
-            )
-        )
-
-    @property
-    def final(self) -> TraceStep:
-        return self.steps[-1]
+def _trace_point(step: int, task: ToyTask, policy: ToyPolicy) -> TraceStep:
+    return TraceStep(
+        step=step,
+        kl=kl_to_data(task, policy),
+        ece_proxy=ece_proxy(task, policy),
+        max_prob=max(_softmax(policy.logits)),
+    )
 
 
 @dataclass
 class ComparisonResult:
-    traces: dict[str, TrainTrace]
+    traces: dict[str, list[TraceStep]]
     summary: dict[str, float | bool]
 
 
@@ -308,42 +299,29 @@ def run_paradigm_comparison(task: ToyTask, config: SandboxConfig = SandboxConfig
     """Train CE, advantage-weighted, and preference arms from one init: the
     advantage arm rewards option 0, the preference arm prefers option 0 over
     option 1, each at its step function's default clip or beta."""
-    init = ToyPolicy.uniform(task.num_options)
-    traces = {name: TrainTrace(method=name) for name in ("ce", "advantage", "dpo")}
-
     rng_ce = np.random.default_rng(config.seed)
     rng_adv = np.random.default_rng(config.seed + 1)
-
-    policies = {
-        "ce": replace(init),
-        "advantage": replace(init),
-        "dpo": replace(init),
+    # Each arm's step by name. The lambdas look the step functions up at
+    # each call, so a wrapper installed on this module sees every step.
+    arms = {
+        "ce": lambda policy: ce_step(policy, task, config.batch_size, config.lr, rng=rng_ce),
+        "advantage": lambda policy: advantage_step(
+            policy, task, 0, lr=config.lr, batch_size=config.batch_size, rng=rng_adv
+        ),
+        "dpo": lambda policy: dpo_step(policy, task, 0, 1, lr=config.lr),
     }
-    for name in traces:
-        traces[name].record(0, task, policies[name])
-
+    init = ToyPolicy.uniform(task.num_options)
+    policies = dict.fromkeys(arms, init)
+    traces = {name: [_trace_point(0, task, init)] for name in arms}
     for step in range(1, config.steps + 1):
-        policies["ce"] = ce_step(
-            policies["ce"], task, config.batch_size, config.lr, rng=rng_ce
-        )
-        policies["advantage"] = advantage_step(
-            policies["advantage"], task, 0, lr=config.lr, batch_size=config.batch_size, rng=rng_adv
-        )
-        policies["dpo"] = dpo_step(policies["dpo"], task, 0, 1, lr=config.lr)
+        for name, arm_step in arms.items():
+            policies[name] = arm_step(policies[name])
         if step % TRACE_EVERY == 0 or step == config.steps:
-            for name in traces:
-                traces[name].record(step, task, policies[name])
+            for name, policy in policies.items():
+                traces[name].append(_trace_point(step, task, policy))
 
-    ce_kl = traces["ce"].final.kl
-    adv_kl = traces["advantage"].final.kl
-    dpo_kl = traces["dpo"].final.kl
-    summary = {
-        "ce_final_kl": ce_kl,
-        "advantage_final_kl": adv_kl,
-        "dpo_final_kl": dpo_kl,
-        "ce_final_max_prob": traces["ce"].final.max_prob,
-        "advantage_final_max_prob": traces["advantage"].final.max_prob,
-        "dpo_final_max_prob": traces["dpo"].final.max_prob,
-        "ce_most_calibrated": bool(ce_kl < adv_kl and ce_kl < dpo_kl),
-    }
+    final = {name: points[-1] for name, points in traces.items()}
+    summary: dict[str, float | bool] = {f"{name}_final_kl": final[name].kl for name in arms}
+    summary.update({f"{name}_final_max_prob": final[name].max_prob for name in arms})
+    summary["ce_most_calibrated"] = all(final["ce"].kl < final[name].kl for name in arms if name != "ce")
     return ComparisonResult(traces=traces, summary=summary)

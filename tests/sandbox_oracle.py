@@ -26,7 +26,8 @@ def _clamped(logits: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.clip(logits + delta, -LOGIT_CLAMP, LOGIT_CLAMP)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax(logits) -> np.ndarray:
+    logits = np.asarray(logits)
     z = logits - logits.max()
     e = np.exp(z)
     return e / e.sum()
@@ -37,7 +38,7 @@ def _apply(policy: ToyPolicy, delta: np.ndarray) -> ToyPolicy:
 
 
 def kl_to_data(task: ToyTask, policy: ToyPolicy) -> float:
-    p = task.data_distribution
+    p = np.asarray(task.data_distribution)
     q = _softmax(policy.logits)
     mask = p > 0
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))

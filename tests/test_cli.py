@@ -22,6 +22,7 @@ from confcal.cli import (
     RunConfig,
     apply_env_overrides,
     build_client,
+    build_parser,
     load_config_file,
     main,
 )
@@ -92,6 +93,27 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid):
             RunConfig.from_mapping({"mock_script": "a", "bogus": "1"})
+
+
+class TestFlags:
+    """Each subcommand takes only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "eval --seed 1",
+            "sweep --seed 1",
+            "sandbox --dataset d.jsonl",
+            "sandbox --task-spec t.json",
+            "sandbox --mock-script m.jsonl",
+            "sandbox --cache-path c.jsonl",
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv.split())
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestImportCost:
@@ -202,6 +224,28 @@ class TestEval:
         assert main(["eval", "--config", str(config)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == "config error: n_bins must be >= 1, got 0\n"
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_concurrency_below_one_is_config_error_before_any_call(self, tmp_path, monkeypatch, capsys, value):
+        config, out = make_generation_run(tmp_path)
+        monkeypatch.setenv("CONFCAL_CONCURRENCY", value)
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
+        assert main(["eval", "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: concurrency must be >= 1, got {value}\n"
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("template", ["Context: {context}\nQ: {input}", "{input}\n{choices}"])
+    def test_generation_template_names_only_input(self, tmp_path, monkeypatch, capsys, template):
+        config, out = make_generation_run(tmp_path, with_context=True)
+        spec = {"task_id": "toy-gen", "kind": "generation", "matcher": "substring", "prompt_template": template}
+        (tmp_path / "task.json").write_text(json.dumps(spec))
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
+        assert main(["eval", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "prompt_template" in err and len(err.splitlines()) == 1
         assert calls == [] and not out.exists()
 
     def test_bad_dataset_is_data_error(self, tmp_path):
@@ -424,12 +468,16 @@ class TestSandbox:
         assert err.startswith("config error: bad value for 'data_distribution'") and len(err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("setting", ["batch_size = 0", "steps = 0", "lr = -1"])
+    @pytest.mark.parametrize(
+        "setting",
+        ["batch_size = 0", "steps = 0", "lr = -1", "lr = nan", "lr = inf", "concurrency = 0", "concurrency = -3"],
+    )
     def test_bad_setting_is_config_error(self, tmp_path, capsys, setting):
         code, out = self.run_sandbox(tmp_path, extra=setting + "\n")
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert setting.split(" = ")[0] in err
         assert not (out / "summary.json").exists()
 
 
