@@ -42,14 +42,14 @@ class StaticRetriever:
 
 class HTTPRetriever:
     """Thin client for a {"query", "top_k"} -> {"passages": [{"text"}]}
-    endpoint; posts through a ``JSONPoster`` of ``pool_size`` connections."""
+    endpoint; posts through a ``JSONPoster``."""
 
-    def __init__(self, url: str, pool_size: int = 1):
+    def __init__(self, url: str):
         self.url = url
-        self._poster = JSONPoster(url, timeout_s=RETRIEVER_TIMEOUT_S, pool_size=pool_size)
+        self._poster = JSONPoster(url, timeout_s=RETRIEVER_TIMEOUT_S)
 
     def close(self) -> None:
-        """Closes the pooled connections."""
+        """Closes the idle connections."""
         self._poster.close()
 
     def retrieve(self, example: DatasetExample) -> str:

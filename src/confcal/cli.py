@@ -142,7 +142,7 @@ def build_client(cfg: RunConfig) -> ModelClient:
         backend = MockBackend.from_jsonl(cfg.mock_script)
     else:
         api_key = os.environ.get(cfg.api_key_env) if cfg.api_key_env else None
-        backend = HTTPBackend(cfg.base_url, api_key=api_key, pool_size=_pool_size(cfg))
+        backend = HTTPBackend(cfg.base_url, api_key=api_key)
     cache = ResponseCache(cfg.cache_path) if cfg.cache_path else None
     return ModelClient(
         backend,
@@ -251,7 +251,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if task.kind != "generation":
             raise ConfigInvalid(f"sweep needs a generation task; {cfg.task_spec} is {task.kind}")
         if cfg.retriever_url:
-            remote = adaptive.HTTPRetriever(cfg.retriever_url, pool_size=_pool_size(cfg))
+            remote = adaptive.HTTPRetriever(cfg.retriever_url)
         retriever = remote or adaptive.StaticRetriever.from_examples(examples)
         rows = adaptive.sweep(
             examples, cfg.taus, client, retriever, task.matcher, concurrency=_pool_size(cfg)

@@ -9,7 +9,9 @@ response cache keyed by a stable request digest.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
+import http.client
 import ipaddress
 import json
 import logging
@@ -17,19 +19,21 @@ import math
 import netrc
 import os
 import random
+import ssl
 import threading
 import time
+import weakref
+import zlib
 from collections.abc import Callable, Iterator
 from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Protocol
-from urllib.parse import unquote, urlsplit
+from urllib.parse import SplitResult, unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
 import certifi
-import urllib3
 
 from .confidence import (
     DEFAULT_TOP_K,
@@ -280,59 +284,107 @@ def _netrc_auth(host: str) -> str | None:
 
 
 class JSONPoster:
-    """POSTs JSON to one URL through one keep-alive pool of up to
-    ``pool_size`` connections, and returns the decoded JSON reply.
+    """POSTs JSON to one URL and returns the decoded JSON reply. Posts share
+    one LIFO stack of idle keep-alive connections: a post takes the one
+    returned last, or opens one, and gives it back once the whole reply is
+    read, so a poster holds at most one connection per post in flight.
 
     Proxies (NO_PROXY included), the CA bundle (REQUESTS_CA_BUNDLE, else
     CURL_CA_BUNDLE, else certifi's) and netrc auth are read from the
     environment once, here; a netrc entry for the host replaces the Bearer
-    header. A 429 or 5xx is retried up to ``MAX_RETRIES`` times, after its
-    Retry-After or a doubling backoff with full jitter. Redirects are not
-    followed.
+    header. An ``http://`` URL goes through an http(s) proxy as an
+    absolute-form request, an ``https://`` URL through an ``http://`` proxy's
+    CONNECT tunnel. A 429 or 5xx is retried up to ``MAX_RETRIES`` times,
+    after its Retry-After or a doubling backoff with full jitter; a request
+    that a reused connection drops before any status line (the server
+    closed it while idle) is sent again at once on a new connection,
+    without counting as a retry. Redirects are not followed; gzip and
+    deflate bodies are decoded.
     """
 
-    def __init__(
-        self,
-        url: str,
-        api_key: str | None = None,
-        timeout_s: float = 120.0,
-        pool_size: int = 1,
-    ):
+    def __init__(self, url: str, api_key: str | None = None, timeout_s: float = 120.0):
         self.url = url
         self._headers = {"Content-Type": "application/json", "Accept-Encoding": "gzip, deflate"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
-        netrc_auth = _netrc_auth(urlsplit(url).hostname or "")
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise EndpointUnreachable(f"{url} is not an http:// or https:// URL")
+        netrc_auth = _netrc_auth(parts.hostname)
         if netrc_auth:
             self._headers["Authorization"] = netrc_auth
-        ca_bundle = (
-            os.environ.get("REQUESTS_CA_BUNDLE")
-            or os.environ.get("CURL_CA_BUNDLE")
-            or certifi.where()
-        )
-        pool_kw = {
-            "maxsize": max(1, pool_size),
-            "timeout": timeout_s,
-            "cert_reqs": "CERT_REQUIRED",
-            ("ca_cert_dir" if os.path.isdir(ca_bundle) else "ca_certs"): ca_bundle,
-        }
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._tunnel: tuple | None = None
+        hop = parts  # what the socket connects to
         proxy = _proxy_for(url)
         if proxy:
-            parts = urlsplit(proxy)
-            proxy_headers = None
-            if parts.username:
-                auth = _basic_auth(unquote(parts.username), unquote(parts.password or ""), f"proxy for {url}")
-                proxy_headers = {"Proxy-Authorization": auth}
+            hop = urlsplit(proxy)
+            if hop.scheme not in ("http", "https") or not hop.hostname:
+                raise EndpointUnreachable(f"proxy for {url}: {hop.scheme}:// proxies are not supported")
+            if parts.scheme == "https" and hop.scheme == "https":
+                raise EndpointUnreachable(
+                    f"proxy for {url}: an https:// proxy in front of an https:// endpoint is not supported"
+                )
+            proxy_headers = {}
+            if hop.username:
+                auth = _basic_auth(unquote(hop.username), unquote(hop.password or ""), f"proxy for {url}")
+                proxy_headers["Proxy-Authorization"] = auth
+            if parts.scheme == "https":
+                self._tunnel = (_host_port(parts), None, proxy_headers)
+            else:
+                self._target = url
+                self._headers.update(proxy_headers)
+        kw: dict = {"timeout": timeout_s}
+        connection_class = http.client.HTTPConnection
+        if "https" in (parts.scheme, hop.scheme):
+            ca_bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or certifi.where()
             try:
-                self._pool = urllib3.ProxyManager(proxy, proxy_headers=proxy_headers, **pool_kw)
-            except ValueError as exc:  # a scheme urllib3 does not speak, such as socks5
-                raise EndpointUnreachable(f"proxy for {url}: {exc}") from exc
-        else:
-            self._pool = urllib3.PoolManager(**pool_kw)
+                kw["context"] = ssl.create_default_context(
+                    **{("capath" if os.path.isdir(ca_bundle) else "cafile"): ca_bundle}
+                )
+            except OSError as exc:  # ssl.SSLError included
+                raise EndpointUnreachable(f"CA bundle {ca_bundle}: {exc}") from None
+            connection_class = http.client.HTTPSConnection
+        self._open = functools.partial(connection_class, _host_port(hop), **kw)
+        self._idle: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._idle)
 
     def close(self) -> None:
-        """Closes the pooled connections."""
-        self._pool.clear()
+        """Closes the idle connections."""
+        _close_all(self._idle)
+
+    def _connect(self) -> http.client.HTTPConnection:
+        conn = self._open()
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def _exchange(self, body: bytes) -> tuple[int, str | None, bytes]:
+        """One POST on the connection returned last, or a new one: the
+        status, the Retry-After header and the decoded body. The connection
+        goes back on the stack unless the reply or an error closed it."""
+        try:
+            conn, reused = self._idle.pop(), True
+        except IndexError:
+            conn, reused = self._connect(), False
+        try:
+            try:
+                conn.request("POST", self._target, body, self._headers)
+                resp = conn.getresponse()
+            except ConnectionError:  # no status line arrived
+                if not reused:
+                    raise
+                conn.close()
+                conn = self._connect()
+                conn.request("POST", self._target, body, self._headers)
+                resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if not resp.will_close:
+            self._idle.append(conn)
+        return resp.status, resp.getheader("Retry-After"), _decoded(data, resp.getheader("Content-Encoding"))
 
     def post(self, payload: object) -> object:
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
@@ -344,38 +396,63 @@ class JSONPoster:
                 time.sleep(wait)
             retry_after = None
             try:
-                resp = self._pool.urlopen(
-                    "POST", self.url, body=body, headers=self._headers, retries=False, redirect=False
-                )
-            except (urllib3.exceptions.HTTPError, OSError) as exc:
-                last_error = EndpointUnreachable(str(exc))
+                status, retry_after_header, data = self._exchange(body)
+            except (http.client.HTTPException, OSError) as exc:
+                last_error = EndpointUnreachable(f"{self.url}: {exc}")
             else:
-                if resp.status == 200:
+                if status == 200:
                     try:
-                        return json.loads(resp.data)
+                        return json.loads(data)
                     except ValueError as exc:
                         raise MalformedResponse(f"response is not JSON: {exc}") from exc
-                text = resp.data[:200].decode("utf-8", "replace")
-                if resp.status != 429 and resp.status < 500:
-                    raise EndpointUnreachable(f"HTTP {resp.status}: {text}")
-                last_error = RateLimited(f"HTTP {resp.status}: {text}")
-                if resp.status in (429, 503):
-                    retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+                text = data[:200].decode("utf-8", "replace")
+                if status != 429 and status < 500:
+                    raise EndpointUnreachable(f"HTTP {status}: {text}")
+                last_error = RateLimited(f"HTTP {status}: {text}")
+                if status in (429, 503):
+                    retry_after = _retry_after_s(retry_after_header)
             # full jitter on a doubling backoff, unless the server named a wait
             wait = retry_after if retry_after is not None else random.uniform(0.0, delay)
             delay *= 2
         raise last_error
 
 
+def _host_port(parts: SplitResult) -> str:
+    """The ``host[:port]`` of a URL, without its login; http.client reads
+    the port and the brackets of an IPv6 address."""
+    return parts.netloc.rpartition("@")[2]
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    while True:
+        try:
+            connections.pop().close()
+        except IndexError:
+            return
+
+
+def _decoded(body: bytes, encoding: str | None) -> bytes:
+    """``body`` with a gzip or deflate Content-Encoding undone; any other is
+    left as sent."""
+    if not body or (encoding or "").strip().lower() not in ("gzip", "x-gzip", "deflate"):
+        return body
+    for wbits in (32 + zlib.MAX_WBITS, -zlib.MAX_WBITS):  # a gzip or zlib header, else raw deflate
+        try:
+            return zlib.decompress(body, wbits)
+        except zlib.error as exc:
+            error = exc
+    raise MalformedResponse(f"{encoding} body does not decode: {error}")
+
+
 class HTTPBackend:
     """Adapter to a chat-completion endpoint exposing top_logprobs; posts
     through a ``JSONPoster`` on ``{base_url}/chat/completions``."""
 
-    def __init__(self, base_url: str, api_key: str | None = None, pool_size: int = 1):
-        self._poster = JSONPoster(f"{base_url.rstrip('/')}/chat/completions", api_key, pool_size=pool_size)
+    def __init__(self, base_url: str, api_key: str | None = None):
+        self._poster = JSONPoster(f"{base_url.rstrip('/')}/chat/completions", api_key)
 
     def close(self) -> None:
-        """Closes the pooled connections."""
+        """Closes the idle connections."""
         self._poster.close()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import json
 import math
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -154,14 +155,32 @@ def chat_reply(token):
     return 200, {"Content-Type": "application/json"}, json.dumps(chat_body(token)).encode()
 
 
-class ChatStub:
+class LoopbackServer:
+    """Runs ``self._server``, an ``http.server`` instance, on a daemon
+    thread inside a ``with`` block."""
+
+    def __enter__(self):
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.02,), daemon=True)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+
+
+class ChatStub(LoopbackServer):
     """Loopback HTTP/1.1 JSON server that keeps connections alive. It
     answers with ``replies`` in order, each a (status, headers, body)
     triple, and then with ``default``, a triple or a function of the decoded
     request body that returns one; it counts accepted connections and keeps
-    the path, the headers and the decoded body of every request."""
+    the path, the headers and the decoded body of every request. With
+    ``close_after_reply`` it closes each connection after its first reply
+    without saying so in a header; with ``tls``, a (certificate file, key
+    file) pair, it speaks https."""
 
-    def __init__(self, replies=(), default=chat_reply("ok"), delay_s=0.0):
+    def __init__(self, replies=(), default=chat_reply("ok"), delay_s=0.0, close_after_reply=False, tls=None):
         self.replies = list(replies)
         self.default = default
         self.connections = 0
@@ -194,22 +213,20 @@ class ChatStub:
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
+                if close_after_reply:
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self._server.server_port}/v1"
-
-    def __enter__(self):
-        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.02,), daemon=True)
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=10)
+        scheme = "http"
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(*tls)
+            self._server.socket = context.wrap_socket(self._server.socket, server_side=True)
+            scheme = "https"
+        self.url = f"{scheme}://127.0.0.1:{self._server.server_port}/v1"
 
 
 HTML = (200, {"Content-Type": "text/html"}, b"<html>sign in</html>")

@@ -516,7 +516,7 @@ class TestRetrievers:
 
         backend = PureBackend()
         with ChatStub(default=reply) as stub:
-            retriever = HTTPRetriever(stub.url, pool_size=concurrency)
+            retriever = HTTPRetriever(stub.url)
             client = ModelClient(backend, cache=cache)
             warm = sweep(examples, PURE_TAUS, client, retriever, "substring", concurrency)
             retriever.close()

@@ -118,7 +118,7 @@ class TestFlags:
 
 class TestImportCost:
     def test_cli_imports_no_numpy_scipy_or_requests(self):
-        code = "import sys, confcal.cli; print([m for m in ('numpy', 'scipy', 'requests') if m in sys.modules])"
+        code = "import sys, confcal.cli; print([m for m in ('numpy', 'scipy', 'requests', 'urllib3') if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": str(Path(confcal.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"

@@ -3,12 +3,19 @@
 import base64
 import builtins
 import contextlib
+import gzip
 import json
 import logging
 import math
+import select
+import shutil
+import socket
+import subprocess
 import sys
 import threading
+import zlib
 from concurrent.futures import Future
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +45,7 @@ from confcal.errors import (
     UnmappableLabel,
 )
 
-from conftest import HTML, ChatStub, PureBackend, chat_body, chat_reply, closes_everything
+from conftest import HTML, ChatStub, LoopbackServer, PureBackend, chat_body, chat_reply, closes_everything
 
 
 def simple_request(content="hello", **kwargs):
@@ -297,6 +304,11 @@ def generation_config(tmp_path, base_url, n, concurrency):
     return config
 
 
+def raw_deflate(data):
+    packer = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+    return packer.compress(data) + packer.flush()
+
+
 @closes_everything
 @pytest.mark.usefixtures("plain_env")
 class TestHTTPTransport:
@@ -328,6 +340,39 @@ class TestHTTPTransport:
         assert len(stub.headers) == 12 * concurrency
         assert 1 <= stub.connections <= concurrency
         assert "Connection pool is full" not in caplog.text
+
+    def test_sweep_keeps_at_most_concurrency_connections_over_both_passes(self, tmp_path):
+        """The second pass runs on new threads and reuses the first pass's
+        idle connections."""
+        with ChatStub(delay_s=0.005) as stub:
+            config = generation_config(tmp_path, stub.url, 24, 4)
+            assert main(["sweep", "--config", str(config), "--taus", "1.01"]) == EXIT_OK
+        assert len(stub.headers) == 4 * 24  # tau 1.01: both passes answer and self-evaluate all
+        assert 1 <= stub.connections <= 4
+
+    def test_connection_closed_after_each_reply_is_replaced_without_a_retry(self, sleeps):
+        with ChatStub(close_after_reply=True) as stub:
+            backend = HTTPBackend(stub.url)
+            for k in range(5):
+                assert backend.complete(simple_request(f"q{k}")).text == "ok"
+            backend.close()
+        assert len(stub.headers) == 5
+        assert sleeps == []
+        assert stub.connections == 5
+
+    @pytest.mark.parametrize(
+        "encoding, compress",
+        [("gzip", gzip.compress), ("deflate", zlib.compress), ("deflate", raw_deflate)],
+        ids=["gzip", "deflate", "raw-deflate"],
+    )
+    def test_compressed_reply_parses_like_the_plain_one(self, encoding, compress):
+        status, headers, body = chat_reply("ok")
+        packed = (status, {**headers, "Content-Encoding": encoding}, compress(body))
+        with ChatStub([chat_reply("ok"), packed]) as stub:
+            backend = HTTPBackend(stub.url)
+            plain = backend.complete(simple_request())
+            assert backend.complete(simple_request()) == plain
+            backend.close()
 
     def test_429_then_200_retries_once(self, sleeps):
         with ChatStub([(429, {"Retry-After": "2"}, b"slow down")]) as stub:
@@ -414,6 +459,16 @@ class TestHTTPTransport:
         err = capsys.readouterr().err
         assert "socks5" in err and "pw" not in err and len(err.splitlines()) == 1
 
+    def test_https_proxy_to_https_endpoint_is_one_endpoint_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("no_proxy", raising=False)
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        monkeypatch.setenv("HTTPS_PROXY", "https://user:pw@127.0.0.1:9")
+        config = generation_config(tmp_path, "https://127.0.0.1:9/v1", 1, 1)
+        assert main(["eval", "--config", str(config)]) == EXIT_ENDPOINT
+        err = capsys.readouterr().err
+        assert "https:// proxy" in err and "https:// endpoint" in err
+        assert "pw" not in err and len(err.splitlines()) == 1
+
     def test_bearer_header(self):
         with ChatStub() as stub:
             backend = HTTPBackend(stub.url, api_key="sk-test")
@@ -454,6 +509,101 @@ class TestHTTPTransport:
             assert backend.complete(simple_request()).text == "direct"
             backend.close()
         assert direct == ["/chat/completions"] and proxied == []
+
+
+@pytest.fixture
+def self_signed(tmp_path):
+    """A throwaway certificate for IP 127.0.0.1 and its key, made by the
+    openssl command: (certificate file, key file)."""
+    if shutil.which("openssl") is None:
+        pytest.skip("no openssl command")
+    cert, key = str(tmp_path / "cert.pem"), str(tmp_path / "key.pem")
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-keyout", key, "-out", cert, "-days", "1", "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1"],
+        check=True, capture_output=True,
+    )
+    return cert, key
+
+
+class ConnectProxy(LoopbackServer):
+    """Loopback proxy that answers CONNECT and then relays bytes both ways
+    until either side closes; it keeps each tunnel's target and headers."""
+
+    def __init__(self):
+        self.targets = []
+        self.headers = []
+        proxy = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_CONNECT(self):
+                proxy.targets.append(self.path)
+                proxy.headers.append(self.headers)
+                host, port = self.path.rsplit(":", 1)
+                with socket.create_connection((host, int(port)), timeout=10) as upstream:
+                    self.send_response(200, "Connection established")
+                    self.end_headers()
+                    relay(self.connection, upstream)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.port = self._server.server_port
+
+
+def relay(a, b):
+    """Copies bytes between sockets ``a`` and ``b`` until one closes or both
+    stay quiet for 10 s."""
+    other = {a: b, b: a}
+    while True:
+        readable, _, _ = select.select(list(other), [], [], 10)
+        if not readable:
+            return
+        for sock in readable:
+            data = sock.recv(65536)
+            if not data:
+                return
+            other[sock].sendall(data)
+
+
+@closes_everything
+@pytest.mark.usefixtures("plain_env")
+class TestTLS:
+    @pytest.fixture(autouse=True)
+    def no_tls_env(self, monkeypatch):
+        for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", "https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+
+    def test_bundle_from_environment_is_trusted(self, self_signed, monkeypatch):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", self_signed[0])
+        with ChatStub(tls=self_signed) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request()).text == "ok"
+            backend.close()
+        assert stub.url.startswith("https://") and len(stub.headers) == 1
+
+    def test_certifi_bundle_rejects_a_self_signed_endpoint(self, self_signed, monkeypatch):
+        monkeypatch.setattr(client_module, "MAX_RETRIES", 0)
+        with ChatStub(tls=self_signed) as stub:
+            backend = HTTPBackend(stub.url)
+            with pytest.raises(EndpointUnreachable, match="certificate verify failed"):
+                backend.complete(simple_request())
+            backend.close()
+        assert stub.headers == []
+
+    def test_connect_tunnel_carries_the_proxy_credential(self, self_signed, monkeypatch):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", self_signed[0])
+        with ChatStub(tls=self_signed) as stub, ConnectProxy() as proxy:
+            monkeypatch.setenv("https_proxy", f"http://user:pw@127.0.0.1:{proxy.port}")
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request()).text == "ok"
+            backend.close()
+        assert proxy.targets == [stub.url.split("/")[2]]
+        assert proxy.headers[0]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+        assert stub.paths == ["/v1/chat/completions"]
+        assert "Proxy-Authorization" not in stub.headers[0]
 
 
 def cache_line(digest, token):
