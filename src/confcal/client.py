@@ -19,6 +19,7 @@ import math
 import netrc
 import os
 import random
+import socket
 import ssl
 import threading
 import time
@@ -154,10 +155,8 @@ class CompletionResponse:
 
     def to_json(self) -> dict:
         return {
-            "generated_tokens": list(self.generated_tokens),
-            "token_distributions": [
-                {"entries": [[t, lp] for t, lp in d.entries]} for d in self.token_distributions
-            ],
+            "generated_tokens": self.generated_tokens,
+            "token_distributions": [{"entries": d.entries} for d in self.token_distributions],
         }
 
     @classmethod
@@ -283,6 +282,12 @@ def _netrc_auth(host: str) -> str | None:
     return _basic_auth(login or account, password or "", f"netrc entry for {host}")
 
 
+# A reply line longer than _MAX_LINE bytes, or more than _MAX_HEADERS header
+# lines, fails the reply, as in http.client.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
 class JSONPoster:
     """POSTs JSON to one URL and returns the decoded JSON reply. Posts share
     one LIFO stack of idle keep-alive connections: a post takes the one
@@ -294,26 +299,30 @@ class JSONPoster:
     environment once, here; a netrc entry for the host replaces the Bearer
     header. An ``http://`` URL goes through an http(s) proxy as an
     absolute-form request, an ``https://`` URL through an ``http://`` proxy's
-    CONNECT tunnel. A 429 or 5xx is retried up to ``MAX_RETRIES`` times,
-    after its Retry-After or a doubling backoff with full jitter; a request
-    that a reused connection drops before any status line (the server
-    closed it while idle) is sent again at once on a new connection,
-    without counting as a retry. Redirects are not followed; gzip and
-    deflate bodies are decoded.
+    CONNECT tunnel. ``http.client`` only opens a connection (TCP, the
+    tunnel, TLS); the request line and headers are built here once, each
+    request is sent with one write, and ``_read_head``/``_read_body`` read
+    the reply. A 429 or 5xx is retried up to ``MAX_RETRIES`` times, after
+    its Retry-After or a doubling backoff with full jitter; a request that a
+    reused connection drops before any status line (the server closed it
+    while idle) is sent again at once on a new connection, without counting
+    as a retry. Redirects are not followed; gzip and deflate bodies are
+    decoded.
     """
 
     def __init__(self, url: str, api_key: str | None = None, timeout_s: float = 120.0):
         self.url = url
-        self._headers = {"Content-Type": "application/json", "Accept-Encoding": "gzip, deflate"}
-        if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise EndpointUnreachable(f"{url} is not an http:// or https:// URL")
+        _check_port(parts, url)
+        headers = {"Host": _host_port(parts), "Content-Type": "application/json", "Accept-Encoding": "gzip, deflate"}
+        if api_key:
+            headers["Authorization"] = f"Bearer {api_key}"
         netrc_auth = _netrc_auth(parts.hostname)
         if netrc_auth:
-            self._headers["Authorization"] = netrc_auth
-        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+            headers["Authorization"] = netrc_auth
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         self._tunnel: tuple | None = None
         hop = parts  # what the socket connects to
         proxy = _proxy_for(url)
@@ -325,6 +334,7 @@ class JSONPoster:
                 raise EndpointUnreachable(
                     f"proxy for {url}: an https:// proxy in front of an https:// endpoint is not supported"
                 )
+            _check_port(hop, f"proxy for {url}")
             proxy_headers = {}
             if hop.username:
                 auth = _basic_auth(unquote(hop.username), unquote(hop.password or ""), f"proxy for {url}")
@@ -332,8 +342,18 @@ class JSONPoster:
             if parts.scheme == "https":
                 self._tunnel = (_host_port(parts), None, proxy_headers)
             else:
-                self._target = url
-                self._headers.update(proxy_headers)
+                target = url
+                headers.update(proxy_headers)
+        if not (target + headers["Host"]).isascii() or " " in target:
+            raise EndpointUnreachable(f"{url}: the URL must be ASCII, with no spaces")
+        if api_key and ("\r" in api_key or "\n" in api_key):
+            raise ConfigInvalid("the API key holds a line break")
+        head = f"POST {target} HTTP/1.1\r\n" + "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        try:
+            # the request line and headers of every post, up to its length
+            self._head = (head + "Content-Length: ").encode("latin-1")
+        except UnicodeEncodeError:  # only the API key can be outside latin-1 here
+            raise ConfigInvalid("the API key holds a character outside latin-1") from None
         kw: dict = {"timeout": timeout_s}
         connection_class = http.client.HTTPConnection
         if "https" in (parts.scheme, hop.scheme):
@@ -346,45 +366,53 @@ class JSONPoster:
                 raise EndpointUnreachable(f"CA bundle {ca_bundle}: {exc}") from None
             connection_class = http.client.HTTPSConnection
         self._open = functools.partial(connection_class, _host_port(hop), **kw)
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         weakref.finalize(self, _close_all, self._idle)
 
     def close(self) -> None:
         """Closes the idle connections."""
         _close_all(self._idle)
 
-    def _connect(self) -> http.client.HTTPConnection:
+    def _connect(self) -> _Connection:
         conn = self._open()
         if self._tunnel is not None:
             conn.set_tunnel(*self._tunnel)
-        return conn
+        try:
+            conn.connect()  # sets TCP_NODELAY
+        except BaseException:
+            conn.close()
+            raise
+        return _Connection(conn.sock)
 
     def _exchange(self, body: bytes) -> tuple[int, str | None, bytes]:
         """One POST on the connection returned last, or a new one: the
         status, the Retry-After header and the decoded body. The connection
         goes back on the stack unless the reply or an error closed it."""
+        request = b"%b%d\r\n\r\n%b" % (self._head, len(body), body)
         try:
             conn, reused = self._idle.pop(), True
         except IndexError:
             conn, reused = self._connect(), False
         try:
             try:
-                conn.request("POST", self._target, body, self._headers)
-                resp = conn.getresponse()
+                conn.sock.sendall(request)
+                status, headers, keep_alive = _read_head(conn.reader)
             except ConnectionError:  # no status line arrived
                 if not reused:
                     raise
                 conn.close()
                 conn = self._connect()
-                conn.request("POST", self._target, body, self._headers)
-                resp = conn.getresponse()
-            data = resp.read()
+                conn.sock.sendall(request)
+                status, headers, keep_alive = _read_head(conn.reader)
+            data, framed = _read_body(conn.reader, status, headers)
         except BaseException:
             conn.close()
             raise
-        if not resp.will_close:
+        if keep_alive and framed:
             self._idle.append(conn)
-        return resp.status, resp.getheader("Retry-After"), _decoded(data, resp.getheader("Content-Encoding"))
+        else:
+            conn.close()
+        return status, headers.get("retry-after"), _decoded(data, headers.get("content-encoding"))
 
     def post(self, payload: object) -> object:
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
@@ -417,18 +445,129 @@ class JSONPoster:
         raise last_error
 
 
+class _Connection:
+    """An open socket and the buffered reader of its replies."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+def _check_port(parts: SplitResult, where: str) -> None:
+    """A port that is not a number, or out of range, is an endpoint error."""
+    try:
+        parts.port
+    except ValueError as exc:
+        raise EndpointUnreachable(f"{where}: {exc}") from None
+
+
 def _host_port(parts: SplitResult) -> str:
     """The ``host[:port]`` of a URL, without its login; http.client reads
     the port and the brackets of an IPv6 address."""
     return parts.netloc.rpartition("@")[2]
 
 
-def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+def _close_all(connections: list[_Connection]) -> None:
     while True:
         try:
             connections.pop().close()
         except IndexError:
             return
+
+
+def _read_line(reader: BinaryIO) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong("reply line")
+    return line
+
+
+def _read_fields(reader: BinaryIO) -> dict[str, str]:
+    """Header (or trailer) lines up to the blank line that ends them, by
+    lower-case name."""
+    fields = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if not line:
+            raise http.client.HTTPException("the reply ended inside its headers")
+        name, _, value = line.decode("latin-1").partition(":")
+        fields[name.strip().lower()] = value.strip()
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_head(reader: BinaryIO) -> tuple[int, dict[str, str], bool]:
+    """The status and the headers of the first reply that is not 1xx, and
+    whether the connection may stay open: not after ``Connection: close``,
+    nor after HTTP/1.0 without keep-alive. A stream that ends before the
+    status line raises ``RemoteDisconnected``, a ``ConnectionError``."""
+    while True:
+        line = _read_line(reader)
+        if not line:
+            raise http.client.RemoteDisconnected("the server closed the connection without a reply")
+        words = line.split(None, 2)  # version, status and reason
+        status = int(words[1]) if len(words) > 1 and words[1].isdigit() else 0
+        if not 100 <= status <= 999 or not words[0].startswith(b"HTTP/"):
+            raise http.client.BadStatusLine(f"bad status line {line[:80]!r}")
+        headers = _read_fields(reader)
+        if status >= 200:
+            break
+    connection = headers.get("connection", "").lower()
+    keep_alive = "close" not in connection and (words[0] != b"HTTP/1.0" or "keep-alive" in connection)
+    return status, headers, keep_alive
+
+
+def _read_body(reader: BinaryIO, status: int, headers: dict[str, str]) -> tuple[bytes, bool]:
+    """The body of a reply, by its chunked transfer-encoding, its
+    Content-Length, or else to the end of the stream; and whether it was
+    framed, that is, not read to the end of the stream."""
+    if status in (204, 304):
+        return b"", True
+    if "chunked" in headers.get("transfer-encoding", "").lower():
+        return _read_chunked(reader), True
+    length = headers.get("content-length")
+    if length is None:
+        return reader.read(), False
+    if not length.isdecimal():
+        raise http.client.HTTPException(f"bad Content-Length {length[:40]!r}")
+    return _read_exactly(reader, int(length)), True
+
+
+def _read_exactly(reader: BinaryIO, size: int) -> bytes:
+    """``size`` bytes, read at most 1 MiB at a time, so that a length the
+    stream does not hold fails as a short read, not as one huge allocation."""
+    pieces = []
+    left = size
+    while left:
+        piece = reader.read(min(left, 1 << 20))
+        if not piece:
+            raise http.client.IncompleteRead(b"".join(pieces), left)
+        pieces.append(piece)
+        left -= len(piece)
+    return b"".join(pieces)
+
+
+def _read_chunked(reader: BinaryIO) -> bytes:
+    """A chunked body: each chunk after its hex size line, up to the empty
+    chunk and the trailer lines after it."""
+    chunks = []
+    while True:
+        line = _read_line(reader)
+        digits = line.split(b";", 1)[0].strip()  # a chunk extension is ignored
+        if not digits or digits.strip(b"0123456789abcdefABCDEF"):
+            raise http.client.HTTPException(f"bad chunk size line {line[:40]!r}")
+        size = int(digits, 16)
+        if not size:
+            _read_fields(reader)
+            return b"".join(chunks)
+        chunks.append(_read_exactly(reader, size + 2)[:-2])  # the chunk and its CRLF
 
 
 def _decoded(body: bytes, encoding: str | None) -> bytes:
@@ -501,11 +640,12 @@ def _retry_after_s(value: str | None) -> float | None:
 
 
 class ResponseCache:
-    """Append-only JSONL cache; concurrent readers, single-writer appends.
+    """Append-only JSONL cache; concurrent readers and writers.
 
-    The file is opened for appending at the first ``put`` and stays open
-    until ``close``; each record is written with its newline in one write
-    and flushed, so a last line without a newline was cut off mid-append:
+    The file is opened for appending, unbuffered, at the first ``put`` and
+    stays open until ``close``; each record is written with its newline in
+    one write, outside the lock (O_APPEND keeps lines from concurrent puts
+    whole), so a last line without a newline was cut off mid-append:
     loading skips it with a warning, and the first append cuts it off
     before writing. Any other line that does not parse fails the load with
     its line number. Loading never writes to the file, and a cache that
@@ -553,13 +693,20 @@ class ResponseCache:
                 return
             if self._file is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._file = open(self.path, "ab")
+                self._file = open(self.path, "ab", buffering=0)
                 if self._torn_at is not None:
                     self._file.truncate(self._torn_at)
                     self._torn_at = None
-            self._file.write(line)
-            self._file.flush()
             self._entries[digest] = response
+            file = self._file
+        try:
+            written = file.write(line)
+            if written != len(line):
+                raise OSError(f"{self.path}: wrote {written} of {len(line)} bytes")
+        except BaseException:
+            with self._lock:
+                del self._entries[digest]
+            raise
 
     def close(self) -> None:
         """Closes the append handle; a later ``put`` opens it again."""

@@ -5,6 +5,8 @@ import contextlib
 import csv
 import json
 import math
+import re
+import socketserver
 import ssl
 import threading
 import time
@@ -227,6 +229,65 @@ class ChatStub(LoopbackServer):
             self._server.socket = context.wrap_socket(self._server.socket, server_side=True)
             scheme = "https"
         self.url = f"{scheme}://127.0.0.1:{self._server.server_port}/v1"
+
+
+def raw_reply(body, head="HTTP/1.1 200 OK", **headers):
+    """A whole reply as bytes: ``head``, then ``headers`` (``_`` for ``-``
+    in a name) and a Content-Length unless one is given as None, then the
+    blank line and ``body``."""
+    headers = {name.replace("_", "-"): value for name, value in headers.items()}
+    headers = {"Content-Length": len(body), **headers}
+    lines = [head] + [f"{name}: {value}" for name, value in headers.items() if value is not None]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def raw_chat_reply(token="ok"):
+    return raw_reply(json.dumps(chat_body(token)).encode(), Content_Type="application/json")
+
+
+class RawStub(LoopbackServer):
+    """Loopback TCP server that answers each request with bytes as given. It
+    reads a request's head and its Content-Length body and keeps their
+    exact bytes in ``requests``; then it writes the next of ``replies``, and
+    after them ``default``, each a (bytes, close) pair: with ``close`` it
+    closes the connection after writing. It counts accepted connections."""
+
+    def __init__(self, replies=(), default=(raw_chat_reply(), False)):
+        self.replies = list(replies)
+        self.default = default
+        self.requests = []
+        self.connections = 0
+        lock = threading.Lock()
+        stub = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                with lock:
+                    stub.connections += 1
+                while True:
+                    head = self.rfile.readline()
+                    if not head:
+                        return
+                    while not head.endswith(b"\r\n\r\n"):
+                        line = self.rfile.readline()
+                        if not line:
+                            return
+                        head += line
+                    length = int(re.search(rb"(?im)^content-length: *(\d+)", head)[1])
+                    with lock:
+                        stub.requests.append(head + self.rfile.read(length))
+                        data, close = stub.replies.pop(0) if stub.replies else stub.default
+                    try:
+                        self.wfile.write(data)
+                    except OSError:  # the client stopped reading a reply it failed
+                        return
+                    if close:
+                        return
+
+        self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = True
+        self.port = self._server.server_address[1]
+        self.url = f"http://127.0.0.1:{self.port}/v1"
 
 
 HTML = (200, {"Content-Type": "text/html"}, b"<html>sign in</html>")

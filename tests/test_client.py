@@ -3,10 +3,11 @@
 import base64
 import builtins
 import contextlib
+import errno
 import gzip
 import json
-import logging
 import math
+import re
 import select
 import shutil
 import socket
@@ -27,7 +28,9 @@ from confcal.client import (
     SELF_EVAL_PROMPT,
     CompletionRequest,
     CompletionResponse,
+    MAX_RETRIES,
     HTTPBackend,
+    JSONPoster,
     Message,
     MockBackend,
     ModelClient,
@@ -36,6 +39,7 @@ from confcal.client import (
 )
 from confcal.confidence import Flag, TokenDistribution
 from confcal.errors import (
+    ConfigInvalid,
     EndpointUnreachable,
     InvalidInput,
     MalformedResponse,
@@ -45,7 +49,18 @@ from confcal.errors import (
     UnmappableLabel,
 )
 
-from conftest import HTML, ChatStub, LoopbackServer, PureBackend, chat_body, chat_reply, closes_everything
+from conftest import (
+    HTML,
+    ChatStub,
+    LoopbackServer,
+    PureBackend,
+    RawStub,
+    chat_body,
+    chat_reply,
+    closes_everything,
+    raw_chat_reply,
+    raw_reply,
+)
 
 
 def simple_request(content="hello", **kwargs):
@@ -194,6 +209,56 @@ class TestCache:
         assert not (tmp_path / "absent").exists()
 
 
+    def test_concurrent_puts_append_whole_lines(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+
+        def put_many(t):
+            for k in range(50):
+                token = f"t{t}-{k}"
+                cache.put(f"d{t}-{k}", CompletionResponse((token,), (TokenDistribution(((token, -0.1),)),)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=put_many, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        cache.close()
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b"" and len(lines) == 401
+        reloaded = ResponseCache(path)
+        assert all(reloaded.get(f"d{t}-{k}").text == f"t{t}-{k}" for t in range(8) for k in range(50))
+
+    @pytest.mark.parametrize("short", [False, True], ids=["disk-full", "short-write"])
+    def test_a_failed_append_raises_and_keeps_no_entry(self, tmp_path, monkeypatch, short):
+        class FullDisk:
+            def __init__(self, file):
+                self.file = file
+
+            def write(self, data):
+                if short:
+                    return self.file.write(data[:5])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def close(self):
+                self.file.close()
+
+        monkeypatch.setattr(
+            client_module, "open", lambda *a, **k: FullDisk(builtins.open(*a, **k)), raising=False
+        )
+        cache = ResponseCache(tmp_path / "cache.jsonl")
+        response = CompletionResponse.from_json(json.loads(cache_line("x", "a"))["response"])
+        with pytest.raises(OSError):
+            cache.put("d1", response)
+        assert cache.get("d1") is None
+        cache.close()
+
+
 class TestSingleFlight:
     @pytest.mark.parametrize("fails", [False, True])
     def test_concurrent_misses_share_one_fetch(self, monkeypatch, fails):
@@ -332,14 +397,12 @@ class TestHTTPTransport:
         )
 
     @pytest.mark.parametrize("concurrency", [4, 8])
-    def test_run_keeps_at_most_concurrency_connections(self, tmp_path, caplog, concurrency):
-        caplog.set_level(logging.WARNING, logger="urllib3")
+    def test_run_keeps_at_most_concurrency_connections(self, tmp_path, concurrency):
         with ChatStub(delay_s=0.005) as stub:
             config = generation_config(tmp_path, stub.url, 6 * concurrency, concurrency)
             assert main(["eval", "--config", str(config)]) == EXIT_OK
         assert len(stub.headers) == 12 * concurrency
         assert 1 <= stub.connections <= concurrency
-        assert "Connection pool is full" not in caplog.text
 
     def test_sweep_keeps_at_most_concurrency_connections_over_both_passes(self, tmp_path):
         """The second pass runs on new threads and reuses the first pass's
@@ -509,6 +572,197 @@ class TestHTTPTransport:
             assert backend.complete(simple_request()).text == "direct"
             backend.close()
         assert direct == ["/chat/completions"] and proxied == []
+
+
+def chunked(body, size=7):
+    """``body`` in chunks of ``size`` bytes, the first with an extension,
+    then the last chunk and one trailer field."""
+    pieces = [body[i : i + size] for i in range(0, len(body), size)]
+    framed = b"".join(b"%x%b\r\n%b\r\n" % (len(p), b"" if i else b";ext=1", p) for i, p in enumerate(pieces))
+    return framed + b"0\r\nX-Trailer: t\r\n\r\n"
+
+
+def chat_bytes(token):
+    return json.dumps(chat_body(token)).encode()
+
+
+@closes_everything
+@pytest.mark.usefixtures("plain_env")
+class TestReplyReader:
+    """The poster reads each reply itself: its framing, 1xx replies, when
+    the connection stays open, and what a malformed reply does."""
+
+    @pytest.mark.parametrize("encoding", [None, "gzip"])
+    def test_chunked_reply(self, encoding, sleeps):
+        body = gzip.compress(chat_bytes("chunked")) if encoding else chat_bytes("chunked")
+        reply = raw_reply(chunked(body), Content_Length=None, Transfer_Encoding="chunked", Content_Encoding=encoding)
+        with RawStub([(reply, False)]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request("q0")).text == "chunked"
+            assert backend.complete(simple_request("q1")).text == "ok"  # after the trailer, on the same connection
+            backend.close()
+        assert stub.connections == 1 and sleeps == []
+
+    def test_reply_without_a_length_is_read_to_the_end_and_not_reused(self, sleeps):
+        reply = raw_reply(chat_bytes("to-eof"), Content_Length=None, Connection="close")
+        with RawStub([(reply, True)]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request("q0")).text == "to-eof"
+            assert backend._poster._idle == []
+            assert backend.complete(simple_request("q1")).text == "ok"
+            backend.close()
+        assert stub.connections == 2 and len(stub.requests) == 2 and sleeps == []
+
+    @pytest.mark.parametrize(
+        "head, connection, connections",
+        [
+            ("HTTP/1.0 200 OK", None, 2),
+            ("HTTP/1.0 200 OK", "keep-alive", 1),
+            ("HTTP/1.1 200 OK", "close", 2),
+            ("HTTP/1.1 200 OK", "Close", 2),
+            ("HTTP/1.1 200", None, 1),
+        ],
+    )
+    def test_when_the_connection_stays_open(self, head, connection, connections, sleeps):
+        """The stub keeps every connection open, so only the client's rule
+        decides whether the second request opens a new one."""
+        reply = raw_reply(chat_bytes("first"), head, Connection=connection)
+        with RawStub([(reply, False)]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request("q0")).text == "first"
+            assert backend.complete(simple_request("q1")).text == "ok"
+            backend.close()
+        assert stub.connections == connections and sleeps == []
+
+    def test_1xx_replies_are_skipped(self, sleeps):
+        early = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n"
+        with RawStub([(early + raw_chat_reply("final"), False)]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request()).text == "final"
+            backend.close()
+        assert sleeps == []
+
+    def test_204_has_no_body(self, sleeps):
+        with RawStub([(b"HTTP/1.1 204 No Content\r\n\r\n", False)]) as stub:
+            poster = JSONPoster(stub.url)
+            assert poster._exchange(b"{}") == (204, None, b"")
+            poster.close()
+
+    def test_lowercase_retry_after_and_content_encoding_are_honoured(self, sleeps):
+        slow = raw_reply(b"slow down", "HTTP/1.1 429 Too Many Requests", retry_after="2")
+        packed = raw_reply(gzip.compress(chat_bytes("zipped")), content_encoding="gzip")
+        with RawStub([(slow, False), (packed, False)]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request()).text == "zipped"
+            backend.close()
+        assert sleeps == [2.0] and stub.connections == 1
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (raw_reply(b'{"choices": []}', Content_Length=1000), "IncompleteRead"),
+            (raw_reply(b"{}", Content_Length=10**15), "IncompleteRead"),
+            (raw_reply(b"zz\r\n{}\r\n0\r\n\r\n", Content_Length=None, Transfer_Encoding="chunked"), "bad chunk size"),
+            (raw_reply(b"{}", Content_Length="1e3"), "bad Content-Length"),
+            (raw_reply(b"{}", X_Long="a" * 70000), "got more than 65536 bytes"),
+            (raw_reply(b"{}", **{f"X_{k}": "v" for k in range(101)}), "more than 100 headers"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n", "ended inside its headers"),
+            (b"HTTP/1.1 2000 OK\r\n\r\n", "bad status line"),
+        ],
+        ids=["short-body", "huge-length", "chunk-size", "content-length", "long-line", "101-headers", "cut-head", "status"],
+    )
+    def test_malformed_reply_is_retried_then_unreachable(self, reply, message, sleeps):
+        with RawStub(default=(reply, True)) as stub:
+            backend = HTTPBackend(stub.url)
+            with pytest.raises(EndpointUnreachable, match=message):
+                backend.complete(simple_request())
+            backend.close()
+        assert len(stub.requests) == MAX_RETRIES + 1 and len(sleeps) == MAX_RETRIES
+
+    def test_garbage_status_line_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        """``eval`` keeps an endpoint error per record; ``sweep`` stops on it,
+        with one line and no traceback."""
+        monkeypatch.setattr(client_module, "MAX_RETRIES", 0)
+        with RawStub(default=(b"SPAM 200 OK\r\n\r\n", True)) as stub:
+            config = generation_config(tmp_path, stub.url, 3, 2)
+            assert main(["eval", "--config", str(config)]) == EXIT_OK
+            records = (tmp_path / "out" / "records.jsonl").read_text().splitlines()
+            assert all(json.loads(r)["flags"] == ["error:EndpointUnreachable"] for r in records)
+            capsys.readouterr()
+            assert main(["sweep", "--config", str(config), "--taus", "0.5"]) == EXIT_ENDPOINT
+        err = capsys.readouterr().err
+        assert err.startswith("endpoint error: ") and "bad status line b'SPAM 200 OK" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "url, message",
+        [
+            ("http://127.0.0.1:abc/v1", "Port could not be cast"),
+            ("http://127.0.0.1:99999/v1", "Port out of range"),
+            ("http://127.0.0.1:9/v 1", "the URL must be ASCII, with no spaces"),
+            ("http://127.0.0.1:9/v\u00e9", "the URL must be ASCII, with no spaces"),
+        ],
+    )
+    def test_bad_url_is_one_endpoint_error_at_once(self, url, message, sleeps):
+        with pytest.raises(EndpointUnreachable, match=f"^{re.escape(url)}/chat/completions: {message}"):
+            HTTPBackend(url)
+        assert sleeps == []
+
+    @pytest.mark.parametrize("api_key", ["sk\r\nX-Injected: 1", "sk-\u0142"])
+    def test_api_key_that_cannot_be_a_header_is_one_config_error(self, api_key):
+        with pytest.raises(ConfigInvalid, match="the API key holds") as caught:
+            HTTPBackend("http://127.0.0.1:9/v1", api_key=api_key)
+        assert "sk" not in str(caught.value)
+
+    def test_bad_proxy_port_is_one_endpoint_error_at_once(self, monkeypatch, sleeps):
+        monkeypatch.setenv("HTTP_PROXY", "http://user:pw@127.0.0.1:pw9")
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        monkeypatch.delenv("no_proxy", raising=False)
+        with pytest.raises(EndpointUnreachable, match="proxy for http://127.0.0.1:9/v1") as caught:
+            HTTPBackend("http://127.0.0.1:9/v1")
+        assert "user" not in str(caught.value) and sleeps == []
+
+
+@closes_everything
+@pytest.mark.usefixtures("plain_env")
+class TestWireFormat:
+    """The exact bytes of a request: its line, Host, the headers in order,
+    Content-Length and the body."""
+
+    def test_direct_request(self):
+        with RawStub(default=(raw_reply(b'{"a": 1}'), False)) as stub:
+            poster = JSONPoster(f"{stub.url}/chat/completions", api_key="sk-test")
+            assert poster.post({"q": "x"}) == {"a": 1}
+            poster.close()
+        assert stub.requests == [
+            b"POST /v1/chat/completions HTTP/1.1\r\n"
+            b"Host: 127.0.0.1:%d\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Accept-Encoding: gzip, deflate\r\n"
+            b"Authorization: Bearer sk-test\r\n"
+            b"Content-Length: 10\r\n"
+            b"\r\n"
+            b'{"q": "x"}' % stub.port
+        ]
+
+    def test_absolute_form_request_through_an_http_proxy(self, monkeypatch):
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        monkeypatch.delenv("no_proxy", raising=False)
+        with RawStub(default=(raw_reply(b'{"a": 1}'), False)) as proxy:
+            monkeypatch.setenv("HTTP_PROXY", f"http://user:pw@127.0.0.1:{proxy.port}")
+            poster = JSONPoster("http://example.invalid:8080/v1/chat/completions?x=1")
+            assert poster.post({"q": "x"}) == {"a": 1}
+            poster.close()
+        assert proxy.requests == [
+            b"POST http://example.invalid:8080/v1/chat/completions?x=1 HTTP/1.1\r\n"
+            b"Host: example.invalid:8080\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Accept-Encoding: gzip, deflate\r\n"
+            b"Proxy-Authorization: Basic " + base64.b64encode(b"user:pw") + b"\r\n"
+            b"Content-Length: 10\r\n"
+            b"\r\n"
+            b'{"q": "x"}'
+        ]
 
 
 @pytest.fixture
