@@ -1,10 +1,11 @@
 """Command-line entry point: eval runs, sweeps, bin-table ECE, sandbox.
 
-Config files are flat ``key = value`` text; environment variables of the
-form CONFCAL_<KEY> override file values. Numeric output is serialized at
-fixed 6-decimal precision so repeated runs diff cleanly.
+Config files are flat ``key = value`` text; CONFCAL_<KEY> environment
+variables override file values, and flags override both. Numeric output
+is serialized at fixed 6-decimal precision so repeated runs diff cleanly.
 
-Exit codes: 0 success, 1 config error, 2 endpoint error, 3 data error.
+Exit codes: 0 success, 1 config error (any usage error, or a key or flag
+the command does not read), 2 endpoint error, 3 data error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import adaptive, harness, metrics
@@ -79,58 +80,65 @@ def apply_env_overrides(values: dict[str, str]) -> dict[str, str]:
     return merged
 
 
+EVAL_SWEEP = ("eval", "sweep")
+AT_LEAST_ONE = (lambda value: value >= 1, ">= 1")
+
+
+def _one_of(*choices: str):
+    return choices.__contains__, "|".join(choices)
+
+
+def _key(default, read_by: tuple[str, ...], parse=str, check=None, flag: str | None = None):
+    """One config key: its default, the commands that read it, its parser (a ValueError
+    is a bad value), its check (predicate, requirement) and its flag's help, if any."""
+    return field(default=default, metadata=dict(read_by=read_by, parse=parse, check=check, flag=flag))
+
+
 @dataclass
 class RunConfig:
-    base_url: str | None = None
-    api_key_env: str | None = None
-    model_name: str = "mock"
-    mock_script: str | None = None
-    task_spec: str | None = None
-    dataset: str | None = None
-    confidence_mode: str = "normalized"
-    n_bins: int = 10
-    missing_policy: str = "neutral"
-    concurrency: int = 8
-    cache_path: str | None = None
-    output_dir: str = "out"
-    seed: int = 0
-    retriever_url: str | None = None
-    taus: list[float] | None = None
-    # sandbox knobs
-    data_distribution: list[float] | None = None
-    steps: int = 3000
-    lr: float = 0.1
-    batch_size: int = 64
+    """The config table; a sandbox setting left None is ``sandbox.SandboxConfig``'s."""
+
+    output_dir: str = _key("out", (*EVAL_SWEEP, "sandbox"), flag="output directory")
+    dataset: str | None = _key(None, EVAL_SWEEP, flag="dataset JSONL path")
+    task_spec: str | None = _key(None, EVAL_SWEEP, flag="task spec JSON path")
+    mock_script: str | None = _key(None, EVAL_SWEEP, flag="mock backend JSONL script")
+    cache_path: str | None = _key(None, EVAL_SWEEP, flag="response cache JSONL")
+    base_url: str | None = _key(None, EVAL_SWEEP)
+    api_key_env: str | None = _key(None, EVAL_SWEEP)
+    model_name: str = _key("mock", EVAL_SWEEP)
+    missing_policy: str = _key("neutral", EVAL_SWEEP, check=_one_of("error", "neutral", "skip"))
+    concurrency: int = _key(8, EVAL_SWEEP, int, AT_LEAST_ONE)
+    confidence_mode: str = _key("normalized", ("eval",), check=_one_of("normalized", "raw", "both"))
+    n_bins: int = _key(metrics.DEFAULT_N_BINS, ("eval",), int, AT_LEAST_ONE)
+    taus: list[float] | None = _key(None, ("sweep",), _float_list, flag="comma-separated thresholds")
+    retriever_url: str | None = _key(None, ("sweep",))
+    data_distribution: tuple[float, ...] | list[float] = _key((0.7, 0.3), ("sandbox",), _float_list)
+    steps: int | None = _key(None, ("sandbox",), int)
+    lr: float | None = _key(None, ("sandbox",), float)
+    batch_size: int | None = _key(None, ("sandbox",), int)
+    seed: int | None = _key(None, ("sandbox",), int, flag="RNG seed")
 
     @classmethod
-    def from_mapping(cls, values: dict[str, str]) -> "RunConfig":
+    def from_mapping(cls, values: dict[str, str], command: str | None = None) -> "RunConfig":
+        """Parse and check ``values``; given a command, a key it does not read is an error."""
         cfg = cls()
-        converters = {
-            "n_bins": int,
-            "concurrency": int,
-            "seed": int,
-            "steps": int,
-            "batch_size": int,
-            "lr": float,
-            "taus": _float_list,
-            "data_distribution": _float_list,
-        }
         for key, raw in values.items():
-            if not hasattr(cfg, key):
+            spec = KEYS.get(key)
+            if spec is None:
                 raise ConfigInvalid(f"unknown config key {key!r}")
+            if command is not None and command not in spec["read_by"]:
+                raise ConfigInvalid(f"{command} does not read config key {key!r}")
             try:
-                setattr(cfg, key, converters.get(key, str)(raw))
+                value = spec["parse"](raw)
             except ValueError as exc:
                 raise ConfigInvalid(f"bad value for {key!r}: {exc}") from exc
-        if cfg.concurrency < 1:
-            raise ConfigInvalid(f"concurrency must be >= 1, got {cfg.concurrency}")
-        if cfg.n_bins < 1:
-            raise ConfigInvalid(f"n_bins must be >= 1, got {cfg.n_bins}")
-        if cfg.confidence_mode not in ("normalized", "raw", "both"):
-            raise ConfigInvalid(f"confidence_mode must be normalized|raw|both, got {cfg.confidence_mode!r}")
-        if cfg.missing_policy not in ("error", "neutral", "skip"):
-            raise ConfigInvalid(f"missing_policy must be error|neutral|skip, got {cfg.missing_policy!r}")
+            if spec["check"] and not spec["check"][0](value):
+                raise ConfigInvalid(f"{key} must be {spec['check'][1]}, got {value!r}")
+            setattr(cfg, key, value)
         return cfg
+
+
+KEYS = {f.name: f.metadata for f in fields(RunConfig)}
 
 
 def build_client(cfg: RunConfig) -> ModelClient:
@@ -314,11 +322,11 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
     from . import sandbox  # numpy: only the sandbox's seeded Generator needs it
 
     cfg = _load_run_config(args)
+    settings = {f.name: getattr(cfg, f.name) for f in fields(sandbox.SandboxConfig)}
     try:
-        task = sandbox.ToyTask(cfg.data_distribution or [0.7, 0.3])
-        sandbox_cfg = sandbox.SandboxConfig(
-            steps=cfg.steps, lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed
-        )
+        # an empty list is unset, as it is for taus
+        task = sandbox.ToyTask(cfg.data_distribution or RunConfig.data_distribution)
+        sandbox_cfg = sandbox.SandboxConfig(**{k: v for k, v in settings.items() if v is not None})
     except ConfcalError as exc:
         raise ConfigInvalid(str(exc)) from exc
     result = sandbox.run_paradigm_comparison(task, sandbox_cfg)
@@ -357,52 +365,42 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        values = load_config_file(args.config)
-    values = apply_env_overrides(values)
-    for key in ("dataset", "task_spec", "mock_script", "output_dir", "cache_path", "seed", "taus"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = str(flag)
-    return RunConfig.from_mapping(values)
+    """File, then CONFCAL_* variables, then flags; only keys that the command reads."""
+    values = apply_env_overrides(load_config_file(args.config) if args.config else {})
+    values.update({key: flag for key in KEYS if (flag := getattr(args, key, None)) is not None})
+    return RunConfig.from_mapping(values, args.command)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error: one line and exit 1, where argparse
+    would print the usage and exit 2, the endpoint-error code."""
+
+    def error(self, message: str):
+        raise ConfigInvalid(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confcal",
         description="Confidence extraction, calibration metrics, and adaptive retrieval",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for command, func, help_text in (
+        ("eval", cmd_eval, "run an evaluation and write records + report"),
+        ("sweep", cmd_sweep, "adaptive-retrieval threshold sweep"),
+        ("sandbox", cmd_sandbox, "toy training-paradigm comparison"),
+    ):
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--output-dir", dest="output_dir", help="output directory")
-
-    def add_run_inputs(p):
-        add_common(p)
-        p.add_argument("--dataset", help="dataset JSONL path")
-        p.add_argument("--task-spec", dest="task_spec", help="task spec JSON path")
-        p.add_argument("--mock-script", dest="mock_script", help="mock backend JSONL script")
-        p.add_argument("--cache-path", dest="cache_path", help="response cache JSONL")
-
-    p_eval = sub.add_parser("eval", help="run an evaluation and write records + report")
-    add_run_inputs(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_sweep = sub.add_parser("sweep", help="adaptive-retrieval threshold sweep")
-    add_run_inputs(p_sweep)
-    p_sweep.add_argument("--taus", help="comma-separated thresholds")
-    p_sweep.set_defaults(func=cmd_sweep)
+        for key, spec in KEYS.items():
+            if spec["flag"] and command in spec["read_by"]:
+                p.add_argument("--" + key.replace("_", "-"), help=spec["flag"])
+        p.set_defaults(func=func)
 
     p_bins = sub.add_parser("ece-from-bins", help="ECE from an aggregate bin-table CSV")
     p_bins.add_argument("bin_csv", help="CSV with count,mean_accuracy,mean_confidence columns")
     p_bins.set_defaults(func=cmd_ece_from_bins)
-
-    p_sandbox = sub.add_parser("sandbox", help="toy training-paradigm comparison")
-    add_common(p_sandbox)
-    p_sandbox.add_argument("--seed", type=int, help="RNG seed")
-    p_sandbox.set_defaults(func=cmd_sandbox)
 
     p_report = sub.add_parser("report", help="re-render a report JSON to plot-data CSV")
     p_report.add_argument("report_json")
@@ -413,9 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+ROOT = Path(__file__).resolve().parents[1]
+
 import confcal
 from confcal import adaptive, harness
 from confcal.cli import (
@@ -19,6 +22,7 @@ from confcal.cli import (
     EXIT_DATA,
     EXIT_ENDPOINT,
     EXIT_OK,
+    KEYS,
     RunConfig,
     apply_env_overrides,
     build_client,
@@ -36,8 +40,9 @@ def write_jsonl(path, items):
     path.write_text("".join(json.dumps(i) + "\n" for i in items))
 
 
-def make_generation_run(tmp_path, n=4, with_context=False):
-    """Dataset + mock script + task spec + config for a small generation eval."""
+def make_generation_run(tmp_path, n=4, with_context=False, command="eval"):
+    """Dataset + mock script + task spec + config for a small generation run
+    of ``command``; an eval's config also sets n_bins, which a sweep does not read."""
     examples = []
     entries = []
     for i in range(n):
@@ -65,7 +70,7 @@ def make_generation_run(tmp_path, n=4, with_context=False):
                 f"task_spec = {task}",
                 f"dataset = {dataset}",
                 f"output_dir = {tmp_path / 'out'}",
-                "n_bins = 2",
+                *(["n_bins = 2"] if command == "eval" else []),
             ]
         )
         + "\n"
@@ -109,11 +114,32 @@ class TestFlags:
             "sandbox --cache-path c.jsonl",
         ],
     )
-    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+    def test_flag_the_command_does_not_read_is_rejected(self, argv):
+        code, err = run_quietly(argv.split())
+        assert code == EXIT_CONFIG
+        assert err == f"config error: unrecognized arguments: {argv.split(' ', 1)[1]}\n"
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            ("eval --bogus 1", "--bogus"),
+            ("sandbox --seed x", "'seed'"),
+            ("sweep --config", "--config"),
+            ("", "command"),
+            ("nope", "'nope'"),
+        ],
+    )
+    def test_usage_error_is_one_config_error(self, argv, names):
+        code, err = run_quietly(argv.split())
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1 and names in err
+
+    @pytest.mark.parametrize("argv", ["--help", "eval --help", "ece-from-bins --help"])
+    def test_help_exits_0(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
-            build_parser().parse_args(argv.split())
-        assert info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+            main(argv.split())
+        assert info.value.code == 0
+        assert "usage: confcal" in capsys.readouterr().out
 
 
 class TestImportCost:
@@ -271,7 +297,7 @@ class TestEval:
 class TestPoolSize:
     @pytest.mark.parametrize("argv", [["eval"], ["sweep", "--taus", "0.0,0.5"]])
     def test_mock_backend_runs_one_thread(self, tmp_path, monkeypatch, argv):
-        config, out = make_generation_run(tmp_path, with_context=True)
+        config, out = make_generation_run(tmp_path, with_context=True, command=argv[0])
         monkeypatch.setenv("CONFCAL_CONCURRENCY", "8")
         sizes = []
         real = harness.run_pool
@@ -327,13 +353,15 @@ class TestSweep:
         # tau=0 row: no retrieval, efficiency undefined (empty)
         assert lines[1].split(",")[4] == ""
 
-    def test_empty_taus_is_config_error(self, tmp_path):
-        config, _ = make_generation_run(tmp_path)
+    def test_empty_taus_is_config_error(self, tmp_path, capsys):
+        config, _ = make_generation_run(tmp_path, command="sweep")
         assert main(["sweep", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: missing tau list") and "taus" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("taus, code", [("x", EXIT_CONFIG), ("0.5,", EXIT_OK)])
     def test_taus_flag_parses_like_the_config_key(self, tmp_path, capsys, taus, code):
-        config, out = make_generation_run(tmp_path, with_context=True)
+        config, out = make_generation_run(tmp_path, with_context=True, command="sweep")
         assert main(["sweep", "--config", str(config), "--taus", taus]) == code
         err = capsys.readouterr().err
         if code == EXIT_CONFIG:
@@ -344,14 +372,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("taus", ["nan,0.9", "0.9,nan"])
     def test_nan_tau_is_config_error(self, tmp_path, capsys, taus):
-        config, out = make_generation_run(tmp_path, with_context=True)
+        config, out = make_generation_run(tmp_path, with_context=True, command="sweep")
         assert main(["sweep", "--config", str(config), "--taus", taus]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: bad value for 'taus'") and len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_classification_task_is_config_error_before_any_call(self, tmp_path, capsys, monkeypatch):
-        config, out = make_generation_run(tmp_path, with_context=True)
+        config, out = make_generation_run(tmp_path, with_context=True, command="sweep")
         (tmp_path / "task.json").write_text(
             json.dumps(
                 {"task_id": "c", "kind": "classification", "matcher": "exact",
@@ -374,7 +402,7 @@ class TestNoOutputDirOnEarlyError:
     @pytest.mark.parametrize("argv", [["eval"], ["sweep", "--taus", "0.5"]])
     @pytest.mark.parametrize("content", [b"", b"\n  \n"], ids=["empty", "blank-lines"])
     def test_empty_dataset_is_one_data_error_before_any_call(self, tmp_path, capsys, monkeypatch, argv, content):
-        config, out = make_generation_run(tmp_path, with_context=True)
+        config, out = make_generation_run(tmp_path, with_context=True, command=argv[0])
         (tmp_path / "data.jsonl").write_bytes(content)
         calls = []
         monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
@@ -383,7 +411,7 @@ class TestNoOutputDirOnEarlyError:
         assert calls == [] and not out.exists()
 
     def test_classification_sweep(self, tmp_path, capsys):
-        config, out = make_generation_run(tmp_path, with_context=True)
+        config, out = make_generation_run(tmp_path, with_context=True, command="sweep")
         (tmp_path / "task.json").write_text(
             json.dumps({"task_id": "c", "kind": "classification", "matcher": "exact",
                         "label_set": [{"label": "A", "aliases": ["A"]}]})
@@ -451,10 +479,14 @@ class TestSandbox:
     @pytest.mark.parametrize(
         "backend", ["", "mock_script = m.jsonl\nbase_url = http://127.0.0.1:9\n"]
     )
-    def test_backend_not_checked(self, tmp_path, backend):
+    def test_backend_not_checked(self, tmp_path, capsys, backend):
+        """The sandbox needs no backend, and a backend key is one it does not read."""
         code, out = self.run_sandbox(tmp_path, extra=backend)
-        assert code == EXIT_OK
-        assert (out / "summary.json").exists()
+        if not backend:
+            assert code == EXIT_OK and (out / "summary.json").exists()
+        else:
+            assert code == EXIT_CONFIG and not out.exists()
+            assert capsys.readouterr().err == "config error: sandbox does not read config key 'mock_script'\n"
 
     def test_single_option_is_config_error(self, tmp_path):
         code, _ = self.run_sandbox(tmp_path, extra="data_distribution = 1.0\n")
@@ -470,7 +502,7 @@ class TestSandbox:
 
     @pytest.mark.parametrize(
         "setting",
-        ["batch_size = 0", "steps = 0", "lr = -1", "lr = nan", "lr = inf", "concurrency = 0", "concurrency = -3"],
+        ["batch_size = 0", "steps = 0", "lr = -1", "lr = nan", "lr = inf"],
     )
     def test_bad_setting_is_config_error(self, tmp_path, capsys, setting):
         code, out = self.run_sandbox(tmp_path, extra=setting + "\n")
@@ -587,3 +619,74 @@ class TestMalformedInput:
         else:
             assert code in (EXIT_CONFIG, EXIT_ENDPOINT, EXIT_DATA)
             assert len(err.splitlines()) == 1, err
+
+
+# A valid raw value of every config key, and what it parses to.
+SAMPLES = {
+    "output_dir": ("o", "o"),
+    "dataset": ("d.jsonl", "d.jsonl"),
+    "task_spec": ("t.json", "t.json"),
+    "mock_script": ("m.jsonl", "m.jsonl"),
+    "cache_path": ("c.jsonl", "c.jsonl"),
+    "base_url": ("http://127.0.0.1:9/v1", "http://127.0.0.1:9/v1"),
+    "api_key_env": ("KEY", "KEY"),
+    "model_name": ("m", "m"),
+    "missing_policy": ("skip", "skip"),
+    "concurrency": ("3", 3),
+    "confidence_mode": ("both", "both"),
+    "n_bins": ("4", 4),
+    "taus": ("0.5,0.9", [0.5, 0.9]),
+    "retriever_url": ("http://127.0.0.1:9/r", "http://127.0.0.1:9/r"),
+    "data_distribution": ("0.6,0.4", [0.6, 0.4]),
+    "steps": ("5", 5),
+    "lr": ("0.2", 0.2),
+    "batch_size": ("8", 8),
+    "seed": ("3", 3),
+}
+COMMANDS = ("eval", "sweep", "sandbox")
+UNREAD = [(command, key) for command in COMMANDS for key, spec in KEYS.items() if command not in spec["read_by"]]
+
+
+class TestConfigTable:
+    """Every (command, key) pair of the config table, and the docs of it."""
+
+    def test_samples_cover_the_table(self):
+        assert set(SAMPLES) == set(KEYS)
+
+    @pytest.mark.parametrize("via", ["file", "env"])
+    @pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+    def test_unread_key_is_config_error(self, tmp_path, monkeypatch, command, key, via):
+        config = tmp_path / "run.conf"
+        line = f"{key} = {SAMPLES[key][0]}\n"
+        config.write_text(f"output_dir = {tmp_path / 'out'}\n" + (line if via == "file" else ""))
+        if via == "env":
+            monkeypatch.setenv("CONFCAL_" + key.upper(), SAMPLES[key][0])
+        code, err = run_quietly([command, "--config", str(config)])
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {command} does not read config key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_key_the_command_reads_is_accepted(self, command):
+        read = [key for key, spec in KEYS.items() if command in spec["read_by"]]
+        cfg = RunConfig.from_mapping({key: SAMPLES[key][0] for key in read}, command)
+        assert {key: getattr(cfg, key) for key in read} == {key: SAMPLES[key][1] for key in read}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_the_flags_of_the_table(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        flags = {"--" + key.replace("_", "-") for key, spec in KEYS.items() if spec["flag"] and command in spec["read_by"]}
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == {"--help", "--config"} | flags
+
+    def test_readme_table_matches(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("### Config keys", 1)[1].split("\n### ", 1)[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+        documented = {
+            key: tuple(re.findall(r"`([a-z-]+)`", read_by))
+            for keys, read_by in rows
+            for key in re.findall(r"`([a-z_]+)`", keys)
+        }
+        assert documented == {key: spec["read_by"] for key, spec in KEYS.items()}
