@@ -21,6 +21,7 @@ import os
 import random
 import socket
 import ssl
+import struct
 import threading
 import time
 import weakref
@@ -154,22 +155,42 @@ class CompletionResponse:
         return "".join(self.generated_tokens)
 
     def to_json(self) -> dict:
+        """The tokens, the alternative tokens at each position, and every
+        alternative's logprob as one base64 block of little-endian float64s,
+        positions in order."""
+        logprobs = [lp for d in self.token_distributions for _, lp in d.entries]
+        try:
+            block = struct.pack(f"<{len(logprobs)}d", *logprobs)
+        except struct.error:  # an integer logprob, as JSON allows, beyond the float range
+            raise MalformedResponse("a logprob is beyond the float range") from None
         return {
             "generated_tokens": self.generated_tokens,
-            "token_distributions": [{"entries": d.entries} for d in self.token_distributions],
+            "top_tokens": [[t for t, _ in d.entries] for d in self.token_distributions],
+            "top_logprobs": base64.b64encode(block).decode("ascii"),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "CompletionResponse":
-        """Reads ``to_json`` output; any other key, as older cache lines
-        carry, is ignored."""
-        return cls(
-            generated_tokens=data["generated_tokens"],
-            token_distributions=tuple(
-                TokenDistribution(tuple((t, lp) for t, lp in d["entries"]))
-                for d in data["token_distributions"]
-            ),
-        )
+        """Reads ``to_json`` output, or the older shape of ``[token, logprob]``
+        pairs per position; any other key, as older cache lines carry, is
+        ignored."""
+        if "top_logprobs" not in data:
+            return cls(
+                data["generated_tokens"],
+                [TokenDistribution(tuple((t, lp) for t, lp in d["entries"])) for d in data["token_distributions"]],
+            )
+        block = base64.b64decode(data["top_logprobs"], validate=True)
+        logprobs = struct.unpack(f"<{len(block) // 8}d", block)  # struct.error unless whole doubles
+        dists = []
+        end = 0
+        for tokens in data["top_tokens"]:
+            if not isinstance(tokens, list):
+                raise MalformedResponse(f"top tokens {tokens!r:.40} are not a list")
+            start, end = end, end + len(tokens)
+            dists.append(TokenDistribution(tuple(zip(tokens, logprobs[start:end]))))
+        if end != len(logprobs):
+            raise MalformedResponse(f"{len(logprobs)} logprobs for {end} top tokens")
+        return cls(data["generated_tokens"], dists)
 
 
 class Backend(Protocol):
@@ -623,7 +644,8 @@ class HTTPBackend:
                 tokens.append(item["token"])
                 dists.append(
                     TokenDistribution(
-                        tuple((alt["token"], min(alt["logprob"], 0.0)) for alt in item["top_logprobs"])
+                        # a positive logprob is read as 0; NaN is kept, for the check to refuse
+                        tuple((alt["token"], 0.0 if (lp := alt["logprob"]) > 0 else lp) for alt in item["top_logprobs"])
                     )
                 )
             except (KeyError, TypeError) as exc:
@@ -677,7 +699,7 @@ class ResponseCache:
             self._entries[record["request_digest"]] = CompletionResponse.from_json(
                 record["response"]
             )
-        except (ValueError, KeyError, TypeError, IndexError, ConfcalError) as exc:
+        except (ValueError, KeyError, TypeError, IndexError, struct.error, ConfcalError) as exc:
             raise SchemaViolation(f"{self.path}:{lineno}: corrupt cache line ({exc})") from exc
 
     def get(self, digest: str) -> CompletionResponse | None:

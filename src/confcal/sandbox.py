@@ -269,6 +269,8 @@ class SandboxConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise InvalidInput("steps and batch_size must be >= 1")
+        if self.seed < 0:  # numpy seeds only from non-negative integers
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         _check_step(self.lr)
 
 

@@ -512,6 +512,18 @@ class TestSandbox:
         assert setting.split(" = ")[0] in err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("source", ["file", "env", "flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch, source):
+        config = tmp_path / "sb.conf"
+        out = tmp_path / "out"
+        config.write_text(f"output_dir = {out}\nsteps = 5\n" + ("seed = -1\n" if source == "file" else ""))
+        if source == "env":
+            monkeypatch.setenv("CONFCAL_SEED", "-1")
+        argv = ["sandbox", "--config", str(config)] + (["--seed", "-1"] if source == "flag" else [])
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestReport:
     def test_rerender_to_csv(self, tmp_path):

@@ -11,15 +11,18 @@ import re
 import select
 import shutil
 import socket
+import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import zlib
 from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from confcal import client as client_module
 from confcal.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_OK, main
@@ -893,6 +896,123 @@ class TestCacheDamage:
         with pytest.raises(SchemaViolation, match=r"cache\.jsonl:2:"):
             ResponseCache(path)
         assert path.read_text() == content
+
+
+# -0.25, -1.5 and -2.0 as little-endian IEEE-754 doubles, in base64
+GOLDEN_BLOB = "AAAAAAAA0L8AAAAAAAD4vwAAAAAAAADA"
+
+# signed zeros, -inf, subnormals and the smallest normal, beside any float <= 0
+LOGPROBS = st.one_of(
+    st.sampled_from([-0.0, 0.0, -math.inf, -5e-324, -1e-310, -2.2250738585072014e-308]),
+    st.floats(max_value=0.0, allow_nan=False),
+)
+
+
+def logprob_bits(response):
+    return [[(token, struct.pack("<d", lp)) for token, lp in d.entries] for d in response.token_distributions]
+
+
+def record_line(digest, response):
+    return json.dumps({"request_digest": digest, "response": response}) + "\n"
+
+
+def blob(*logprobs):
+    return base64.b64encode(struct.pack(f"<{len(logprobs)}d", *logprobs)).decode("ascii")
+
+
+@closes_everything
+class TestCacheRecord:
+    """A cache line holds each position's top tokens, and all their logprobs
+    as one base64 block of little-endian float64s, positions in order."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.text(max_size=4), st.dictionaries(st.text(max_size=4), LOGPROBS, max_size=25)), max_size=5)
+    )
+    @example([])
+    @example([('say "hi"\n', {'"': -0.0, "\n\\": -math.inf, "é✓ü": -5e-324, "x": -1e-310}), ("", {})])
+    def test_put_close_reload_keeps_every_bit(self, positions):
+        response = CompletionResponse(
+            [token for token, _ in positions],
+            [TokenDistribution(tuple(dist.items())) for _, dist in positions],
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ResponseCache(Path(tmp) / "cache.jsonl")
+            cache.put("d1", response)
+            cache.close()
+            reloaded = ResponseCache(Path(tmp) / "cache.jsonl").get("d1")
+        assert reloaded.generated_tokens == response.generated_tokens
+        assert logprob_bits(reloaded) == logprob_bits(response)
+
+    def test_golden_line(self, tmp_path):
+        response = CompletionResponse(
+            ("Yes", "!"),
+            (TokenDistribution((("Yes", -0.25), ("No", -1.5))), TokenDistribution((("!", -2.0),))),
+        )
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        cache.put("d1", response)
+        cache.close()
+        assert path.read_text(encoding="utf-8").startswith(
+            '{"request_digest": "d1", "response": {"generated_tokens": ["Yes", "!"], '
+            f'"top_tokens": [["Yes", "No"], ["!"]], "top_logprobs": "{GOLDEN_BLOB}"}}, "created_at": '
+        )
+        assert base64.b64decode(GOLDEN_BLOB) == bytes.fromhex("000000000000d0bf" "000000000000f8bf" "00000000000000c0")
+        assert ResponseCache(path).get("d1") == response
+
+    @pytest.mark.parametrize(
+        "top_tokens, top_logprobs",
+        [
+            ([["a", "b"]], "not base64!"),
+            ([["a", "b"]], base64.b64encode(bytes(12)).decode()),  # not whole doubles
+            ([["a", "b"]], blob(-0.1)),  # too few
+            ([["a", "b"]], blob(-0.1, -0.2, -0.3)),  # too many
+            ([["a"], ["b"]], blob(-0.1)),  # too few, a position short
+            ([["a", "b"]], 5),
+            ([["a", "b"]], [-0.1, -0.2]),
+            (["ab"], blob(-0.1, -0.2)),  # a position's top tokens that are not a list
+        ],
+        ids=[
+            "bad-base64", "part-double", "too-few", "too-many", "position-short", "int-blob", "list-blob", "str-tokens"
+        ],
+    )
+    def test_damaged_record_fails_the_load_with_its_line(self, tmp_path, top_tokens, top_logprobs):
+        path = tmp_path / "cache.jsonl"
+        bad = {"generated_tokens": ["a"] * len(top_tokens), "top_tokens": top_tokens, "top_logprobs": top_logprobs}
+        path.write_text(cache_line("d1", "a") + record_line("d2", bad) + cache_line("d3", "c"))
+        with pytest.raises(SchemaViolation, match=r"cache\.jsonl:2: corrupt cache line"):
+            ResponseCache(path)
+
+    def test_a_file_mixing_old_and_new_lines_loads(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        new = {"generated_tokens": ["Yes"], "top_tokens": [["Yes", "No"]], "top_logprobs": blob(-0.2, -1.8)}
+        path.write_text(cache_line("d1", "a") + record_line("d2", new) + cache_line("d3", "c"))
+        cache = ResponseCache(path)
+        assert cache.get("d1").token_distributions[0].entries == (("a", -0.1),)
+        assert cache.get("d2") == CompletionResponse(("Yes",), (TokenDistribution((("Yes", -0.2), ("No", -1.8))),))
+        assert cache.get("d3").text == "c"
+
+    def test_an_integer_logprob_beyond_the_float_range_is_malformed_and_not_cached(self, tmp_path):
+        response = CompletionResponse(("a",), (TokenDistribution((("a", -(10**400)),)),))
+        cache = ResponseCache(tmp_path / "cache.jsonl")
+        with pytest.raises(MalformedResponse, match="float range"):
+            cache.put("d1", response)
+        assert cache.get("d1") is None and not (tmp_path / "cache.jsonl").exists()
+
+    @pytest.mark.usefixtures("plain_env")
+    def test_positive_logprob_from_the_endpoint_is_read_as_zero_and_cached(self, tmp_path):
+        body = chat_body("Yes")
+        body["choices"][0]["logprobs"]["content"][0]["top_logprobs"] = [
+            {"token": "Yes", "logprob": 0.7},
+            {"token": "No", "logprob": -2.0},
+        ]
+        path = tmp_path / "cache.jsonl"
+        with ChatStub(default=(200, {"Content-Type": "application/json"}, json.dumps(body).encode())) as stub:
+            client = ModelClient(HTTPBackend(stub.url), cache=ResponseCache(path))
+            response = client.complete(simple_request())
+            client.close()
+        assert response.token_distributions[0].entries == (("Yes", 0.0), ("No", -2.0))
+        assert ResponseCache(path).get(request_digest(simple_request())) == response
 
 
 DISTRIBUTIONS = st.one_of(
