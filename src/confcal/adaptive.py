@@ -77,6 +77,7 @@ class AdaptiveOutcome:
 
 @dataclass(frozen=True)
 class SweepRow:
+    # the field order is the column order of sweep.csv
     tau: float
     retrieval_rate_pct: float
     accuracy_pct: float

@@ -1,8 +1,8 @@
 """Command-line entry point: eval runs, sweeps, bin-table ECE, sandbox.
 
 Config files are flat ``key = value`` text; CONFCAL_<KEY> environment
-variables override file values, and flags override both. Numeric output
-is serialized at fixed 6-decimal precision so repeated runs diff cleanly.
+variables override file values, and flags override both. Each artifact is
+rendered whole (``_json``, ``_csv``) before ``_write`` opens the first file.
 
 Exit codes: 0 success, 1 config error (any usage error, or a key or flag
 the command does not read), 2 endpoint error, 3 data error.
@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import adaptive, harness, metrics
@@ -43,8 +44,42 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def _round(value: float | None) -> float | None:
-    return None if value is None else round(value, 6)
+def _rounded(data):
+    """``data`` with every float in it, in dicts, lists and tuples too, rounded to 6 decimals."""
+    if isinstance(data, float):
+        return round(data, 6)
+    if isinstance(data, dict):
+        return {key: _rounded(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_rounded(value) for value in data]
+    return data
+
+
+def _json(data) -> str:
+    return json.dumps(_rounded(data), indent=2, ensure_ascii=False) + "\n"
+
+
+def _csv(header: list[str], rows) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def _curve_csv(bins) -> str:
+    """The calibration curve of a report's bins, each a dict as in report.json."""
+    rows = ([i, b["count"], _fmt(b["mean_confidence"]), _fmt(b["mean_accuracy"])] for i, b in enumerate(bins, 1))
+    return _csv(["bin", "count", "mean_confidence", "mean_accuracy"], rows)
+
+
+def _write(out: Path, texts: dict[str, str]) -> None:
+    """Writes each rendered text to its file name under ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    print("wrote " + ", ".join(str(out / name) for name in texts))
 
 
 def _float_list(text: str) -> list[float]:
@@ -166,56 +201,12 @@ def _pool_size(cfg: RunConfig) -> int:
     return 1 if cfg.mock_script else cfg.concurrency
 
 
-def _record_to_json(rec: metrics.EvalRecord) -> dict:
-    return {
-        "id": rec.id,
-        "task_id": rec.task_id,
-        "prediction": rec.prediction,
-        "gold": rec.gold,
-        "correct": rec.correct,
-        "confidence": _round(rec.confidence),
-        "method": rec.method,
-        "flags": sorted(rec.flags),
-    }
-
-
-def _report_to_json(report: metrics.CalibrationReport) -> dict:
-    return {
-        "task_id": report.task_id,
-        "n": report.n,
-        "accuracy": _round(report.accuracy),
-        "auroc": _round(report.auroc),
-        "ece": _round(report.ece),
-        "bins": [
-            {
-                "count": b.count,
-                "mean_confidence": _round(b.mean_confidence),
-                "mean_accuracy": _round(b.mean_accuracy),
-            }
-            for b in report.bins
-        ],
-        "flag_counts": dict(sorted(report.flag_counts.items())),
-    }
-
-
-def _write_curve_csv(path: Path, report_data: dict) -> None:
-    # every row is formatted before the file is opened, so bad bins leave no file
-    rows = [
-        [i, b["count"], _fmt(b["mean_confidence"]), _fmt(b["mean_accuracy"])]
-        for i, b in enumerate(report_data["bins"], start=1)
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "count", "mean_confidence", "mean_accuracy"])
-        writer.writerows(rows)
-
-
 def _open_run(
     cfg: RunConfig,
 ) -> tuple[harness.TaskSpec, list[harness.DatasetExample], ModelClient, Path]:
     """Task spec, dataset, client and output directory of an eval or sweep;
     config errors, the backend's included, come before any file is read.
-    The directory is made by the command, just before its first write."""
+    ``_write`` makes the directory, just before the first file opens."""
     for key in ("task_spec", "dataset"):
         if not getattr(cfg, key):
             raise ConfigInvalid(f"missing config field: {key}")
@@ -233,19 +224,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     finally:
         client.close()
     records = result.raw_records if cfg.confidence_mode == "raw" else result.records
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(_record_to_json(rec), ensure_ascii=False) + "\n")
-
-    report_data = _report_to_json(metrics.build_report(records, n_bins=cfg.n_bins))
+    report = asdict(metrics.build_report(records, n_bins=cfg.n_bins))
     if cfg.confidence_mode == "both":
-        report_data["raw_auroc"] = _round(metrics.build_report(result.raw_records, cfg.n_bins).auroc)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report_data, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
-    _write_curve_csv(out / "calibration_curve.csv", report_data)
-    print(f"wrote {out / 'records.jsonl'}, {out / 'report.json'}, {out / 'calibration_curve.csv'}")
+        report["raw_auroc"] = metrics.build_report(result.raw_records, cfg.n_bins).auroc
+    lines = ({**vars(rec), "confidence": round(rec.confidence, 6), "flags": sorted(rec.flags)} for rec in records)
+    texts = {
+        "records.jsonl": "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines),
+        "report.json": _json(report),
+        "calibration_curve.csv": _curve_csv(report["bins"]),
+    }
+    _write(out, texts)
     return EXIT_OK
 
 
@@ -268,21 +256,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         client.close()
         if remote is not None:
             remote.close()
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"])
-        for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row.tau),
-                    _fmt(row.retrieval_rate_pct),
-                    _fmt(row.accuracy_pct),
-                    _fmt(row.gain_pp),
-                    _fmt(row.efficiency),
-                ]
-            )
-    print(f"wrote {out / 'sweep.csv'}")
+    header = ["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"]
+    _write(out, {"sweep.csv": _csv(header, ([_fmt(v) for v in vars(row).values()] for row in rows))})
     return EXIT_OK
 
 
@@ -331,24 +306,13 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
         raise ConfigInvalid(str(exc)) from exc
     result = sandbox.run_paradigm_comparison(task, sandbox_cfg)
 
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trace.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "method", "kl", "max_prob", "ece_proxy"])
-        for name, points in result.traces.items():
-            for point in points:
-                writer.writerow(
-                    [point.step, name, _fmt(point.kl), _fmt(point.max_prob), _fmt(point.ece_proxy)]
-                )
-    summary = {
-        key: (_round(val) if isinstance(val, float) else val)
-        for key, val in result.summary.items()
-    }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out / 'trace.csv'}, {out / 'summary.json'}")
+    trace = (
+        [p.step, name, _fmt(p.kl), _fmt(p.max_prob), _fmt(p.ece_proxy)]
+        for name, points in result.traces.items()
+        for p in points
+    )
+    header = ["step", "method", "kl", "max_prob", "ece_proxy"]
+    _write(Path(cfg.output_dir), {"trace.csv": _csv(header, trace), "summary.json": _json(result.summary)})
     return EXIT_OK
 
 
@@ -357,9 +321,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.output or path.with_suffix(".csv"))
     with open(path, encoding="utf-8") as fh:
         try:
-            _write_curve_csv(out, json.load(fh))
+            text = _curve_csv(json.load(fh)["bins"])
         except (ValueError, KeyError, TypeError) as exc:
             raise SchemaViolation(f"{path}: not a report JSON ({type(exc).__name__}: {exc})") from exc
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
     print(f"wrote {out}")
     return EXIT_OK
 

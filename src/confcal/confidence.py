@@ -17,6 +17,7 @@ from .errors import (
     DuplicateCandidate,
     EmptySequence,
     InvalidLogProb,
+    MalformedResponse,
     UnknownCandidate,
 )
 
@@ -58,6 +59,8 @@ class TokenDistribution:
         object.__setattr__(self, "entries", tuple(self.entries))
         logprobs: dict[str, float] = {}
         for token, logprob in self.entries:
+            if not isinstance(token, str):
+                raise MalformedResponse(f"top token {token!r} is not a string")
             if not logprob <= 0:  # NaN included
                 raise InvalidLogProb(f"logprob for token {token!r} is not <= 0: {logprob}")
             if token in logprobs:

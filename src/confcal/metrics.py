@@ -22,6 +22,7 @@ DEFAULT_N_BINS = 10
 class EvalRecord:
     """One evaluated example with its correctness and confidence."""
 
+    # the field order is the key order of a records.jsonl line
     id: str
     task_id: str
     prediction: str
@@ -39,6 +40,7 @@ class EvalRecord:
 
 @dataclass(frozen=True)
 class CalibrationBin:
+    # the field order is the key order of a report.json bin
     count: int
     mean_confidence: float
     mean_accuracy: float
@@ -46,6 +48,7 @@ class CalibrationBin:
 
 @dataclass(frozen=True)
 class CalibrationReport:
+    # the field order is the key order of report.json
     task_id: str
     n: int
     accuracy: float
@@ -168,5 +171,5 @@ def build_report(
         auroc=auc,
         ece=ece_val,
         bins=tuple(bins),
-        flag_counts=flag_counts,
+        flag_counts=dict(sorted(flag_counts.items())),
     )

@@ -1,6 +1,8 @@
-"""End-to-end CLI tests over the mock backend."""
+"""End-to-end CLI tests over the mock backend and the benchmark's loopback stub."""
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -8,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 ROOT = Path(__file__).resolve().parents[1]
 
 import confcal
-from confcal import adaptive, harness
+from confcal import adaptive, harness, metrics
 from confcal.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -33,7 +36,7 @@ from confcal.cli import (
 from confcal.client import MockBackend, ModelClient
 from confcal.errors import ConfigInvalid
 
-from conftest import answer_entry, yes_no_entry
+from conftest import LoopbackServer, answer_entry, closes_everything, yes_no_entry
 
 
 def write_jsonl(path, items):
@@ -544,6 +547,106 @@ class TestIdempotence:
         snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(["eval", "--config", str(config)]) == EXIT_OK
         assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
+
+
+def floats_in(data):
+    if isinstance(data, float):
+        yield data
+    elif isinstance(data, (dict, list)):
+        for value in data.values() if isinstance(data, dict) else data:
+            yield from floats_in(value)
+
+
+class TestArtifactRounding:
+    """JSON floats are rounded to 6 decimals; a record's gold is written as read."""
+
+    def test_numeric_gold_is_written_as_read(self, tmp_path):
+        golds, answers = [1234.5678901, 0.1234567891, 2.5], ["1234.5678901", "0.1234567891", "3"]
+        write_jsonl(tmp_path / "data.jsonl", [{"id": f"e{i}", "input": f"q{i}?", "gold": g} for i, g in enumerate(golds)])
+        write_jsonl(
+            tmp_path / "mock.jsonl",
+            [entry for i, a in enumerate(answers) for entry in (answer_entry(a), yes_no_entry(0.3 + 0.2 * i, 0.1))],
+        )
+        task_json = {"task_id": "t", "kind": "generation", "matcher": "numeric"}
+        (tmp_path / "task.json").write_text(json.dumps(task_json))
+        out = tmp_path / "out"
+        config = tmp_path / "run.conf"
+        config.write_text(
+            f"mock_script = {tmp_path / 'mock.jsonl'}\ntask_spec = {tmp_path / 'task.json'}\n"
+            f"dataset = {tmp_path / 'data.jsonl'}\noutput_dir = {out}\n"
+        )
+        assert run_quietly(["eval", "--config", str(config)])[0] == EXIT_OK
+
+        text = (out / "records.jsonl").read_text(encoding="utf-8")
+        assert "1234.5678901" in text and "0.1234567891" in text
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert [r["gold"] for r in rows] == golds
+        assert [r["correct"] for r in rows] == [True, True, False]
+        records = [metrics.EvalRecord(**{**r, "flags": frozenset(r["flags"])}) for r in rows]
+        assert harness.verify_records(harness.TaskSpec.from_json(task_json), records)
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        values = [r["confidence"] for r in rows] + list(floats_in(report))
+        assert values and all(round(v, 6) == v for v in values)
+        assert any(round(v, 2) != v for v in floats_in(report["bins"]))
+
+    def test_summary_floats_are_rounded(self, tmp_path):
+        config = tmp_path / "sb.conf"
+        config.write_text(f"output_dir = {tmp_path / 'out'}\nsteps = 50\n")
+        assert run_quietly(["sandbox", "--config", str(config)])[0] == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        values = list(floats_in(summary))
+        assert values and all(round(v, 6) == v for v in values)
+        assert any(round(v, 4) != v for v in values)
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class BenchStub(LoopbackServer):
+    """The benchmark's chat-completions stub, served on a thread."""
+
+    def __init__(self):
+        stub = _bench_module("stub")
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), stub.make_handler(stub._Counts()))
+        self._server.daemon_threads = True
+        self.url = f"http://127.0.0.1:{self._server.server_port}/v1"
+
+
+@closes_everything
+class TestPinnedBytes:
+    """The eval and sweep workloads of the benchmark at its seed write the
+    bytes whose sha256 digests ``bench/expected.json`` holds."""
+
+    @pytest.fixture(autouse=True)
+    def no_proxy(self, plain_env, monkeypatch):
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
+        monkeypatch.setenv("no_proxy", "127.0.0.1,localhost")
+
+    def check(self, workload, out):
+        expected = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
+        for name, digest in expected["digests"][workload].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_eval_http(self, tmp_path):
+        with BenchStub() as stub:
+            config = _bench_module("gen").eval_inputs(tmp_path, 0, 150, stub.url, 2)
+            argv = ["eval", "--config", str(config), "--output-dir", str(tmp_path / "out")]
+            code, err = run_quietly(argv + ["--cache-path", str(tmp_path / "cache.jsonl")])
+        assert (code, err) == (EXIT_OK, "")
+        self.check("eval-http", tmp_path / "out")
+
+    def test_sweep_http(self, tmp_path):
+        gen = _bench_module("gen")
+        with BenchStub() as stub:
+            config = gen.sweep_config(tmp_path, "sweep", stub.url, gen.sweep_inputs(tmp_path, 0, 100, 1001))
+            argv = ["sweep", "--config", str(config), "--output-dir", str(tmp_path / "out")]
+            code, err = run_quietly(argv + ["--cache-path", str(tmp_path / "cache.jsonl")])
+        assert (code, err) == (EXIT_OK, "")
+        self.check("sweep-http", tmp_path / "out")
 
 
 def run_quietly(argv):

@@ -1127,6 +1127,33 @@ class TestResponseForm:
         assert capsys.readouterr().err == ""
         assert not cache.exists()
 
+    @pytest.mark.usefixtures("plain_env")
+    def test_int_top_token_from_the_endpoint_is_an_error_record_and_not_cached(self, tmp_path, capsys):
+        body = chat_body("x")
+        body["choices"][0]["logprobs"]["content"][0]["top_logprobs"].append({"token": 7, "logprob": -2.0})
+        reply = (200, {"Content-Type": "application/json"}, json.dumps(body).encode())
+        cache = tmp_path / "cache.jsonl"
+        with ChatStub(default=reply) as stub:
+            config = generation_config(tmp_path, stub.url, 2, 1)
+            assert main(["eval", "--config", str(config), "--cache-path", str(cache)]) == EXIT_OK
+        records = [json.loads(line) for line in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+        assert len(records) == 2
+        assert all("error:MalformedResponse" in r["flags"] for r in records)
+        assert capsys.readouterr().err == ""
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("shape", ["compact", "pairs"])
+    def test_int_top_token_in_a_cache_line_fails_the_load_with_its_line(self, tmp_path, shape):
+        if shape == "compact":
+            bad = CompletionResponse(("x",), (TokenDistribution((("x", -0.1),)),)).to_json()
+            bad["top_tokens"] = [[7]]
+        else:
+            bad = {"generated_tokens": ["x"], "token_distributions": [{"entries": [[7, -0.1]]}]}
+        path = tmp_path / "cache.jsonl"
+        path.write_text(cache_line("d1", "a") + json.dumps({"request_digest": "d2", "response": bad}) + "\n")
+        with pytest.raises(SchemaViolation, match=r"cache\.jsonl:2: .*top token 7 is not a string"):
+            ResponseCache(path)
+
 
 class TestHTTPBackendParsing:
     def test_parse_well_formed(self):
