@@ -147,8 +147,10 @@ def sweep(
     first-pass confidence is below ``max(taus)``: at most 2n passes, on
     ``concurrency`` threads. Each answer is matched at most once. With the
     examples sorted by first-pass confidence, the examples that retrieve at
-    tau are the prefix with confidence < tau, so each row is one bisection
-    into a prefix sum of what retrieval changes: O(n log n + T) in all.
+    tau are the prefix with confidence < tau, so there are n+1 cut points.
+    A prefix sum of what retrieval changes gives each cut point's rate,
+    accuracy, gain and efficiency, in O(n) after the O(n log n) sort; each
+    tau is one bisection into that table: O(n log n + T log n) in all.
     """
     if not taus:
         raise ValueError("tau list is empty")
@@ -175,22 +177,13 @@ def sweep(
 
     order = sorted(range(n), key=lambda i: first[i].confidence)
     confs = [first[i].confidence for i in order]
-    prefix = [0, *accumulate(delta[i] for i in order)]
-
-    rows: list[SweepRow] = []
-    for tau in taus:
-        retrieved = bisect_left(confs, tau)  # strict <: a confidence equal to tau keeps pass 1
+    # (rate, accuracy, gain, efficiency) when the ``retrieved`` least confident examples retrieve
+    cuts = []
+    for retrieved, changed in enumerate(accumulate((delta[i] for i in order), initial=0)):
         rate_pct = 100.0 * retrieved / n
-        acc_pct = 100.0 * (baseline_correct + prefix[retrieved]) / n
+        acc_pct = 100.0 * (baseline_correct + changed) / n
         gain_pp = acc_pct - baseline_acc_pct
         eff = retrieval_efficiency(gain_pp, rate_pct) if rate_pct > 0 else None
-        rows.append(
-            SweepRow(
-                tau=tau,
-                retrieval_rate_pct=rate_pct,
-                accuracy_pct=acc_pct,
-                gain_pp=gain_pp,
-                efficiency=eff,
-            )
-        )
-    return rows
+        cuts.append((rate_pct, acc_pct, gain_pp, eff))
+    # strict <: a confidence equal to tau keeps pass 1
+    return [SweepRow(tau, *cuts[bisect_left(confs, tau)]) for tau in taus]

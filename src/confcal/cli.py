@@ -256,8 +256,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         client.close()
         if remote is not None:
             remote.close()
+    # Rows of one cut point differ only in tau: each cut point's four cells
+    # are rendered once.
+    cells: dict[tuple, list[str]] = {}
+
+    def line(row: adaptive.SweepRow) -> list[str]:
+        cut = (row.retrieval_rate_pct, row.accuracy_pct, row.gain_pp, row.efficiency)
+        if cut not in cells:
+            cells[cut] = [_fmt(v) for v in cut]
+        return [_fmt(row.tau), *cells[cut]]
+
     header = ["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"]
-    _write(out, {"sweep.csv": _csv(header, ([_fmt(v) for v in vars(row).values()] for row in rows))})
+    _write(out, {"sweep.csv": _csv(header, map(line, rows))})
     return EXIT_OK
 
 

@@ -29,7 +29,8 @@ import zlib
 from collections.abc import Callable, Iterator
 from concurrent.futures import Future
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _escaped  # a str as json.dumps(..., ensure_ascii=False) writes it
 from pathlib import Path
 from typing import BinaryIO, Protocol
 from urllib.parse import SplitResult, unquote, urlsplit
@@ -97,6 +98,12 @@ def about_to_wait() -> None:
 class Message:
     role: str  # system | user | assistant
     content: str
+    # ``[role, content]`` as request_digest writes it, escaped once when the
+    # message is built: a turn shared by two requests is escaped once
+    digest_form: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "digest_form", f"[{_escaped(self.role)},{_escaped(self.content)}]")
 
 
 @dataclass(frozen=True)
@@ -107,21 +114,24 @@ class CompletionRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "messages", tuple(self.messages))
+        if isinstance(self.max_tokens, bool) or not isinstance(self.max_tokens, int):
+            raise InvalidInput(f"max_tokens must be an integer, got {self.max_tokens!r}")
         if self.max_tokens < 1:
             raise InvalidInput(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
 def request_digest(request: CompletionRequest) -> str:
-    """Stable hash over everything that affects the response; every request
-    is made at temperature 0 with the top-``DEFAULT_TOP_K`` logprobs."""
-    payload = {
-        "model_name": request.model_name,
-        "messages": [[m.role, m.content] for m in request.messages],
-        "max_tokens": request.max_tokens,
-        "temperature": 0.0,
-        "top_logprobs": DEFAULT_TOP_K,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    """Stable hash over everything that affects the response, every request
+    being made at temperature 0 with the top-``DEFAULT_TOP_K`` logprobs: the
+    SHA-256 of the request as ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"), ensure_ascii=False)`` writes it, joined from each
+    message's ``digest_form``."""
+    blob = '{"max_tokens":%d,"messages":[%s],"model_name":%s,"temperature":0.0,"top_logprobs":%d}' % (
+        request.max_tokens,
+        ",".join([m.digest_form for m in request.messages]),
+        _escaped(request.model_name),
+        DEFAULT_TOP_K,
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -511,7 +521,9 @@ def _read_line(reader: BinaryIO) -> bytes:
 
 def _read_fields(reader: BinaryIO) -> dict[str, str]:
     """Header (or trailer) lines up to the blank line that ends them, by
-    lower-case name."""
+    lower-case name; a repeated name keeps its last value. Content-Length
+    values that differ leave the reply's end unknown (RFC 9112 section 6.3):
+    they raise, so that the connection is closed."""
     fields = {}
     for _ in range(_MAX_HEADERS + 1):
         line = _read_line(reader)
@@ -520,7 +532,10 @@ def _read_fields(reader: BinaryIO) -> dict[str, str]:
         if not line:
             raise http.client.HTTPException("the reply ended inside its headers")
         name, _, value = line.decode("latin-1").partition(":")
-        fields[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and fields.get(name, value) != value:
+            raise http.client.HTTPException(f"Content-Length {fields[name][:40]!r} and {value[:40]!r} differ")
+        fields[name] = value
     raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
 
 
@@ -738,6 +753,9 @@ class ResponseCache:
                 self._file = None
 
 
+_SELF_EVAL_TURN = Message("user", SELF_EVAL_PROMPT)
+
+
 def _user_turn(question: str, context: str | None) -> Message:
     """The user turn that asks ``question``, after ``context`` and a blank line when given."""
     return Message("user", f"{context}\n\n{question}" if context else question)
@@ -861,8 +879,6 @@ class ModelClient:
             raise InvalidInput("question is empty")
         turn = _user_turn(question, context)
         answer = self.complete(CompletionRequest((turn,), self.model_name, 256)).text
-        dist = self._first_distribution(
-            [turn, Message("assistant", answer), Message("user", SELF_EVAL_PROMPT)]
-        )
+        dist = self._first_distribution([turn, Message("assistant", answer), _SELF_EVAL_TURN])
         score = self_eval_confidence(dist, missing_policy=self.missing_policy)
         return Readout(answer, score.value, frozenset(f.value for f in score.flags), p_yes(dist))

@@ -1,8 +1,11 @@
 """Tests for the confidence-gated retrieval controller and sweeps."""
 
+import csv
 import hashlib
+import io
 import json
 import math
+import random
 import threading
 from unittest import mock
 
@@ -18,11 +21,12 @@ from confcal.adaptive import (
     answer_adaptive,
     sweep,
 )
-from confcal.cli import EXIT_ENDPOINT, EXIT_OK, main
-from confcal.client import MockBackend, ModelClient, Readout, request_digest
+from confcal import client as client_module
+from confcal.cli import EXIT_ENDPOINT, EXIT_OK, _fmt, main
+from confcal.client import HTTPBackend, MockBackend, ModelClient, Readout, ResponseCache, request_digest
 from confcal.confidence import MissingPolicy
 from confcal.errors import NoNumberFound, RetrievalMiss
-from confcal.harness import DatasetExample, TaskSpec, match_answer, run_eval
+from confcal.harness import DatasetExample, TaskSpec, load_dataset, match_answer, run_eval
 from confcal.metrics import retrieval_efficiency
 
 from conftest import (
@@ -217,9 +221,9 @@ class TestSweep:
             sweep(four_examples(), [], None, None, "substring")
 
 
-def _correct(answer, gold):
+def _correct(answer, gold, matcher="numeric"):
     try:
-        return match_answer(answer, gold, "numeric")
+        return match_answer(answer, gold, matcher)
     except NoNumberFound:
         return False
 
@@ -234,7 +238,7 @@ def brute_force_sweep(examples, taus, client, retriever, matcher):
         if first[ex.id].confidence < max(taus)
     }
     n = len(examples)
-    baseline_acc_pct = 100.0 * sum(_correct(first[ex.id].answer, ex.gold) for ex in examples) / n
+    baseline_acc_pct = 100.0 * sum(_correct(first[ex.id].answer, ex.gold, matcher) for ex in examples) / n
     rows = []
     for tau in taus:
         retrieved = correct = 0
@@ -245,7 +249,7 @@ def brute_force_sweep(examples, taus, client, retriever, matcher):
                 second_pass = second[ex.id]
                 if second_pass is not None and second_pass.confidence > first_conf:
                     final_answer = second_pass.answer
-            correct += _correct(final_answer, ex.gold)
+            correct += _correct(final_answer, ex.gold, matcher)
         rate_pct = 100.0 * retrieved / n
         acc_pct = 100.0 * correct / n
         gain_pp = acc_pct - baseline_acc_pct
@@ -274,6 +278,23 @@ ANSWERS = ("42", "41", "it is 42", "no idea")
 passes = st.tuples(st.sampled_from(ANSWERS), st.sampled_from(GRID))
 
 
+def table_run(plan):
+    """Examples, client and retriever of ``plan``, which holds (first pass,
+    second pass or None for a retrieval miss) per example."""
+    table, contexts, examples = {}, {}, []
+    for i, (first, second) in enumerate(plan):
+        examples.append(DatasetExample(id=f"e{i}", input=f"q{i}", gold="42"))
+        table[f"q{i}", None] = first
+        if second is not None:
+            contexts[f"e{i}"] = f"passage {i}"
+            table[f"q{i}", f"passage {i}"] = second
+    return examples, TableClient(table), StaticRetriever(contexts)
+
+
+# Confidences off the grid as well, so that cut points are many and uneven.
+wide_passes = st.tuples(st.sampled_from(ANSWERS), st.sampled_from(GRID) | st.floats(0.0, 1.0))
+
+
 class TestSweepProperties:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
@@ -283,15 +304,7 @@ class TestSweepProperties:
     def test_rows_equal_per_tau_answer_adaptive(self, plan, taus):
         """``plan`` holds (first pass, second pass or None for a retrieval
         miss) per example; ``taus`` come unsorted and may repeat."""
-        table, contexts, examples = {}, {}, []
-        for i, (first, second) in enumerate(plan):
-            examples.append(DatasetExample(id=f"e{i}", input=f"q{i}", gold="42"))
-            table[f"q{i}", None] = first
-            if second is not None:
-                contexts[f"e{i}"] = f"passage {i}"
-                table[f"q{i}", f"passage {i}"] = second
-        client = TableClient(table)
-        retriever = StaticRetriever(contexts)
+        examples, client, retriever = table_run(plan)
         n = len(examples)
 
         with mock.patch("confcal.harness.match_answer", wraps=match_answer) as matched:
@@ -306,6 +319,22 @@ class TestSweepProperties:
             correct = sum(_correct(outcome.final_answer, "42") for outcome in outcomes)
             assert row.retrieval_rate_pct == 100.0 * retrieved / n
             assert row.accuracy_pct == 100.0 * correct / n
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(wide_passes, st.none() | wide_passes), min_size=1, max_size=12),
+        st.lists(st.sampled_from(GRID + (-0.5, 1.5)) | st.floats(-0.1, 1.1), max_size=48),
+        st.randoms(use_true_random=False),
+    )
+    def test_many_more_taus_than_examples(self, plan, extra, rng):
+        """Up to 60 taus, among them every first-pass confidence, so that
+        each tie between a tau and a confidence is met; most cut points
+        serve many taus."""
+        examples, client, retriever = table_run(plan)
+        taus = [first[1] for first, _ in plan] + extra
+        rng.shuffle(taus)
+        rows = sweep(examples, taus, client, retriever, "numeric")
+        assert rows == brute_force_sweep(examples, taus, client, retriever, "numeric")
 
 
 class RecordingBackend(MockBackend):
@@ -421,6 +450,32 @@ class TestLazyPool:
         # Every pool here has n items: tau 1.01 retrieves them all, and the
         # eval sends the first pass's requests again.
         assert bool(started) == (calls > 0 and n > 1)
+
+
+class TestDigestCalls:
+    def test_cold_and_warm_sweeps_each_digest_4n_requests(self, monkeypatch):
+        """Every request is digested once, by ``ModelClient.complete``
+        through the module attribute (which the benchmark's tracer wraps):
+        two requests per pass, two passes per example when every example
+        retrieves. The backend here digests through its own import."""
+        n = 9
+        examples, retriever = pure_examples(n)
+        digested = []
+        real = client_module.request_digest
+
+        def counting(request):
+            digested.append(request)
+            return real(request)
+
+        monkeypatch.setattr(client_module, "request_digest", counting)
+        cache = MemoryCache()
+        backend = PureBackend()
+        cold = sweep(examples, [1.01], ModelClient(backend, cache=cache), retriever, "substring")
+        assert cold[0].retrieval_rate_pct == 100.0 and backend.calls == 4 * n
+        assert len(digested) == 4 * n
+        digested.clear()
+        warm = sweep(examples, [1.01], ModelClient(PureBackend(), cache=cache), retriever, "substring")
+        assert len(digested) == 4 * n and warm == cold
 
 
 def passages_reply(*texts):
@@ -566,3 +621,37 @@ class TestRetrievers:
         assert err.startswith("endpoint error:") and len(err.splitlines()) == 1
         assert message in err
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@closes_everything
+@pytest.mark.usefixtures("plain_env")
+class TestSweepCsv:
+    def test_csv_equals_brute_force_rows_rendered_row_by_row(self, tmp_path):
+        """With far more taus than examples, among them every first-pass
+        confidence, ``sweep.csv`` is each oracle row's fields formatted one
+        by one."""
+        n = 12
+        cache = tmp_path / "cache.jsonl"
+        with ChatStub(default=pure_chat_reply) as stub:
+            config = sweep_config(tmp_path, stub.url, n)
+            argv = ["sweep", "--config", str(config), "--cache-path", str(cache)]
+            assert main(argv + ["--taus", "1.01", "--output-dir", str(tmp_path / "fill")]) == EXIT_OK
+            client = ModelClient(HTTPBackend(stub.url), cache=ResponseCache(cache))
+            examples = load_dataset(tmp_path / "data.jsonl", TaskSpec(task_id="t", kind="generation", matcher="substring"))
+            retriever = StaticRetriever.from_examples(examples)
+            taus = [_first_pass(ex, client).confidence for ex in examples]
+            taus += [i / 100 - 0.05 for i in range(111)]
+            random.Random(3).shuffle(taus)
+            flag = "--taus=" + ",".join(map(repr, taus))
+            assert main(argv + [flag, "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+            rows = brute_force_sweep(examples, taus, client, retriever, "substring")
+            client.close()
+            requests = len(stub.bodies)
+        assert requests == 4 * n  # the second sweep and the oracle read the cache
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"])
+        writer.writerows([_fmt(v) for v in vars(row).values()] for row in rows)
+        assert (tmp_path / "out" / "sweep.csv").read_bytes() == text.getvalue().encode()
+        assert 0 < len({row.retrieval_rate_pct for row in rows}) < len(rows)
+        assert any(row.gain_pp > 0 for row in rows)

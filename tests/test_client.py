@@ -5,6 +5,7 @@ import builtins
 import contextlib
 import errno
 import gzip
+import hashlib
 import json
 import math
 import re
@@ -70,6 +71,29 @@ def simple_request(content="hello", **kwargs):
     return CompletionRequest(messages=(Message("user", content),), **kwargs)
 
 
+# Text that JSON escapes, or keeps as is with ensure_ascii=False: quotes,
+# backslashes, control characters, U+2028/U+2029, non-ASCII letters and
+# emoji, and the empty string.
+DIGEST_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\u00e9", "\U0001f600", "/"])
+    | st.characters(exclude_categories=("Cs",)),
+    max_size=40,
+)
+
+
+def json_dumps_digest(request):
+    """The oracle: the SHA-256 of the payload as json.dumps writes it."""
+    payload = {
+        "model_name": request.model_name,
+        "messages": [[m.role, m.content] for m in request.messages],
+        "max_tokens": request.max_tokens,
+        "temperature": 0.0,
+        "top_logprobs": 20,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 class TestDigest:
     def test_stable_across_construction(self):
         assert request_digest(simple_request()) == request_digest(simple_request())
@@ -101,6 +125,28 @@ class TestDigest:
 
     def test_changes_with_messages(self):
         assert request_digest(simple_request("a")) != request_digest(simple_request("b"))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(["user", "assistant", "system"]), DIGEST_TEXT), min_size=1, max_size=4),
+        st.sampled_from(["mock", "synthetic-7b", "", "m\u00e9-\u6a21\u578b", 'a"b\\c\n']),
+        st.sampled_from([1, 2, 256, 4096]) | st.integers(min_value=1, max_value=10**12),
+    )
+    def test_equals_json_dumps_of_the_payload(self, turns, model_name, max_tokens):
+        request = CompletionRequest(tuple(Message(*turn) for turn in turns), model_name, max_tokens)
+        assert request_digest(request) == json_dumps_digest(request)
+
+    def test_lone_surrogate_fails_as_json_dumps_fails(self):
+        request = simple_request("a\ud800b")
+        with pytest.raises(UnicodeEncodeError):
+            json_dumps_digest(request)
+        with pytest.raises(UnicodeEncodeError):
+            request_digest(request)
+
+    @pytest.mark.parametrize("max_tokens", [2.0, True, "2"])
+    def test_max_tokens_that_is_not_an_integer_is_invalid(self, max_tokens):
+        with pytest.raises(InvalidInput, match="max_tokens must be an integer"):
+            simple_request(max_tokens=max_tokens)
 
 
 class TestMockBackend:
@@ -636,6 +682,32 @@ class TestReplyReader:
             assert backend.complete(simple_request("q1")).text == "ok"
             backend.close()
         assert stub.connections == connections and sleeps == []
+
+    def test_content_lengths_that_differ_close_the_connection_and_retry(self, sleeps):
+        """Read by its last Content-Length, this reply would leave 3 bytes
+        unread at the head of the next reply on the connection."""
+        body = chat_bytes("conflict")
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\nContent-Length: %d\r\n\r\n%b" % (
+            len(body), len(body) - 3, body,
+        )
+        with RawStub([(reply, False)]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request("q0")).text == "ok"
+            assert backend.complete(simple_request("q1")).text == "ok"
+            backend.close()
+        assert stub.connections == 2 and len(stub.requests) == 3 and len(sleeps) == 1
+
+    def test_repeated_equal_content_lengths_are_one_length(self, sleeps):
+        body = chat_bytes("twice")
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\ncontent-length:  %d \r\n\r\n%b" % (
+            len(body), len(body), body,
+        )
+        with RawStub([(reply, False)]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request("q0")).text == "twice"
+            assert backend.complete(simple_request("q1")).text == "ok"
+            backend.close()
+        assert stub.connections == 1 and sleeps == []
 
     def test_1xx_replies_are_skipped(self, sleeps):
         early = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n"
