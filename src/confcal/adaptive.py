@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .client import JSONPoster, ModelClient, Readout
 from .errors import MalformedResponse, RetrievalMiss
@@ -75,8 +76,7 @@ class AdaptiveOutcome:
     flags: frozenset[str] = field(default_factory=frozenset)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     # the field order is the column order of sweep.csv
     tau: float
     retrieval_rate_pct: float
@@ -186,4 +186,4 @@ def sweep(
         eff = retrieval_efficiency(gain_pp, rate_pct) if rate_pct > 0 else None
         cuts.append((rate_pct, acc_pct, gain_pp, eff))
     # strict <: a confidence equal to tau keeps pass 1
-    return [SweepRow(tau, *cuts[bisect_left(confs, tau)]) for tau in taus]
+    return [SweepRow._make((tau, *cuts[bisect_left(confs, tau)])) for tau in taus]

@@ -261,7 +261,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells: dict[tuple, list[str]] = {}
 
     def line(row: adaptive.SweepRow) -> list[str]:
-        cut = (row.retrieval_rate_pct, row.accuracy_pct, row.gain_pp, row.efficiency)
+        cut = row[1:]
         if cut not in cells:
             cells[cut] = [_fmt(v) for v in cut]
         return [_fmt(row.tau), *cells[cut]]
@@ -334,9 +334,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             text = _curve_csv(json.load(fh)["bins"])
         except (ValueError, KeyError, TypeError) as exc:
             raise SchemaViolation(f"{path}: not a report JSON ({type(exc).__name__}: {exc})") from exc
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"wrote {out}")
+    _write(out.parent, {out.name: text})
     return EXIT_OK
 
 

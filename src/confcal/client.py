@@ -208,7 +208,7 @@ class Backend(Protocol):
 
 
 def _distribution_from_map(entries: dict[str, float]) -> TokenDistribution:
-    # Scripted maps may be arbitrarily ordered; keep them sorted for stable digests.
+    # Scripted maps may be in any order; sorting keeps cache lines and to_json output stable.
     return TokenDistribution(tuple(sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))))
 
 

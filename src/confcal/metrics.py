@@ -1,17 +1,20 @@
 """Confidence-quality measurement: AUROC, equal-mass ECE, per-bin tables.
 
-Equal-mass binning sorts records by confidence (ties broken by id) and
-splits them into near-equal bins; remainder records go to the
-lowest-confidence bins. AUROC uses the midrank (Mann-Whitney) tie
+``build_report`` sorts the records once by confidence (ties broken by id)
+and takes one prefix sum of correctness in that order; the accuracy, the
+equal-mass bins, the ECE and the AUROC are all read off those two, and
+``auroc``, ``ece`` and ``equal_mass_bins`` are views of its report.
+Equal-mass bins are near-equal runs of that order; remainder records go
+to the lowest-confidence bins. AUROC uses the midrank (Mann-Whitney) tie
 convention. A degenerate AUROC (all records share one correctness value)
 is reported as None rather than 0.5 so broken runs stay visible.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
+from itertools import accumulate, groupby
 
 from .errors import AllEmptyBins, DegenerateClasses, EmptyInput, ZeroRetrieval
 
@@ -60,64 +63,25 @@ class CalibrationReport:
 
 def auroc(records: list[EvalRecord]) -> float:
     """P(random correct record outranks a random incorrect one), ties as 1/2."""
-    scores = [r.confidence for r in records]
-    labels = [r.correct for r in records]
-    return auroc_from_scores(scores, labels)
-
-
-def auroc_from_scores(scores: list[float], labels: list[bool]) -> float:
-    n_pos = sum(1 for lab in labels if lab)
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    report = build_report(records)
+    if report.auroc is None:
+        n_pos = round(report.accuracy * report.n)
         raise DegenerateClasses(
-            f"need both classes, got {n_pos} correct / {n_neg} incorrect"
+            f"need both classes, got {n_pos} correct / {report.n - n_pos} incorrect"
         )
-    # k tied scores above r lower ones share the midrank r + (k + 1) / 2, a
-    # half-integer, so the sum is exact in any order
-    pos_rank_sum = 0.0
-    lower = 0
-    for _, run in groupby(sorted(zip(scores, labels)), key=itemgetter(0)):
-        tied = [lab for _, lab in run]
-        pos_rank_sum += (lower + (len(tied) + 1) / 2.0) * sum(tied)
-        lower += len(tied)
-    u = pos_rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    return report.auroc
 
 
 def equal_mass_bins(
     records: list[EvalRecord], n_bins: int = DEFAULT_N_BINS
 ) -> list[CalibrationBin]:
     """Partition records into n_bins of (near-)equal count by sorted confidence."""
-    if not records:
-        raise EmptyInput("no records to bin")
-    if n_bins < 1:
-        raise EmptyInput(f"n_bins must be >= 1, got {n_bins}")
-
-    ordered = sorted(records, key=lambda r: (r.confidence, r.id))
-    n = len(ordered)
-    base, remainder = divmod(n, n_bins)
-
-    bins: list[CalibrationBin] = []
-    start = 0
-    for b in range(n_bins):
-        size = base + (1 if b < remainder else 0)
-        members = ordered[start : start + size]
-        start += size
-        if members:
-            mean_conf = sum(r.confidence for r in members) / len(members)
-            mean_acc = sum(1 for r in members if r.correct) / len(members)
-        else:
-            mean_conf = mean_acc = 0.0
-        bins.append(CalibrationBin(count=len(members), mean_confidence=mean_conf, mean_accuracy=mean_acc))
-    return bins
+    return list(build_report(records, n_bins).bins)
 
 
 def ece(records: list[EvalRecord], n_bins: int = DEFAULT_N_BINS) -> float:
     """Bin-weighted mean absolute confidence-accuracy gap over equal-mass bins."""
-    if not records:
-        raise EmptyInput("no records")
-    bins = equal_mass_bins(records, n_bins)
-    return ece_from_bins([(b.count, b.mean_accuracy, b.mean_confidence) for b in bins])
+    return build_report(records, n_bins).ece
 
 
 def ece_from_bins(bins: list[tuple[int, float, float]]) -> float:
@@ -148,28 +112,53 @@ def retrieval_efficiency(accuracy_gain_pp: float, retrieval_rate_pct: float) -> 
 def build_report(
     records: list[EvalRecord], n_bins: int = DEFAULT_N_BINS
 ) -> CalibrationReport:
-    """Accuracy, AUROC, ECE, and the per-bin table for one record set."""
+    """Accuracy, AUROC, ECE, and the per-bin table for one record set, all
+    read off one sort by (confidence, id) and one prefix sum of correctness."""
     if not records:
         raise EmptyInput("no records")
-    task_id = records[0].task_id
-    n = len(records)
-    acc = sum(1 for r in records if r.correct) / n
-    try:
-        auc: float | None = auroc(records)
-    except DegenerateClasses:
-        auc = None
-    bins = equal_mass_bins(records, n_bins)
-    ece_val = ece_from_bins([(b.count, b.mean_accuracy, b.mean_confidence) for b in bins])
-    flag_counts: dict[str, int] = {}
-    for rec in records:
-        for flag in rec.flags:
-            flag_counts[flag] = flag_counts.get(flag, 0) + 1
+    if n_bins < 1:
+        raise EmptyInput(f"n_bins must be >= 1, got {n_bins}")
+    ordered = sorted(records, key=lambda r: (r.confidence, r.id))
+    confs = [r.confidence for r in ordered]
+    # hits[i]: the number correct among the i least confident records
+    hits = list(accumulate((r.correct for r in ordered), initial=0))
+    n = len(ordered)
+    n_pos, n_neg = hits[n], n - hits[n]
+
+    base, remainder = divmod(n, n_bins)
+    bins: list[CalibrationBin] = []
+    start = 0
+    for b in range(n_bins):
+        end = start + base + (1 if b < remainder else 0)
+        size = end - start
+        if size:
+            # summed slice by slice, not from a float prefix sum, whose
+            # differences would change the last digits
+            mean_conf = sum(confs[start:end]) / size
+            bins.append(CalibrationBin(size, mean_conf, (hits[end] - hits[start]) / size))
+        else:
+            bins.append(CalibrationBin(0, 0.0, 0.0))
+        start = end
+
+    auc: float | None = None
+    if n_pos and n_neg:
+        # k tied scores above r lower ones share the midrank r + (k + 1) / 2,
+        # a half-integer, so the sum is exact in any order
+        pos_rank_sum = 0.0
+        lower = 0
+        for _, run in groupby(confs):
+            k = sum(1 for _ in run)
+            pos_rank_sum += (lower + (k + 1) / 2.0) * (hits[lower + k] - hits[lower])
+            lower += k
+        auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+    flag_counts = Counter(flag for rec in records for flag in rec.flags)
     return CalibrationReport(
-        task_id=task_id,
+        task_id=records[0].task_id,
         n=n,
-        accuracy=acc,
+        accuracy=n_pos / n,
         auroc=auc,
-        ece=ece_val,
+        ece=ece_from_bins([(b.count, b.mean_accuracy, b.mean_confidence) for b in bins]),
         bins=tuple(bins),
         flag_counts=dict(sorted(flag_counts.items())),
     )

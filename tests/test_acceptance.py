@@ -19,7 +19,7 @@ from confcal.confidence import CandidateScore, normalized_confidence
 from confcal.harness import DatasetExample
 from confcal.metrics import (
     accuracy_from_bins,
-    auroc_from_scores,
+    auroc,
     ece,
     ece_from_bins,
     equal_mass_bins,
@@ -95,7 +95,8 @@ class TestCriterion4AurocOracle:
                 for p, q in itertools.product(pos, neg)
             )
             oracle = wins / (len(pos) * len(neg))
-            assert auroc_from_scores(scores, labels) == pytest.approx(oracle, abs=1e-12)
+            records = [make_record(i, l, s) for i, (s, l) in enumerate(zip(scores, labels))]
+            assert auroc(records) == pytest.approx(oracle, abs=1e-12)
         assert time.perf_counter() - start < 10.0
         report("4 AUROC rank statistic == pairwise oracle")
 

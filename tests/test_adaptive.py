@@ -651,7 +651,7 @@ class TestSweepCsv:
         text = io.StringIO()
         writer = csv.writer(text)
         writer.writerow(["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"])
-        writer.writerows([_fmt(v) for v in vars(row).values()] for row in rows)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == text.getvalue().encode()
         assert 0 < len({row.retrieval_rate_pct for row in rows}) < len(rows)
         assert any(row.gain_pp > 0 for row in rows)

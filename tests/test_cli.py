@@ -439,6 +439,12 @@ class TestEceFromBins:
         assert main(["ece-from-bins", str(path)]) == EXIT_OK
         assert "ece = 0.000000" in capsys.readouterr().out
 
+    def test_header_without_rows(self, tmp_path, capsys):
+        path = tmp_path / "bins.csv"
+        path.write_text("count,mean_accuracy,mean_confidence\n")
+        assert main(["ece-from-bins", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {path}: no bin rows\n"
+
     def test_bad_schema(self, tmp_path, capsys):
         path = tmp_path / "bins.csv"
         header = b"count,mean_accuracy,mean_confidence\n"
@@ -538,6 +544,15 @@ class TestReport:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == EXIT_DATA
+
+    def test_missing_output_directory_is_created(self, tmp_path, capsys):
+        config, out = make_generation_run(tmp_path)
+        assert main(["eval", "--config", str(config)]) == EXIT_OK
+        target = tmp_path / "plots" / "new" / "curve.csv"
+        capsys.readouterr()
+        assert main(["report", str(out / "report.json"), "--output", str(target)]) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote {target}\n"
+        assert target.read_bytes() == (out / "calibration_curve.csv").read_bytes()
 
 
 class TestIdempotence:

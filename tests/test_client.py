@@ -732,6 +732,14 @@ class TestReplyReader:
             backend.close()
         assert sleeps == [2.0] and stub.connections == 1
 
+    def test_gzip_body_that_does_not_decode_is_malformed_and_not_retried(self, sleeps):
+        with RawStub(default=(raw_reply(chat_bytes("plain"), Content_Encoding="gzip"), False)) as stub:
+            backend = HTTPBackend(stub.url)
+            with pytest.raises(MalformedResponse, match="^gzip body does not decode"):
+                backend.complete(simple_request())
+            backend.close()
+        assert len(stub.requests) == 1 and sleeps == []
+
     @pytest.mark.parametrize(
         "reply, message",
         [
@@ -781,6 +789,12 @@ class TestReplyReader:
     def test_bad_url_is_one_endpoint_error_at_once(self, url, message, sleeps):
         with pytest.raises(EndpointUnreachable, match=f"^{re.escape(url)}/chat/completions: {message}"):
             HTTPBackend(url)
+        assert sleeps == []
+
+    def test_url_that_is_not_http_is_one_endpoint_error_at_once(self, sleeps):
+        url = "ftp://127.0.0.1:9/v1/chat/completions"
+        with pytest.raises(EndpointUnreachable, match=f"^{re.escape(url)} is not an http:// or https:// URL$"):
+            HTTPBackend("ftp://127.0.0.1:9/v1")
         assert sleeps == []
 
     @pytest.mark.parametrize("api_key", ["sk\r\nX-Injected: 1", "sk-\u0142"])
@@ -1262,6 +1276,10 @@ class TestHTTPBackendParsing:
     def test_logprobs_content_not_a_list_is_malformed(self):
         with pytest.raises(MalformedResponse, match="not a list"):
             HTTPBackend._parse({"choices": [{"logprobs": {"content": 5}}]})
+
+    def test_entry_without_top_logprobs_is_malformed(self):
+        with pytest.raises(MalformedResponse, match="^malformed logprob entry at position 0$"):
+            HTTPBackend._parse({"choices": [{"logprobs": {"content": [{"token": "Yes"}]}}]})
 
 
 class TestClassify:

@@ -83,6 +83,20 @@ class TestLoadDataset:
         with pytest.raises(SchemaViolation, match="line 1"):
             load_dataset(path, GENERATION_TASK)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ({"id": "e1", "input": "q", "gold": ""}, "line 1: empty gold"),
+            ({"id": "e1", "input": 5, "gold": "g"}, "line 1: input and context must be strings, choices a list of them"),
+            ({"id": "e1", "input": "q", "gold": "g", "choices": ["a", 2]}, "line 1: input and context must be strings"),
+        ],
+        ids=["empty-gold", "number-input", "number-choice"],
+    )
+    def test_bad_line(self, tmp_path, line, message):
+        path = self.write(tmp_path, [line])
+        with pytest.raises(SchemaViolation, match=message):
+            load_dataset(path, GENERATION_TASK)
+
     def test_duplicate_ids(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -113,6 +127,10 @@ class TestMatchAnswer:
 
     def test_numeric_thousands_separators(self):
         assert match_answer("total: 1,234,567", "1234567", "numeric")
+
+    def test_numeric_relative_tolerance(self):
+        assert match_answer("0.30000000000000004", "0.3", "numeric")  # not == 0.3, within 1e-9
+        assert not match_answer("0.3001", "0.3", "numeric")
 
     def test_numeric_no_number(self):
         with pytest.raises(NoNumberFound):

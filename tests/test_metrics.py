@@ -2,12 +2,16 @@
 
 import itertools
 import random
+from dataclasses import asdict
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from confcal.errors import AllEmptyBins, DegenerateClasses, EmptyInput, ZeroRetrieval
 from confcal.metrics import (
+    CalibrationBin,
+    EvalRecord,
     accuracy_from_bins,
     auroc,
     build_report,
@@ -31,6 +35,67 @@ def pairwise_auroc(records):
         elif p == q:
             total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def two_sort_auroc(scores, labels):
+    """The midrank AUROC by its own sort of (score, label) pairs."""
+    n_pos = sum(1 for lab in labels if lab)
+    n_neg = len(labels) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateClasses(
+            f"need both classes, got {n_pos} correct / {n_neg} incorrect"
+        )
+    pos_rank_sum = 0.0
+    lower = 0
+    for _, run in itertools.groupby(sorted(zip(scores, labels)), key=itemgetter(0)):
+        tied = [lab for _, lab in run]
+        pos_rank_sum += (lower + (len(tied) + 1) / 2.0) * sum(tied)
+        lower += len(tied)
+    u = pos_rank_sum - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def two_sort_bins(records, n_bins):
+    """Equal-mass bins by their own sort by (confidence, id), each bin's
+    means summed over its members."""
+    ordered = sorted(records, key=lambda r: (r.confidence, r.id))
+    base, remainder = divmod(len(ordered), n_bins)
+    bins = []
+    start = 0
+    for b in range(n_bins):
+        size = base + (1 if b < remainder else 0)
+        members = ordered[start : start + size]
+        start += size
+        if members:
+            mean_conf = sum(r.confidence for r in members) / len(members)
+            mean_acc = sum(1 for r in members if r.correct) / len(members)
+        else:
+            mean_conf = mean_acc = 0.0
+        bins.append(CalibrationBin(count=len(members), mean_confidence=mean_conf, mean_accuracy=mean_acc))
+    return bins
+
+
+def two_sort_report(records, n_bins):
+    """The report as ``asdict`` gives it, from two sorts and three counts of
+    the correct records: the oracle of the one-sort ``build_report``."""
+    try:
+        auc = two_sort_auroc([r.confidence for r in records], [r.correct for r in records])
+    except DegenerateClasses:
+        auc = None
+    bins = two_sort_bins(records, n_bins)
+    flag_counts = {}
+    for rec in records:
+        for flag in rec.flags:
+            flag_counts[flag] = flag_counts.get(flag, 0) + 1
+    return {
+        "task_id": records[0].task_id,
+        "n": len(records),
+        "accuracy": sum(1 for r in records if r.correct) / len(records),
+        "auroc": auc,
+        "ece": ece_from_bins([(b.count, b.mean_accuracy, b.mean_confidence) for b in bins]),
+        "bins": tuple(asdict(b) for b in bins),
+        "flag_counts": dict(sorted(flag_counts.items())),
+    }
 
 
 class TestAuroc:
@@ -57,8 +122,14 @@ class TestAuroc:
         assert auroc(records) == 0.5
 
     def test_degenerate_single_class(self):
-        with pytest.raises(DegenerateClasses):
+        with pytest.raises(DegenerateClasses, match="^need both classes, got 2 correct / 0 incorrect$"):
             auroc([make_record(0, True, 0.5), make_record(1, True, 0.6)])
+        with pytest.raises(DegenerateClasses, match="^need both classes, got 0 correct / 3 incorrect$"):
+            auroc([make_record(i, False, 0.5) for i in range(3)])
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput, match="^no records$"):
+            auroc([])
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -217,7 +288,38 @@ class TestRetrievalEfficiency:
             retrieval_efficiency(1.0, 0.0)
 
 
+GRID = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+
+
+@st.composite
+def record_sets(draw):
+    """1-60 records: confidences on a coarse grid (ties) or uniform, ids
+    in any order against the confidences, flags, and one-class sets."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    conf = draw(st.sampled_from([st.sampled_from(GRID), st.floats(0, 1), st.sampled_from(GRID) | st.floats(0, 1)]))
+    ids = draw(st.permutations([str(j) for j in range(n)]))
+    one_class = draw(st.sampled_from([None, True, False]))
+    correct = st.booleans() if one_class is None else st.just(one_class)
+    flags = st.frozensets(st.sampled_from(["fallback_neutral", "retrieval_miss", "error:timeout"]))
+    return [
+        EvalRecord(id=i, task_id="t", prediction="p", gold="g", correct=draw(correct), confidence=draw(conf), flags=draw(flags))
+        for i in ids
+    ]
+
+
 class TestBuildReport:
+    @given(record_sets(), st.integers(min_value=1, max_value=15))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_two_sort_oracle_exactly(self, records, n_bins):
+        # == on every float: the one sort must give the same bits as two
+        assert asdict(build_report(records, n_bins)) == two_sort_report(records, n_bins)
+
+    def test_rejects_empty_and_no_bins(self):
+        with pytest.raises(EmptyInput, match="^no records$"):
+            build_report([])
+        with pytest.raises(EmptyInput, match="^n_bins must be >= 1, got 0$"):
+            build_report([make_record(0, True, 0.5)], 0)
+
     def test_report_shape(self):
         rng = random.Random(2)
         records = [make_record(i, rng.random() < 0.6, rng.random()) for i in range(40)]

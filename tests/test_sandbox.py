@@ -165,6 +165,10 @@ class TestDpoStep:
         with pytest.raises(InvalidInput):
             dpo_step(ToyPolicy.uniform(2), binary_task(), 1, 1)
 
+    def test_beta_must_be_positive(self):
+        with pytest.raises(InvalidInput, match="^beta must be > 0$"):
+            dpo_step(ToyPolicy.uniform(2), binary_task(), 0, 1, beta=0.0)
+
     def test_reference_untouched_by_training(self):
         policy = ToyPolicy.uniform(2)
         reference_before = policy.reference_logits
