@@ -522,8 +522,8 @@ def _read_line(reader: BinaryIO) -> bytes:
 def _read_fields(reader: BinaryIO) -> dict[str, str]:
     """Header (or trailer) lines up to the blank line that ends them, by
     lower-case name; a repeated name keeps its last value. Content-Length
-    values that differ leave the reply's end unknown (RFC 9112 section 6.3):
-    they raise, so that the connection is closed."""
+    or Transfer-Encoding values that differ leave the reply's end unknown
+    (RFC 9112 section 6.3): they raise, so that the connection is closed."""
     fields = {}
     for _ in range(_MAX_HEADERS + 1):
         line = _read_line(reader)
@@ -533,8 +533,8 @@ def _read_fields(reader: BinaryIO) -> dict[str, str]:
             raise http.client.HTTPException("the reply ended inside its headers")
         name, _, value = line.decode("latin-1").partition(":")
         name, value = name.strip().lower(), value.strip()
-        if name == "content-length" and fields.get(name, value) != value:
-            raise http.client.HTTPException(f"Content-Length {fields[name][:40]!r} and {value[:40]!r} differ")
+        if name in ("content-length", "transfer-encoding") and fields.get(name, value) != value:
+            raise http.client.HTTPException(f"{name} {fields[name][:40]!r} and {value[:40]!r} differ")
         fields[name] = value
     raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
 

@@ -9,13 +9,19 @@ frequencies (sharpened).
 ``ToyTask`` and ``ToyPolicy`` are immutable tuples of Python floats, and the
 arms compute on floats: on vectors of K = 2 entries numpy's cost per call
 outweighs the arithmetic. numpy only draws, from the seeded
-``np.random.Generator`` of each sampling arm.
+``np.random.Generator`` of each sampling arm: the CE arm draws its batch's
+counts with ``rng.multinomial``; the advantage arm draws ``batch_size``
+uniforms with ``rng.random`` and places each on the normalised cumulative sum
+of its old probabilities, as ``Generator.choice`` does, so its counts and its
+stream are numpy's.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -158,11 +164,23 @@ def ce_step(
     return policy._apply(delta)
 
 
-def _kl_penalty_gradient(q: list[float], log_ref: list[float]) -> list[float]:
-    # d/dlogits KL(pi || pi_ref) for a softmax parameterization, q = pi
-    diff = [math.log(p) - r for p, r in zip(q, log_ref)]
-    kl = sum(p * d for p, d in zip(q, diff))
-    return [p * (d - kl) for p, d in zip(q, diff)]
+def _draw_counts(rng: np.random.Generator, probs: list[float], batch_size: int) -> list[int]:
+    """Per-option counts of ``batch_size`` draws from ``probs``, equal to
+    ``np.bincount(rng.choice(len(probs), size=batch_size, p=probs))``.
+
+    ``Generator.choice`` with ``p`` and replacement divides the cumulative
+    sum of ``p`` by its last entry, draws ``rng.random(size)`` and places
+    each uniform with ``searchsorted(side="right")``; this does the same, so
+    the counts are numpy's and the Generator advances by ``batch_size``
+    doubles.
+    """
+    cdf = list(accumulate(probs))
+    last = cdf[-1]
+    cdf = [c / last for c in cdf]
+    counts = [0] * len(probs)
+    for u in rng.random(batch_size).tolist():
+        counts[bisect_right(cdf, u)] += 1
+    return counts
 
 
 def advantage_step(
@@ -178,7 +196,9 @@ def advantage_step(
 
     Rewards are 1 for ``reward_option`` (all options, when None) and 0
     otherwise; advantages subtract the batch-mean reward. The inner ascent
-    masks out samples whose probability ratio left the trust region.
+    masks out samples whose probability ratio left the trust region, and
+    a KL(pi || pi_ref) penalty of weight ``KL_COEF`` pulls toward the
+    reference.
     """
     if not 0 < clip_eps < 1:
         raise InvalidInput("clip_eps must be in (0,1)")
@@ -191,30 +211,41 @@ def advantage_step(
         rng = np.random.default_rng()
 
     old_probs = _softmax(logits)
-    actions = rng.choice(num_options, size=batch_size, p=old_probs).tolist()
-    hits = batch_size if reward_option is None else actions.count(reward_option)
+    # Reward, advantage and ratio depend only on the sampled option, so the
+    # batch reduces to a count per option and the loop costs O(K).
+    counts = _draw_counts(rng, old_probs, batch_size)
+    hits = batch_size if reward_option is None else counts[reward_option]
     if hits in (0, batch_size):
         return policy  # zero advantage everywhere: exactly no update
 
-    # Reward, advantage and ratio depend only on the sampled option, so the
-    # batch reduces to a count per option and the loop costs O(K).
-    counts = [actions.count(k) for k in range(num_options)]
     mean = hits / batch_size
     advantages = [(1.0 if k == reward_option else 0.0) - mean for k in range(num_options)]
     log_ref = [math.log(p) for p in _softmax(policy.reference_logits)]
+    options = list(zip(counts, advantages, old_probs, log_ref))
+    upper, lower = 1 + clip_eps, 1 - clip_eps
     sub_lr = lr / INNER_STEPS
     for _ in range(INNER_STEPS):
-        probs = _softmax(logits)
-        weights = []
-        for n, adv, p, old in zip(counts, advantages, probs, old_probs):
+        top = max(logits)
+        e = [math.exp(x - top) for x in logits]
+        norm = sum(e)
+        probs, weights, diffs, kl_terms = [], [], [], []
+        for v, (n, adv, old, r) in zip(e, options):
+            p = v / norm
             ratio = p / old
             # standard clip mask: no gradient once the clipped branch is active
-            clipped = (adv > 0 and ratio > 1 + clip_eps) or (adv < 0 and ratio < 1 - clip_eps)
+            clipped = (adv > 0 and ratio > upper) or (adv < 0 and ratio < lower)
+            d = math.log(p) - r
+            probs.append(p)
             weights.append(0.0 if clipped else n * (adv * ratio / batch_size))
+            diffs.append(d)
+            kl_terms.append(p * d)
         total = sum(weights)
-        penalty = _kl_penalty_gradient(probs, log_ref)
-        grad = [w - total * p - KL_COEF * k for w, p, k in zip(weights, probs, penalty)]
-        logits = _clamped(logits, [sub_lr * g for g in grad])
+        # d/dlogits KL(pi || pi_ref) for a softmax parameterization is p (d - kl)
+        kl = sum(kl_terms)
+        logits = [
+            min(max(x + sub_lr * (w - total * p - KL_COEF * (p * (d - kl))), -LOGIT_CLAMP), LOGIT_CLAMP)
+            for x, w, p, d in zip(logits, weights, probs, diffs)
+        ]
     return ToyPolicy(logits=logits, reference_logits=policy.reference_logits)
 
 

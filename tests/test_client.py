@@ -697,6 +697,33 @@ class TestReplyReader:
             backend.close()
         assert stub.connections == 2 and len(stub.requests) == 3 and len(sleeps) == 1
 
+    def test_transfer_encodings_that_differ_close_the_connection_and_retry(self, sleeps):
+        """Read by its last Transfer-Encoding, this chunked reply would be
+        framed by its Content-Length: the chunk sizes read as the body, and
+        the rest left unread at the head of the next reply."""
+        body = chat_bytes("conflict")
+        reply = (
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: %d\r\n"
+            b"Transfer-Encoding: identity\r\n\r\n%b" % (len(body), chunked(body))
+        )
+        with RawStub([(reply, False)]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request("q0")).text == "ok"
+            assert backend.complete(simple_request("q1")).text == "ok"
+            backend.close()
+        assert stub.connections == 2 and len(stub.requests) == 3 and len(sleeps) == 1
+
+    def test_repeated_equal_transfer_encodings_are_one_encoding(self, sleeps):
+        reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\ntransfer-encoding:  chunked \r\n\r\n%b" % (
+            chunked(chat_bytes("twice")),
+        )
+        with RawStub([(reply, False)]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request("q0")).text == "twice"
+            assert backend.complete(simple_request("q1")).text == "ok"
+            backend.close()
+        assert stub.connections == 1 and sleeps == []
+
     def test_repeated_equal_content_lengths_are_one_length(self, sleeps):
         body = chat_bytes("twice")
         reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\ncontent-length:  %d \r\n\r\n%b" % (

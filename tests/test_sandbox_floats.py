@@ -16,9 +16,11 @@ import sandbox_oracle as oracle
 from confcal.cli import EXIT_OK, load_config_file, main
 from confcal.errors import InvalidInput
 from confcal.sandbox import (
+    LOGIT_CLAMP,
     SandboxConfig,
     ToyPolicy,
     ToyTask,
+    _draw_counts,
     advantage_step,
     ce_gradient_exact,
     ce_step,
@@ -179,6 +181,27 @@ class TestOracle:
         policy, task = case["policy"], case["task"]
         assert kl_to_data(task, policy) == pytest.approx(oracle.kl_to_data(task, policy), abs=1e-12)
         assert ece_proxy(task, policy) == pytest.approx(oracle.ece_proxy(task, policy), abs=1e-12)
+
+
+class TestDraw:
+    """The advantage arm's draw is ``Generator.choice``'s, across the whole
+    clamp range, where the arm spends its later steps near a point mass:
+    the same counts per option, and the Generator left where choice leaves
+    it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-LOGIT_CLAMP, LOGIT_CLAMP), min_size=2, max_size=6),
+        st.integers(1, 512),
+        st.integers(min_value=0),
+    )
+    def test_counts_equal_choice(self, logits, batch_size, seed):
+        probs = list(ToyPolicy(logits).probs)
+        rng_fast, rng_slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = _draw_counts(rng_fast, probs, batch_size)
+        actions = rng_slow.choice(len(probs), size=batch_size, p=probs)
+        assert counts == np.bincount(actions, minlength=len(probs)).tolist()
+        assert rng_fast.random() == rng_slow.random()
 
 
 def _six_decimals(traces, summary):
