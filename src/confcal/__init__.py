@@ -6,50 +6,4 @@ client with a deterministic mock backend, an evaluation harness, a
 confidence-gated retrieval controller, and a toy training-paradigm sandbox.
 """
 
-from .confidence import (
-    CandidateScore,
-    ConfidenceScore,
-    Flag,
-    Method,
-    MissingPolicy,
-    TokenDistribution,
-    normalized_confidence,
-    self_eval_confidence,
-    sequence_logprob,
-)
-from .metrics import (
-    CalibrationBin,
-    CalibrationReport,
-    EvalRecord,
-    accuracy_from_bins,
-    auroc,
-    build_report,
-    ece,
-    ece_from_bins,
-    equal_mass_bins,
-    retrieval_efficiency,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CandidateScore",
-    "ConfidenceScore",
-    "Flag",
-    "Method",
-    "MissingPolicy",
-    "TokenDistribution",
-    "normalized_confidence",
-    "self_eval_confidence",
-    "sequence_logprob",
-    "CalibrationBin",
-    "CalibrationReport",
-    "EvalRecord",
-    "accuracy_from_bins",
-    "auroc",
-    "build_report",
-    "ece",
-    "ece_from_bins",
-    "equal_mass_bins",
-    "retrieval_efficiency",
-]

@@ -40,7 +40,6 @@ import certifi
 
 from .confidence import (
     DEFAULT_TOP_K,
-    CandidateScore,
     MissingPolicy,
     TokenDistribution,
     normalized_confidence,
@@ -62,8 +61,6 @@ from .errors import (
 _log = logging.getLogger(__name__)
 
 SELF_EVAL_PROMPT = "Is this answer correct? Answer only Yes/No."
-
-_NEG_INF = float("-inf")
 
 # A 429 or 5xx is retried this many times, after a full-jitter backoff that
 # starts at BACKOFF_START_S seconds and doubles, or after its Retry-After,
@@ -521,9 +518,10 @@ def _read_line(reader: BinaryIO) -> bytes:
 
 def _read_fields(reader: BinaryIO) -> dict[str, str]:
     """Header (or trailer) lines up to the blank line that ends them, by
-    lower-case name; a repeated name keeps its last value. Content-Length
-    or Transfer-Encoding values that differ leave the reply's end unknown
-    (RFC 9112 section 6.3): they raise, so that the connection is closed."""
+    lower-case name; a repeated name keeps its last value. A line with no
+    colon is malformed, and Content-Length or Transfer-Encoding values that
+    differ leave the reply's end unknown (RFC 9112 section 6.3): both raise,
+    so that the connection is closed."""
     fields = {}
     for _ in range(_MAX_HEADERS + 1):
         line = _read_line(reader)
@@ -531,7 +529,9 @@ def _read_fields(reader: BinaryIO) -> dict[str, str]:
             return fields
         if not line:
             raise http.client.HTTPException("the reply ended inside its headers")
-        name, _, value = line.decode("latin-1").partition(":")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise http.client.HTTPException(f"header line {line[:40]!r} has no colon")
         name, value = name.strip().lower(), value.strip()
         if name in ("content-length", "transfer-encoding") and fields.get(name, value) != value:
             raise http.client.HTTPException(f"{name} {fields[name][:40]!r} and {value[:40]!r} differ")
@@ -563,10 +563,15 @@ def _read_head(reader: BinaryIO) -> tuple[int, dict[str, str], bool]:
 def _read_body(reader: BinaryIO, status: int, headers: dict[str, str]) -> tuple[bytes, bool]:
     """The body of a reply, by its chunked transfer-encoding, its
     Content-Length, or else to the end of the stream; and whether it was
-    framed, that is, not read to the end of the stream."""
+    framed, that is, not read to the end of the stream. Any Transfer-Encoding
+    but ``chunked`` alone raises: chunked must be the last coding (RFC 9112
+    section 6.3), and no other transfer coding is undone."""
     if status in (204, 304):
         return b"", True
-    if "chunked" in headers.get("transfer-encoding", "").lower():
+    coding = headers.get("transfer-encoding")
+    if coding is not None:
+        if coding.lower() != "chunked":
+            raise http.client.HTTPException(f"unsupported Transfer-Encoding {coding[:40]!r}")
         return _read_chunked(reader), True
     length = headers.get("content-length")
     if length is None:
@@ -864,11 +869,8 @@ class ModelClient:
             )
 
         chosen = min(probs, key=lambda lab: (-probs[lab], lab))
-        candidates = [
-            CandidateScore(label, math.log(p) if p > 0 else _NEG_INF)
-            for label, p in probs.items()
-        ]
-        confidence = normalized_confidence(candidates, chosen).value
+        logprobs = {label: math.log(p) if p > 0 else -math.inf for label, p in probs.items()}
+        confidence = normalized_confidence(logprobs, chosen).value
         return Readout(chosen, confidence, frozenset(), probs[chosen])
 
     def answer(self, question: str, context: str | None = None) -> Readout:

@@ -8,7 +8,7 @@ probabilities underflow still produce correct ratios.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,20 +82,6 @@ class TokenDistribution:
 
 
 @dataclass(frozen=True)
-class CandidateScore:
-    """One candidate output and the log of its sequence probability."""
-
-    candidate_id: str
-    sequence_logprob: float
-
-    def __post_init__(self):
-        if not self.sequence_logprob <= 0:  # NaN included
-            raise InvalidLogProb(
-                f"sequence_logprob for {self.candidate_id!r} is not <= 0: {self.sequence_logprob}"
-            )
-
-
-@dataclass(frozen=True)
 class ConfidenceScore:
     value: float
     flags: frozenset[Flag] = field(default_factory=frozenset)
@@ -129,28 +115,23 @@ def _logsumexp(values: list[float]) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
-def normalized_confidence(
-    candidates: list[CandidateScore], selected: str
-) -> ConfidenceScore:
-    """Selected candidate's probability renormalized over the candidate set.
+def normalized_confidence(candidates: Mapping[str, float], selected: str) -> ConfidenceScore:
+    """Selected candidate's probability renormalized over the candidate set,
+    a ``{candidate: sequence log-probability}`` mapping.
 
     Computed as exp(lp_selected - logsumexp(all lps)); summing the result
     over every candidate as ``selected`` gives exactly 1.
     """
     if not candidates:
-        raise EmptySequence("candidate list is empty")
-    seen = set()
-    for cand in candidates:
-        if cand.candidate_id in seen:
-            raise DuplicateCandidate(f"candidate id {cand.candidate_id!r} repeated")
-        seen.add(cand.candidate_id)
-    if selected not in seen:
+        raise EmptySequence("candidate set is empty")
+    for candidate, logprob in candidates.items():
+        if not logprob <= 0:  # NaN included
+            raise InvalidLogProb(f"sequence_logprob for {candidate!r} is not <= 0: {logprob}")
+    if selected not in candidates:
         raise UnknownCandidate(f"selected candidate {selected!r} not in candidate set")
 
-    logprobs = [c.sequence_logprob for c in candidates]
-    total = _logsumexp(logprobs)
-    selected_lp = next(c.sequence_logprob for c in candidates if c.candidate_id == selected)
-    value = math.exp(selected_lp - total)
+    total = _logsumexp(list(candidates.values()))
+    value = math.exp(candidates[selected] - total)
     return ConfidenceScore(value=min(value, 1.0))
 
 

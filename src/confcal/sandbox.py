@@ -126,6 +126,11 @@ def _check_step(lr: float, batch_size: int = 1) -> None:
         raise InvalidInput("batch_size must be >= 1")
 
 
+def _check_rng(rng: np.random.Generator | None) -> None:
+    if rng is None:  # every draw comes from a seeded Generator
+        raise InvalidInput("a sampled step needs rng, a seeded np.random.Generator")
+
+
 def kl_to_data(task: ToyTask, policy: ToyPolicy) -> float:
     q = _softmax(_logits_on(policy, task))
     return sum(p * (math.log(p) - math.log(r)) for p, r in zip(task.data_distribution, q) if p > 0)
@@ -150,14 +155,14 @@ def ce_step(
     rng: np.random.Generator | None = None,
     exact_gradient: bool = False,
 ) -> ToyPolicy:
-    """One gradient step on mean NLL of a batch sampled from the data."""
+    """One gradient step on mean NLL of a batch that ``rng`` samples from
+    the data, or with ``exact_gradient`` on the data distribution itself."""
     _check_step(lr, batch_size)
     probs = _softmax(_logits_on(policy, task))
     if exact_gradient:
         target = task.data_distribution
     else:
-        if rng is None:
-            rng = np.random.default_rng()
+        _check_rng(rng)
         counts = rng.multinomial(batch_size, task.data_distribution).tolist()
         target = [c / batch_size for c in counts]
     delta = [-lr * (p - t) for p, t in zip(probs, target)]
@@ -198,7 +203,7 @@ def advantage_step(
     otherwise; advantages subtract the batch-mean reward. The inner ascent
     masks out samples whose probability ratio left the trust region, and
     a KL(pi || pi_ref) penalty of weight ``KL_COEF`` pulls toward the
-    reference.
+    reference. The batch is drawn from ``rng``.
     """
     if not 0 < clip_eps < 1:
         raise InvalidInput("clip_eps must be in (0,1)")
@@ -207,8 +212,7 @@ def advantage_step(
     num_options = len(logits)
     if reward_option is not None:
         _check_option("reward_option", reward_option, num_options)
-    if rng is None:
-        rng = np.random.default_rng()
+    _check_rng(rng)
 
     old_probs = _softmax(logits)
     # Reward, advantage and ratio depend only on the sampled option, so the
@@ -251,6 +255,10 @@ def advantage_step(
 
 def _dpo_margin(policy: ToyPolicy, preferred: int, rejected: int, beta: float) -> float:
     """beta (log r(y_w) - log r(y_l)) with r(y) = pi(y)/pi_ref(y)."""
+    if preferred == rejected:
+        raise InvalidInput("preferred and rejected must differ")
+    if not beta > 0:  # NaN included
+        raise InvalidInput("beta must be > 0")
     for name, option in (("preferred", preferred), ("rejected", rejected)):
         _check_option(name, option, len(policy.logits))
     probs = _softmax(policy.logits)
@@ -270,10 +278,6 @@ def dpo_step(
 ) -> ToyPolicy:
     """One gradient step on -log sigmoid(beta (log r(y_w) - log r(y_l)))
     with r(y) = pi(y)/pi_ref(y)."""
-    if preferred == rejected:
-        raise InvalidInput("preferred and rejected must differ")
-    if beta <= 0:
-        raise InvalidInput("beta must be > 0")
     _check_step(lr)
     delta = [0.0] * len(_logits_on(policy, task))
     z = _dpo_margin(policy, preferred, rejected, beta)

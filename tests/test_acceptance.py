@@ -15,7 +15,7 @@ import pytest
 from confcal.adaptive import StaticRetriever, answer_adaptive, sweep
 from confcal.cli import EXIT_OK, main
 from confcal.client import MockBackend, ModelClient
-from confcal.confidence import CandidateScore, normalized_confidence
+from confcal.confidence import normalized_confidence
 from confcal.harness import DatasetExample
 from confcal.metrics import (
     accuracy_from_bins,
@@ -136,21 +136,19 @@ class TestCriterion6ConfidenceAlgebra:
         for _ in range(20):
             k = rng.randint(1, 10)
             logprobs = [rng.uniform(-300, 0) for _ in range(k)]
-            cands = [CandidateScore(f"c{i}", lp) for i, lp in enumerate(logprobs)]
-            values = [normalized_confidence(cands, c.candidate_id).value for c in cands]
+            cands = {f"c{i}": lp for i, lp in enumerate(logprobs)}
+            values = [normalized_confidence(cands, c).value for c in cands]
             assert sum(values) == pytest.approx(1.0, abs=1e-12)
 
             delta = rng.uniform(-50, 0)
-            shifted = [CandidateScore(f"c{i}", lp + delta) for i, lp in enumerate(logprobs)]
+            shifted = {c: lp + delta for c, lp in cands.items()}
             for cand, val in zip(shifted, values):
-                assert normalized_confidence(shifted, cand.candidate_id).value == pytest.approx(
-                    val, abs=1e-12
-                )
+                assert normalized_confidence(shifted, cand).value == pytest.approx(val, abs=1e-12)
 
             best = max(range(k), key=lambda i: logprobs[i])
             assert values[best] == max(values)
 
-        underflow = [CandidateScore("a", -2000.0), CandidateScore("b", -2001.0)]
+        underflow = {"a": -2000.0, "b": -2001.0}
         expected = math.e / (1.0 + math.e)
         assert normalized_confidence(underflow, "a").value == pytest.approx(expected, abs=1e-9)
         report("6 confidence algebra incl. underflow")

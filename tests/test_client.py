@@ -778,8 +778,21 @@ class TestReplyReader:
             (raw_reply(b"{}", **{f"X_{k}": "v" for k in range(101)}), "more than 100 headers"),
             (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n", "ended inside its headers"),
             (b"HTTP/1.1 2000 OK\r\n\r\n", "bad status line"),
+            (raw_reply(b"{}", Content_Length="+2"), "bad Content-Length"),
+            (b"HTTP/1.1 200 OK\r\nGarbage\r\nContent-Length: 2\r\n\r\n{}", "has no colon"),
+            (
+                raw_reply(chunked(gzip.compress(b"{}")), Content_Length=None, Transfer_Encoding="gzip, chunked"),
+                "unsupported Transfer-Encoding",
+            ),
+            (
+                raw_reply(chunked(b"{}"), Content_Length=None, Transfer_Encoding="chunked, gzip"),
+                "unsupported Transfer-Encoding",
+            ),
         ],
-        ids=["short-body", "huge-length", "chunk-size", "content-length", "long-line", "101-headers", "cut-head", "status"],
+        ids=[
+            "short-body", "huge-length", "chunk-size", "content-length", "long-line", "101-headers", "cut-head", "status",
+            "signed-length", "no-colon", "gzip-then-chunked", "chunked-then-gzip",
+        ],
     )
     def test_malformed_reply_is_retried_then_unreachable(self, reply, message, sleeps):
         with RawStub(default=(reply, True)) as stub:
@@ -1336,15 +1349,10 @@ class TestClassify:
 
     def test_confidence_sums_to_one(self):
         # label scores as classify builds them, incl. an absent label at -inf
-        from confcal.confidence import CandidateScore, normalized_confidence
+        from confcal.confidence import normalized_confidence
 
-        cands = [
-            CandidateScore("A", math.log(0.5)),
-            CandidateScore("B", math.log(0.2)),
-            CandidateScore("C", math.log(0.05)),
-            CandidateScore("D", float("-inf")),
-        ]
-        total = sum(normalized_confidence(cands, c.candidate_id).value for c in cands)
+        cands = {"A": math.log(0.5), "B": math.log(0.2), "C": math.log(0.05), "D": float("-inf")}
+        total = sum(normalized_confidence(cands, c).value for c in cands)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_no_label_token_present(self, scripted_client):

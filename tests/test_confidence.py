@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from confcal.confidence import (
-    CandidateScore,
     ConfidenceScore,
     Flag,
     MissingPolicy,
@@ -49,33 +48,25 @@ class TestSequenceLogprob:
 
 
 class TestNormalizedConfidence:
-    def candidates(self, **probs):
-        return [CandidateScore(k, math.log(v)) for k, v in probs.items()]
-
     def test_hand_arithmetic(self):
-        cands = self.candidates(A=0.2, B=0.1, C=0.1)
+        cands = {"A": math.log(0.2), "B": math.log(0.1), "C": math.log(0.1)}
         assert normalized_confidence(cands, "A").value == pytest.approx(0.5)
 
     def test_single_candidate_is_certain(self):
-        assert normalized_confidence([CandidateScore("x", -7.3)], "x").value == pytest.approx(1.0)
+        assert normalized_confidence({"x": -7.3}, "x").value == pytest.approx(1.0)
 
     def test_four_equal_candidates(self):
-        cands = [CandidateScore(c, -1.7) for c in "ABCD"]
+        cands = dict.fromkeys("ABCD", -1.7)
         for c in "ABCD":
             assert normalized_confidence(cands, c).value == pytest.approx(0.25)
 
     def test_unknown_candidate(self):
         with pytest.raises(UnknownCandidate):
-            normalized_confidence(self.candidates(A=0.5), "B")
-
-    def test_duplicate_candidate(self):
-        cands = [CandidateScore("A", -1.0), CandidateScore("A", -2.0)]
-        with pytest.raises(DuplicateCandidate):
-            normalized_confidence(cands, "A")
+            normalized_confidence({"A": math.log(0.5)}, "B")
 
     def test_underflow_ratio(self):
         # linear-space probabilities far below the smallest normal double
-        cands = [CandidateScore("a", -2000.0), CandidateScore("b", -2001.0)]
+        cands = {"a": -2000.0, "b": -2001.0}
         expected = math.e / (1.0 + math.e)
         assert normalized_confidence(cands, "a").value == pytest.approx(expected, abs=1e-9)
 
@@ -84,28 +75,25 @@ class TestNormalizedConfidence:
         delta=st.floats(min_value=-100, max_value=0),
     )
     def test_normalization_and_shift_invariance(self, logprobs, delta):
-        cands = [CandidateScore(f"c{i}", lp) for i, lp in enumerate(logprobs)]
-        values = [normalized_confidence(cands, c.candidate_id).value for c in cands]
+        cands = {f"c{i}": lp for i, lp in enumerate(logprobs)}
+        values = [normalized_confidence(cands, c).value for c in cands]
         assert sum(values) == pytest.approx(1.0, abs=1e-12)
 
-        shifted = [CandidateScore(f"c{i}", lp + delta) for i, lp in enumerate(logprobs)]
+        shifted = {c: lp + delta for c, lp in cands.items()}
         for cand, val in zip(shifted, values):
-            assert normalized_confidence(shifted, cand.candidate_id).value == pytest.approx(
-                val, abs=1e-12
-            )
+            assert normalized_confidence(shifted, cand).value == pytest.approx(val, abs=1e-12)
 
     @given(st.lists(st.floats(min_value=-200, max_value=0), min_size=2, max_size=10, unique=True))
     def test_argmax_preserved(self, logprobs):
-        cands = [CandidateScore(f"c{i}", lp) for i, lp in enumerate(logprobs)]
-        best = max(cands, key=lambda c: c.sequence_logprob)
-        values = {c.candidate_id: normalized_confidence(cands, c.candidate_id).value for c in cands}
-        assert values[best.candidate_id] == max(values.values())
+        cands = {f"c{i}": lp for i, lp in enumerate(logprobs)}
+        best = max(cands, key=cands.get)
+        values = {c: normalized_confidence(cands, c).value for c in cands}
+        assert values[best] == max(values.values())
 
     def test_monotone_in_selected_logprob(self):
-        others = [CandidateScore("b", -2.0), CandidateScore("c", -3.0)]
         prev = -1.0
         for lp in (-5.0, -3.0, -1.0, -0.1):
-            val = normalized_confidence([CandidateScore("a", lp)] + others, "a").value
+            val = normalized_confidence({"a": lp, "b": -2.0, "c": -3.0}, "a").value
             assert val > prev
             prev = val
 
@@ -188,8 +176,8 @@ class TestTypes:
 
     def test_candidate_rejects_positive_or_nan_logprob(self):
         for logprob in (0.2, math.nan):
-            with pytest.raises(InvalidLogProb):
-                CandidateScore("a", logprob)
+            with pytest.raises(InvalidLogProb, match="^sequence_logprob for 'a' is not <= 0: "):
+                normalized_confidence({"a": logprob, "b": -1.0}, "b")
 
     def test_distribution_rejects_duplicates(self):
         with pytest.raises(DuplicateCandidate):

@@ -138,6 +138,15 @@ class TestAdvantageStep:
         with pytest.raises(InvalidInput):
             advantage_step(ToyPolicy.uniform(2), binary_task(), 0, clip_eps=1.5)
 
+    def test_sampled_steps_need_a_seeded_generator(self):
+        """Every draw comes from the caller's Generator: there is no unseeded
+        fallback. The exact CE gradient draws nothing, so it needs none."""
+        policy, task = ToyPolicy.uniform(2), binary_task()
+        for step in (lambda: ce_step(policy, task), lambda: advantage_step(policy, task, 0)):
+            with pytest.raises(InvalidInput, match="^a sampled step needs rng"):
+                step()
+        assert ce_step(policy, task, exact_gradient=True).logits != policy.logits
+
 
 class TestDpoStep:
     def test_converges_to_preferred_regardless_of_data(self):
@@ -162,12 +171,17 @@ class TestDpoStep:
         assert np.argmin(delta_small) == np.argmin(delta_large) == 2
 
     def test_same_option_rejected(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^preferred and rejected must differ$"):
             dpo_step(ToyPolicy.uniform(2), binary_task(), 1, 1)
+        with pytest.raises(InvalidInput, match="^preferred and rejected must differ$"):
+            dpo_loss(ToyPolicy.uniform(2), 0, 0)
 
     def test_beta_must_be_positive(self):
-        with pytest.raises(InvalidInput, match="^beta must be > 0$"):
-            dpo_step(ToyPolicy.uniform(2), binary_task(), 0, 1, beta=0.0)
+        for beta in (0.0, -1.0, math.nan):
+            with pytest.raises(InvalidInput, match="^beta must be > 0$"):
+                dpo_step(ToyPolicy.uniform(2), binary_task(), 0, 1, beta=beta)
+            with pytest.raises(InvalidInput, match="^beta must be > 0$"):
+                dpo_loss(ToyPolicy.uniform(2), 0, 1, beta=beta)
 
     def test_reference_untouched_by_training(self):
         policy = ToyPolicy.uniform(2)
