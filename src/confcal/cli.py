@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import adaptive, harness, metrics
 from .client import HTTPBackend, MockBackend, ModelClient, ResponseCache
-from .confidence import MissingPolicy
+from .confidence import MISSING_POLICIES
 from .errors import (
     ConfcalError,
     ConfigInvalid,
@@ -141,7 +141,7 @@ class RunConfig:
     base_url: str | None = _key(None, EVAL_SWEEP)
     api_key_env: str | None = _key(None, EVAL_SWEEP)
     model_name: str = _key("mock", EVAL_SWEEP)
-    missing_policy: str = _key("neutral", EVAL_SWEEP, check=_one_of("error", "neutral", "skip"))
+    missing_policy: str = _key("neutral", EVAL_SWEEP, check=_one_of(*MISSING_POLICIES))
     concurrency: int = _key(8, EVAL_SWEEP, int, AT_LEAST_ONE)
     confidence_mode: str = _key("normalized", ("eval",), check=_one_of("normalized", "raw", "both"))
     n_bins: int = _key(metrics.DEFAULT_N_BINS, ("eval",), int, AT_LEAST_ONE)
@@ -187,12 +187,7 @@ def build_client(cfg: RunConfig) -> ModelClient:
         api_key = os.environ.get(cfg.api_key_env) if cfg.api_key_env else None
         backend = HTTPBackend(cfg.base_url, api_key=api_key)
     cache = ResponseCache(cfg.cache_path) if cfg.cache_path else None
-    return ModelClient(
-        backend,
-        model_name=cfg.model_name,
-        cache=cache,
-        missing_policy=MissingPolicy(cfg.missing_policy),
-    )
+    return ModelClient(backend, model_name=cfg.model_name, cache=cache, missing_policy=cfg.missing_policy)
 
 
 def _pool_size(cfg: RunConfig) -> int:

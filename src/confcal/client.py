@@ -40,7 +40,7 @@ import certifi
 
 from .confidence import (
     DEFAULT_TOP_K,
-    MissingPolicy,
+    MISSING_POLICIES,
     TokenDistribution,
     normalized_confidence,
     p_yes,
@@ -521,14 +521,22 @@ def _read_fields(reader: BinaryIO) -> dict[str, str]:
     lower-case name; a repeated name keeps its last value. A line with no
     colon is malformed, and Content-Length or Transfer-Encoding values that
     differ leave the reply's end unknown (RFC 9112 section 6.3): both raise,
-    so that the connection is closed."""
+    so that the connection is closed. A line that starts with a space or a
+    tab (an obs-fold, RFC 9112 section 5.2) continues the value before it and
+    is joined to it with one space; before the first header it raises."""
     fields = {}
+    name = None
     for _ in range(_MAX_HEADERS + 1):
         line = _read_line(reader)
         if line in (b"\r\n", b"\n"):
             return fields
         if not line:
             raise http.client.HTTPException("the reply ended inside its headers")
+        if line[:1] in (b" ", b"\t"):
+            if name is None:
+                raise http.client.HTTPException(f"folded line {line[:40]!r} before the first header")
+            fields[name] = f"{fields[name]} {line.decode('latin-1').strip()}".strip()
+            continue
         name, colon, value = line.decode("latin-1").partition(":")
         if not colon:
             raise http.client.HTTPException(f"header line {line[:40]!r} has no colon")
@@ -790,8 +798,10 @@ class ModelClient:
         backend: Backend,
         model_name: str = "mock",
         cache: ResponseCache | None = None,
-        missing_policy: MissingPolicy = MissingPolicy.NEUTRAL,
+        missing_policy: str = "neutral",
     ):
+        if missing_policy not in MISSING_POLICIES:
+            raise InvalidInput(f"missing_policy must be {'|'.join(MISSING_POLICIES)}, got {missing_policy!r}")
         self.backend = backend
         self.model_name = model_name
         self.cache = cache
@@ -869,8 +879,9 @@ class ModelClient:
             )
 
         chosen = min(probs, key=lambda lab: (-probs[lab], lab))
-        logprobs = {label: math.log(p) if p > 0 else -math.inf for label, p in probs.items()}
-        confidence = normalized_confidence(logprobs, chosen).value
+        # aliases of one label can sum past 1 by rounding; a mass of 1 is certain
+        logprobs = {label: math.log(min(p, 1.0)) if p > 0 else -math.inf for label, p in probs.items()}
+        confidence = normalized_confidence(logprobs, chosen)
         return Readout(chosen, confidence, frozenset(), probs[chosen])
 
     def answer(self, question: str, context: str | None = None) -> Readout:
@@ -882,5 +893,5 @@ class ModelClient:
         turn = _user_turn(question, context)
         answer = self.complete(CompletionRequest((turn,), self.model_name, 256)).text
         dist = self._first_distribution([turn, Message("assistant", answer), _SELF_EVAL_TURN])
-        score = self_eval_confidence(dist, missing_policy=self.missing_policy)
-        return Readout(answer, score.value, frozenset(f.value for f in score.flags), p_yes(dist))
+        confidence, flags = self_eval_confidence(dist, missing_policy=self.missing_policy)
+        return Readout(answer, confidence, flags, p_yes(dist))

@@ -1,8 +1,12 @@
 """Pure confidence arithmetic over truncated token distributions.
 
-All probability products are carried as sums of log-probabilities and
-normalized with a stable log-sum-exp, so candidate sets whose linear-space
-probabilities underflow still produce correct ratios.
+The paper's two readouts, each one function that returns plain values: the
+label confidence renormalized over the label set (``normalized_confidence``,
+a float) and the Yes/No self-evaluation c_yes / (c_yes + c_no) with its
+neutral 0.5 fallback (``self_eval_confidence``, a float and its flag names).
+Candidate log-probabilities are normalized with a stable log-sum-exp, so
+candidate sets whose linear-space probabilities underflow still produce
+correct ratios.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import (
     AnchorTokensAbsent,
@@ -23,29 +26,13 @@ from .errors import (
 
 DEFAULT_TOP_K = 20
 
+# What a self-evaluation with neither anchor in the top-K gives.
+MISSING_POLICIES = ("error", "neutral")
+
 # Tokenizers differ on casing and leading spaces; these cover the common
 # single-token variants.
 DEFAULT_YES_ALIASES = frozenset({"Yes", " Yes", "yes", " yes"})
 DEFAULT_NO_ALIASES = frozenset({"No", " No", "no", " no"})
-
-
-class Method(str, Enum):
-    CLASSIFICATION_NORMALIZED = "classification_normalized"
-    SELF_EVAL = "self_eval"
-    RAW = "raw"
-
-
-class Flag(str, Enum):
-    ANCHOR_MISSING_YES = "anchor_missing_yes"
-    ANCHOR_MISSING_NO = "anchor_missing_no"
-    FALLBACK_NEUTRAL = "fallback_neutral"
-    SELF_EVAL_SKIPPED = "self_eval_skipped"
-
-
-class MissingPolicy(str, Enum):
-    ERROR = "error"
-    NEUTRAL = "neutral"
-    SKIP = "skip"
 
 
 @dataclass(frozen=True)
@@ -81,33 +68,6 @@ class TokenDistribution:
         return math.fsum(self.probability(tok) for tok in tokens)
 
 
-@dataclass(frozen=True)
-class ConfidenceScore:
-    value: float
-    flags: frozenset[Flag] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "flags", frozenset(self.flags))
-        if not 0.0 <= self.value <= 1.0:
-            raise InvalidLogProb(f"confidence value out of [0,1]: {self.value}")
-        if Flag.FALLBACK_NEUTRAL in self.flags and not (
-            Flag.ANCHOR_MISSING_YES in self.flags and Flag.ANCHOR_MISSING_NO in self.flags
-        ):
-            raise AnchorTokensAbsent(
-                "fallback_neutral flag requires both anchor_missing flags"
-            )
-
-
-def sequence_logprob(token_logprobs: list[float]) -> float:
-    """Log of the product of token probabilities (sum of logs)."""
-    if not token_logprobs:
-        raise EmptySequence("token logprob list is empty")
-    for lp in token_logprobs:
-        if not lp <= 0:  # NaN included
-            raise InvalidLogProb(f"token logprob is not <= 0: {lp}")
-    return math.fsum(token_logprobs)
-
-
 def _logsumexp(values: list[float]) -> float:
     m = max(values)
     if math.isinf(m) and m < 0:
@@ -115,12 +75,13 @@ def _logsumexp(values: list[float]) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
-def normalized_confidence(candidates: Mapping[str, float], selected: str) -> ConfidenceScore:
+def normalized_confidence(candidates: Mapping[str, float], selected: str) -> float:
     """Selected candidate's probability renormalized over the candidate set,
     a ``{candidate: sequence log-probability}`` mapping.
 
     Computed as exp(lp_selected - logsumexp(all lps)); summing the result
-    over every candidate as ``selected`` gives exactly 1.
+    over every candidate as ``selected`` gives exactly 1. A set in which
+    every candidate has probability 0 has no ratio, and raises.
     """
     if not candidates:
         raise EmptySequence("candidate set is empty")
@@ -131,8 +92,9 @@ def normalized_confidence(candidates: Mapping[str, float], selected: str) -> Con
         raise UnknownCandidate(f"selected candidate {selected!r} not in candidate set")
 
     total = _logsumexp(list(candidates.values()))
-    value = math.exp(candidates[selected] - total)
-    return ConfidenceScore(value=min(value, 1.0))
+    if total == -math.inf:
+        raise InvalidLogProb("every candidate has log-probability -inf")
+    return min(math.exp(candidates[selected] - total), 1.0)
 
 
 def p_yes(dist: TokenDistribution) -> float:
@@ -140,32 +102,25 @@ def p_yes(dist: TokenDistribution) -> float:
     return dist.mass(DEFAULT_YES_ALIASES)
 
 
-def self_eval_confidence(
-    dist: TokenDistribution, missing_policy: MissingPolicy = MissingPolicy.NEUTRAL
-) -> ConfidenceScore:
-    """Yes/No anchor-token confidence: c_yes / (c_yes + c_no), the masses on
-    ``DEFAULT_YES_ALIASES`` / ``DEFAULT_NO_ALIASES``.
+def self_eval_confidence(dist: TokenDistribution, missing_policy: str = "neutral") -> tuple[float, frozenset[str]]:
+    """Yes/No anchor-token confidence c_yes / (c_yes + c_no), the masses on
+    ``DEFAULT_YES_ALIASES`` / ``DEFAULT_NO_ALIASES``, and its flags:
+    ``anchor_missing_yes`` / ``anchor_missing_no`` for a mass of 0.
 
     Tokens absent from the truncated distribution contribute probability 0.
     When both alias sets are entirely absent the missing policy decides:
     ``error`` raises, ``neutral`` gives 0.5 with ``fallback_neutral`` beside
-    the two anchor flags, and ``skip`` the same plus ``self_eval_skipped``.
+    the two anchor flags.
     """
     c_yes = p_yes(dist)
     c_no = dist.mass(DEFAULT_NO_ALIASES)
-
-    flags: set[Flag] = set()
+    flags = set()
     if c_yes == 0.0:
-        flags.add(Flag.ANCHOR_MISSING_YES)
+        flags.add("anchor_missing_yes")
     if c_no == 0.0:
-        flags.add(Flag.ANCHOR_MISSING_NO)
-
+        flags.add("anchor_missing_no")
     if c_yes == 0.0 and c_no == 0.0:
-        if missing_policy is MissingPolicy.ERROR:
+        if missing_policy == "error":
             raise AnchorTokensAbsent("no yes/no anchor token present in top-K")
-        flags.add(Flag.FALLBACK_NEUTRAL)
-        if missing_policy is MissingPolicy.SKIP:
-            flags.add(Flag.SELF_EVAL_SKIPPED)
-        return ConfidenceScore(value=0.5, flags=frozenset(flags))
-
-    return ConfidenceScore(value=c_yes / (c_yes + c_no), flags=frozenset(flags))
+        return 0.5, frozenset({*flags, "fallback_neutral"})
+    return c_yes / (c_yes + c_no), frozenset(flags)

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import TypeVar
 
 from .client import ModelClient, Readout, on_wait
-from .confidence import Method
 from .errors import ConfcalError, NoNumberFound, SchemaViolation
 from .metrics import EvalRecord
 
@@ -264,7 +263,6 @@ def _eval_one(
     else:
         flags = set(readout.flags)
         correct = is_correct(readout.answer, example.gold, task.matcher, flags)
-    method = Method.SELF_EVAL if task.kind == "generation" else Method.CLASSIFICATION_NORMALIZED
     record = EvalRecord(
         id=example.id,
         task_id=task.task_id,
@@ -272,12 +270,10 @@ def _eval_one(
         gold=example.gold,
         correct=correct,
         confidence=readout.confidence,
-        method=method.value,
+        method="self_eval" if task.kind == "generation" else "classification_normalized",
         flags=frozenset(flags),
     )
-    return record, replace(
-        record, confidence=min(max(readout.raw, 0.0), 1.0), method=Method.RAW.value
-    )
+    return record, replace(record, confidence=min(max(readout.raw, 0.0), 1.0), method="raw")
 
 
 def run_pool(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int) -> list[_R]:

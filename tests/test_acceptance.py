@@ -137,20 +137,20 @@ class TestCriterion6ConfidenceAlgebra:
             k = rng.randint(1, 10)
             logprobs = [rng.uniform(-300, 0) for _ in range(k)]
             cands = {f"c{i}": lp for i, lp in enumerate(logprobs)}
-            values = [normalized_confidence(cands, c).value for c in cands]
+            values = [normalized_confidence(cands, c) for c in cands]
             assert sum(values) == pytest.approx(1.0, abs=1e-12)
 
             delta = rng.uniform(-50, 0)
             shifted = {c: lp + delta for c, lp in cands.items()}
             for cand, val in zip(shifted, values):
-                assert normalized_confidence(shifted, cand).value == pytest.approx(val, abs=1e-12)
+                assert normalized_confidence(shifted, cand) == pytest.approx(val, abs=1e-12)
 
             best = max(range(k), key=lambda i: logprobs[i])
             assert values[best] == max(values)
 
         underflow = {"a": -2000.0, "b": -2001.0}
         expected = math.e / (1.0 + math.e)
-        assert normalized_confidence(underflow, "a").value == pytest.approx(expected, abs=1e-9)
+        assert normalized_confidence(underflow, "a") == pytest.approx(expected, abs=1e-9)
         report("6 confidence algebra incl. underflow")
 
 

@@ -24,7 +24,6 @@ from confcal.adaptive import (
 from confcal import client as client_module
 from confcal.cli import EXIT_ENDPOINT, EXIT_OK, _fmt, main
 from confcal.client import HTTPBackend, MockBackend, ModelClient, Readout, ResponseCache, request_digest
-from confcal.confidence import MissingPolicy
 from confcal.errors import NoNumberFound, RetrievalMiss
 from confcal.harness import DatasetExample, TaskSpec, load_dataset, match_answer, run_eval
 from confcal.metrics import retrieval_efficiency
@@ -112,8 +111,7 @@ class TestAnswerAdaptive:
     @pytest.mark.parametrize(
         "policy, flags",
         [
-            (MissingPolicy.SKIP, {"self_eval_skipped", "fallback_neutral", "anchor_missing_yes", "anchor_missing_no"}),
-            (MissingPolicy.NEUTRAL, {"fallback_neutral", "anchor_missing_yes", "anchor_missing_no"}),
+            ("neutral", {"fallback_neutral", "anchor_missing_yes", "anchor_missing_no"}),
         ],
     )
     def test_second_pass_anchorless_self_eval_is_flagged(self, policy, flags):

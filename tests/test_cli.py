@@ -236,6 +236,30 @@ class TestEval:
         assert err.startswith("data error:") and "not a task spec" in err and len(err.splitlines()) == 1
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize(
+        "policy, flags",
+        [
+            (None, ["anchor_missing_no", "anchor_missing_yes", "fallback_neutral"]),
+            ("error", ["error:AnchorTokensAbsent"]),
+        ],
+        ids=["default", "error"],
+    )
+    def test_anchorless_self_eval_record_flags(self, tmp_path, policy, flags):
+        config, out = make_generation_run(tmp_path, n=1)
+        write_jsonl(tmp_path / "mock.jsonl", [answer_entry("Paris"), yes_no_entry(0.0, 0.0)])
+        if policy:
+            config.write_text(config.read_text() + f"missing_policy = {policy}\n")
+        assert run_quietly(["eval", "--config", str(config)]) == (EXIT_OK, "")
+        (record,) = [json.loads(l) for l in (out / "records.jsonl").read_text().splitlines()]
+        assert record["flags"] == flags
+
+    def test_skip_policy_is_config_error(self, tmp_path):
+        config, out = make_generation_run(tmp_path)
+        config.write_text(config.read_text() + "missing_policy = skip\n")
+        code, err = run_quietly(["eval", "--config", str(config)])
+        assert (code, err) == (EXIT_CONFIG, "config error: missing_policy must be error|neutral, got 'skip'\n")
+        assert not out.exists()
+
     def test_no_backend_is_config_error_before_reading_data(self, tmp_path, capsys):
         config, _ = make_generation_run(tmp_path)
         config.write_text(
@@ -761,7 +785,7 @@ SAMPLES = {
     "base_url": ("http://127.0.0.1:9/v1", "http://127.0.0.1:9/v1"),
     "api_key_env": ("KEY", "KEY"),
     "model_name": ("m", "m"),
-    "missing_policy": ("skip", "skip"),
+    "missing_policy": ("error", "error"),
     "concurrency": ("3", 3),
     "confidence_mode": ("both", "both"),
     "n_bins": ("4", 4),

@@ -6,6 +6,7 @@ import contextlib
 import errno
 import gzip
 import hashlib
+import io
 import json
 import math
 import re
@@ -41,8 +42,9 @@ from confcal.client import (
     ResponseCache,
     request_digest,
 )
-from confcal.confidence import Flag, TokenDistribution
+from confcal.confidence import TokenDistribution
 from confcal.errors import (
+    AnchorTokensAbsent,
     ConfigInvalid,
     EndpointUnreachable,
     InvalidInput,
@@ -736,6 +738,19 @@ class TestReplyReader:
             backend.close()
         assert stub.connections == 1 and sleeps == []
 
+    def test_folded_line_continues_the_header_before_it(self, sleeps):
+        """Read as a header of its own, the folded line would frame the body
+        at 5 bytes; as part of X-Note, it leaves the body to run to the end."""
+        reply = b"HTTP/1.1 200 OK\r\nX-Note: a\r\n content-length: 5\r\n\r\n" + chat_bytes("folded")
+        with RawStub([(reply, True)]) as stub:
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request("q0")).text == "folded"
+            assert backend._poster._idle == []
+            backend.close()
+        assert sleeps == []
+        head = io.BytesIO(b"X-Note: a\r\n content-length: 5\r\n\t b \r\nX-Other:\r\n\tc\r\n\r\n")
+        assert client_module._read_fields(head) == {"x-note": "a content-length: 5 b", "x-other": "c"}
+
     def test_1xx_replies_are_skipped(self, sleeps):
         early = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n"
         with RawStub([(early + raw_chat_reply("final"), False)]) as stub:
@@ -780,6 +795,7 @@ class TestReplyReader:
             (b"HTTP/1.1 2000 OK\r\n\r\n", "bad status line"),
             (raw_reply(b"{}", Content_Length="+2"), "bad Content-Length"),
             (b"HTTP/1.1 200 OK\r\nGarbage\r\nContent-Length: 2\r\n\r\n{}", "has no colon"),
+            (b"HTTP/1.1 200 OK\r\n Content-Length: 2\r\n\r\n{}", "before the first header"),
             (
                 raw_reply(chunked(gzip.compress(b"{}")), Content_Length=None, Transfer_Encoding="gzip, chunked"),
                 "unsupported Transfer-Encoding",
@@ -791,7 +807,7 @@ class TestReplyReader:
         ],
         ids=[
             "short-body", "huge-length", "chunk-size", "content-length", "long-line", "101-headers", "cut-head", "status",
-            "signed-length", "no-colon", "gzip-then-chunked", "chunked-then-gzip",
+            "signed-length", "no-colon", "leading-fold", "gzip-then-chunked", "chunked-then-gzip",
         ],
     )
     def test_malformed_reply_is_retried_then_unreachable(self, reply, message, sleeps):
@@ -1347,12 +1363,21 @@ class TestClassify:
         assert result.answer == "A"
         assert result.confidence == pytest.approx(0.25)
 
+    def test_aliases_summing_past_one(self, scripted_client):
+        """A first token rounded to logprob 0.0 beside a second alias of the
+        same label: the label's mass is 1 + 2e-9, which counts as certain."""
+        dist = {"A": 0.0, " A": -20.0, "B": -25.0}
+        client = scripted_client([{"tokens": ["A"], "distributions": [dist]}])
+        result = client.classify("pick one", [("A", frozenset({"A", " A"})), ("B", frozenset({"B"}))])
+        assert result.answer == "A"
+        assert result.confidence == pytest.approx(1.0 - math.exp(-25.0), rel=1e-15)
+
     def test_confidence_sums_to_one(self):
         # label scores as classify builds them, incl. an absent label at -inf
         from confcal.confidence import normalized_confidence
 
         cands = {"A": math.log(0.5), "B": math.log(0.2), "C": math.log(0.05), "D": float("-inf")}
-        total = sum(normalized_confidence(cands, c).value for c in cands)
+        total = sum(normalized_confidence(cands, c) for c in cands)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_no_label_token_present(self, scripted_client):
@@ -1421,7 +1446,17 @@ class TestSelfEvaluate:
         client = scripted_client(self_eval_entries(dist))
         readout = client.answer("q?")
         assert readout.confidence == 1.0
-        assert Flag.ANCHOR_MISSING_NO.value in readout.flags
+        assert "anchor_missing_no" in readout.flags
+
+    def test_error_policy_raises_without_anchors(self, scripted_client):
+        client = scripted_client(self_eval_entries({"Maybe": math.log(0.9)}), missing_policy="error")
+        with pytest.raises(AnchorTokensAbsent):
+            client.answer("q?")
+
+    @pytest.mark.parametrize("policy", ["skip", "ERROR", "", None])
+    def test_unknown_policy_is_refused(self, policy):
+        with pytest.raises(InvalidInput, match=r"^missing_policy must be error\|neutral, got "):
+            ModelClient(MockBackend([]), missing_policy=policy)
 
 
 class TestGenerateAnswer:
