@@ -26,7 +26,7 @@ import threading
 import time
 import weakref
 import zlib
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
 from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -40,8 +40,8 @@ import certifi
 
 from .confidence import (
     DEFAULT_TOP_K,
-    MISSING_POLICIES,
     TokenDistribution,
+    check_missing_policy,
     normalized_confidence,
     p_yes,
     self_eval_confidence,
@@ -55,7 +55,6 @@ from .errors import (
     NoLabelTokenPresent,
     RateLimited,
     SchemaViolation,
-    UnmappableLabel,
 )
 
 _log = logging.getLogger(__name__)
@@ -800,8 +799,7 @@ class ModelClient:
         cache: ResponseCache | None = None,
         missing_policy: str = "neutral",
     ):
-        if missing_policy not in MISSING_POLICIES:
-            raise InvalidInput(f"missing_policy must be {'|'.join(MISSING_POLICIES)}, got {missing_policy!r}")
+        check_missing_policy(missing_policy)
         self.backend = backend
         self.model_name = model_name
         self.cache = cache
@@ -858,29 +856,23 @@ class ModelClient:
             raise MalformedResponse("no token distribution at first answer position")
         return response.token_distributions[0]
 
-    def classify(
-        self, input: str, label_set: list[tuple[str, frozenset[str] | set[str]]]
-    ) -> Readout:
+    def classify(self, input: str, label_set: Mapping[str, frozenset[str]]) -> Readout:
         """Single-token readout: per-label summed alias probability, normalized.
 
+        ``label_set`` maps each label to its aliases, as ``TaskSpec`` holds it.
         Labels whose aliases are all absent from the top-K score probability 0.
         Argmax ties break to the alphabetically first label.
         """
-        for label, aliases in label_set:
-            if not aliases:
-                raise UnmappableLabel(f"label {label!r} has no single-token alias")
-
         dist = self._first_distribution([Message("user", input)])
 
-        probs = {label: dist.mass(aliases) for label, aliases in label_set}
+        probs = {label: dist.mass(aliases) for label, aliases in label_set.items()}
         if all(p == 0.0 for p in probs.values()):
             raise NoLabelTokenPresent(
                 f"no alias of any label in {sorted(probs)} present in top-{DEFAULT_TOP_K}"
             )
 
         chosen = min(probs, key=lambda lab: (-probs[lab], lab))
-        # aliases of one label can sum past 1 by rounding; a mass of 1 is certain
-        logprobs = {label: math.log(min(p, 1.0)) if p > 0 else -math.inf for label, p in probs.items()}
+        logprobs = {label: math.log(p) if p > 0 else -math.inf for label, p in probs.items()}
         confidence = normalized_confidence(logprobs, chosen)
         return Readout(chosen, confidence, frozenset(), probs[chosen])
 

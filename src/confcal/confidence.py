@@ -19,6 +19,7 @@ from .errors import (
     AnchorTokensAbsent,
     DuplicateCandidate,
     EmptySequence,
+    InvalidInput,
     InvalidLogProb,
     MalformedResponse,
     UnknownCandidate,
@@ -28,6 +29,13 @@ DEFAULT_TOP_K = 20
 
 # What a self-evaluation with neither anchor in the top-K gives.
 MISSING_POLICIES = ("error", "neutral")
+
+
+def check_missing_policy(missing_policy: str) -> None:
+    """Raises ``InvalidInput`` unless ``missing_policy`` is in ``MISSING_POLICIES``."""
+    if missing_policy not in MISSING_POLICIES:
+        raise InvalidInput(f"missing_policy must be {'|'.join(MISSING_POLICIES)}, got {missing_policy!r}")
+
 
 # Tokenizers differ on casing and leading spaces; these cover the common
 # single-token variants.
@@ -64,8 +72,9 @@ class TokenDistribution:
         return math.exp(lp) if lp is not None else 0.0
 
     def mass(self, tokens: Iterable[str]) -> float:
-        """Summed probability of ``tokens``, each alias of one answer."""
-        return math.fsum(self.probability(tok) for tok in tokens)
+        """Summed probability of ``tokens``, each alias of one answer; a sum
+        that rounds past 1 is 1."""
+        return min(math.fsum(self.probability(tok) for tok in tokens), 1.0)
 
 
 def _logsumexp(values: list[float]) -> float:
@@ -110,8 +119,9 @@ def self_eval_confidence(dist: TokenDistribution, missing_policy: str = "neutral
     Tokens absent from the truncated distribution contribute probability 0.
     When both alias sets are entirely absent the missing policy decides:
     ``error`` raises, ``neutral`` gives 0.5 with ``fallback_neutral`` beside
-    the two anchor flags.
+    the two anchor flags; any other policy raises.
     """
+    check_missing_policy(missing_policy)
     c_yes = p_yes(dist)
     c_no = dist.mass(DEFAULT_NO_ALIASES)
     flags = set()

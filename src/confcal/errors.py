@@ -63,10 +63,6 @@ class NoLabelTokenPresent(ConfcalError):
     pass
 
 
-class UnmappableLabel(ConfcalError):
-    pass
-
-
 class InvalidInput(ConfcalError):
     pass
 

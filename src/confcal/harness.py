@@ -12,7 +12,7 @@ import json
 import re
 import threading
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TypeVar
 
@@ -32,21 +32,14 @@ _PUNCT_STRIP = " \t\n\r.,;:!?\"'()[]{}"
 
 
 @dataclass(frozen=True)
-class LabelSpec:
-    label: str
-    aliases: frozenset[str]
-
-
-@dataclass(frozen=True)
 class TaskSpec:
     task_id: str
     kind: str  # classification | generation
     matcher: str  # exact | numeric | substring
     prompt_template: str = "{input}"
-    label_set: tuple[LabelSpec, ...] = ()
+    label_set: dict[str, frozenset[str]] = field(default_factory=dict)  # label -> its aliases
 
     def __post_init__(self):
-        object.__setattr__(self, "label_set", tuple(self.label_set))
         if self.kind not in ("classification", "generation"):
             raise SchemaViolation(f"unknown task kind {self.kind!r}")
         if self.matcher not in ("exact", "numeric", "substring"):
@@ -55,15 +48,17 @@ class TaskSpec:
             raise SchemaViolation("classification task needs a non-empty label_set")
         if self.kind == "generation" and self.matcher == "exact":
             raise SchemaViolation("generation tasks use numeric or substring matching")
-        labels = [spec.label for spec in self.label_set]
-        aliases = [alias for spec in self.label_set for alias in spec.aliases]
-        if not all(isinstance(x, str) for x in labels + aliases):
+        aliases = [alias for label_aliases in self.label_set.values() for alias in label_aliases]
+        if not all(isinstance(x, str) for x in [*self.label_set, *aliases]):
             raise SchemaViolation("labels and their aliases must be strings")
-        for spec in self.label_set:
-            if not spec.aliases:
-                raise SchemaViolation(f"label {spec.label!r} has no alias")
-        if len(set(labels)) != len(labels):
-            raise SchemaViolation(f"labels must be unique, got {labels}")
+        # an alias of two labels would count its probability for both
+        seen: set[str] = set()
+        for label, label_aliases in self.label_set.items():
+            if not label_aliases:
+                raise SchemaViolation(f"label {label!r} has no alias")
+            if label_aliases & seen:
+                raise SchemaViolation(f"alias {min(label_aliases & seen)!r} is listed under two labels")
+            seen |= label_aliases
         # a generation task fills only {input}; its context reaches the model
         # as a separate part of the user turn
         fields = ("input",) if self.kind == "generation" else ("input", "choices", "context")
@@ -77,17 +72,19 @@ class TaskSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "TaskSpec":
-        labels = []
+        label_set = {}
         for item in data.get("label_set", []):
             if not isinstance(item["aliases"], list):
                 raise SchemaViolation(f"aliases of label {item['label']!r} must be a list")
-            labels.append(LabelSpec(label=item["label"], aliases=frozenset(item["aliases"])))
+            if item["label"] in label_set:
+                raise SchemaViolation(f"label {item['label']!r} is listed twice")
+            label_set[item["label"]] = frozenset(item["aliases"])
         return cls(
             task_id=data["task_id"],
             kind=data["kind"],
             matcher=data["matcher"],
             prompt_template=data.get("prompt_template", "{input}"),
-            label_set=labels,
+            label_set=label_set,
         )
 
     @classmethod
@@ -246,15 +243,13 @@ def _eval_one(
     task: TaskSpec, example: DatasetExample, client: ModelClient
 ) -> tuple[EvalRecord, EvalRecord]:
     try:
+        # each kind's template was checked at load to name only its own fields
+        prompt = task.prompt_template.format(
+            input=example.input, choices="\n".join(example.choices or ()), context=example.context or ""
+        )
         if task.kind == "classification":
-            prompt = task.prompt_template.format(
-                input=example.input,
-                choices="\n".join(example.choices or ()),
-                context=example.context or "",
-            )
-            readout = client.classify(prompt, [(l.label, l.aliases) for l in task.label_set])
+            readout = client.classify(prompt, task.label_set)
         else:
-            prompt = task.prompt_template.format(input=example.input)
             readout = client.answer(prompt, example.context)
     except ConfcalError as exc:
         readout = Readout("", 0.5, frozenset(), 0.0)
@@ -273,7 +268,7 @@ def _eval_one(
         method="self_eval" if task.kind == "generation" else "classification_normalized",
         flags=frozenset(flags),
     )
-    return record, replace(record, confidence=min(max(readout.raw, 0.0), 1.0), method="raw")
+    return record, replace(record, confidence=readout.raw, method="raw")
 
 
 def run_pool(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int) -> list[_R]:

@@ -191,7 +191,7 @@ def _draw_counts(rng: np.random.Generator, probs: list[float], batch_size: int) 
 def advantage_step(
     policy: ToyPolicy,
     task: ToyTask,
-    reward_option: int | None,
+    reward_option: int,
     clip_eps: float = 0.2,
     lr: float = 0.1,
     batch_size: int = 64,
@@ -199,26 +199,25 @@ def advantage_step(
 ) -> ToyPolicy:
     """One clipped-ratio advantage-weighted update from an old-policy snapshot.
 
-    Rewards are 1 for ``reward_option`` (all options, when None) and 0
-    otherwise; advantages subtract the batch-mean reward. The inner ascent
-    masks out samples whose probability ratio left the trust region, and
-    a KL(pi || pi_ref) penalty of weight ``KL_COEF`` pulls toward the
-    reference. The batch is drawn from ``rng``.
+    Rewards are 1 for ``reward_option`` and 0 otherwise; advantages
+    subtract the batch-mean reward. The inner ascent masks out samples
+    whose probability ratio left the trust region, and a KL(pi || pi_ref)
+    penalty of weight ``KL_COEF`` pulls toward the reference. The batch is
+    drawn from ``rng``.
     """
     if not 0 < clip_eps < 1:
         raise InvalidInput("clip_eps must be in (0,1)")
     _check_step(lr, batch_size)
     logits = _logits_on(policy, task)
     num_options = len(logits)
-    if reward_option is not None:
-        _check_option("reward_option", reward_option, num_options)
+    _check_option("reward_option", reward_option, num_options)
     _check_rng(rng)
 
     old_probs = _softmax(logits)
     # Reward, advantage and ratio depend only on the sampled option, so the
     # batch reduces to a count per option and the loop costs O(K).
     counts = _draw_counts(rng, old_probs, batch_size)
-    hits = batch_size if reward_option is None else counts[reward_option]
+    hits = counts[reward_option]
     if hits in (0, batch_size):
         return policy  # zero advantage everywhere: exactly no update
 

@@ -74,7 +74,7 @@ def _kl_penalty_gradient(q: np.ndarray, log_ref: np.ndarray) -> np.ndarray:
 def advantage_step(
     policy: ToyPolicy,
     task: ToyTask,
-    reward_option: int | None,
+    reward_option: int,
     clip_eps: float = 0.2,
     lr: float = 0.1,
     batch_size: int = 64,
@@ -82,10 +82,7 @@ def advantage_step(
 ) -> ToyPolicy:
     old_probs = _softmax(policy.logits)
     actions = rng.choice(task.num_options, size=batch_size, p=old_probs)
-    if reward_option is None:
-        rewards = np.ones(batch_size)
-    else:
-        rewards = (actions == reward_option).astype(float)
+    rewards = (actions == reward_option).astype(float)
     advantages = rewards - rewards.mean()
     if not advantages.any():
         return policy

@@ -221,8 +221,9 @@ class TestEval:
             [{"label": "A", "aliases": [1, 2]}],
             [{"label": "A", "aliases": ["A"]}, {"label": "A", "aliases": ["a"]}],
             [{"label": "A", "aliases": ["A"]}, {"label": "B", "aliases": []}],
+            [{"label": "A", "aliases": ["x"]}, {"label": "B", "aliases": ["x", "y"]}],
         ],
-        ids=["aliases-a-string", "aliases-not-strings", "repeated-label", "aliases-empty"],
+        ids=["aliases-a-string", "aliases-not-strings", "repeated-label", "aliases-empty", "alias-shared"],
     )
     def test_bad_label_set_is_one_data_error(self, tmp_path, capsys, monkeypatch, label_set):
         config, out = make_generation_run(tmp_path)

@@ -52,7 +52,6 @@ from confcal.errors import (
     NoLabelTokenPresent,
     RateLimited,
     SchemaViolation,
-    UnmappableLabel,
 )
 
 from conftest import (
@@ -1338,8 +1337,48 @@ class TestHTTPBackendParsing:
             HTTPBackend._parse({"choices": [{"logprobs": {"content": [{"token": "Yes"}]}}]})
 
 
+@st.composite
+def label_readouts(draw):
+    """A label set with disjoint aliases, and a top-K distribution over some
+    of its aliases and some other tokens as a softmax gives it: with ties,
+    labels absent from the top-K, or no label at all. In one branch the first
+    token sits at logprob 0.0 beside a second alias of its label, so that the
+    label's mass rounds past 1."""
+    labels = draw(st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=5, unique=True))
+    label_set = {}
+    for lab in labels:
+        spellings = [lab, " " + lab, lab.lower(), " " + lab.lower()]
+        label_set[lab] = frozenset(draw(st.lists(st.sampled_from(spellings), min_size=1, max_size=4, unique=True)))
+    aliases = sorted(alias for label_aliases in label_set.values() for alias in label_aliases)
+    tokens = draw(st.lists(st.sampled_from(aliases + ["?", "Z", " maybe"]), unique=True))
+    if draw(st.booleans()):
+        first = labels[0]
+        label_set[first] |= {first, " " + first}
+        rest = {tok: -draw(st.floats(20.0, 40.0)) for tok in tokens if tok not in label_set[first]}
+        return label_set, {first: 0.0, " " + first: -draw(st.floats(10.0, 30.0)), **rest}
+    weights = [draw(st.sampled_from([0.25, 0.1]) | st.floats(1e-6, 1.0)) for _ in tokens]
+    total = math.fsum(weights) + draw(st.floats(0.0, 1.0))  # the rest lies outside the top-K
+    return label_set, {tok: math.log(w / total) for tok, w in zip(tokens, weights)}
+
+
+def brute_force_classify(label_set, logprobs):
+    """The paper's formula: each label's summed alias probability over the
+    sum across labels; argmax ties go to the alphabetically first label.
+    The raw value is the chosen label's probability, at most 1. None when no
+    label has probability."""
+    probs = {
+        label: math.fsum(math.exp(logprobs[alias]) for alias in aliases if alias in logprobs)
+        for label, aliases in label_set.items()
+    }
+    total = math.fsum(probs.values())
+    if total == 0.0:
+        return None
+    chosen = min(label for label, p in probs.items() if p == max(probs.values()))
+    return chosen, probs[chosen] / total, min(probs[chosen], 1.0)
+
+
 class TestClassify:
-    LABELS = [(lab, frozenset({lab})) for lab in ("A", "B", "C", "D")]
+    LABELS = {lab: frozenset({lab}) for lab in ("A", "B", "C", "D")}
 
     def test_hand_arithmetic(self, scripted_client):
         dist = {"B": math.log(0.6), "A": math.log(0.2), "C": math.log(0.1), "D": math.log(0.1)}
@@ -1368,7 +1407,7 @@ class TestClassify:
         same label: the label's mass is 1 + 2e-9, which counts as certain."""
         dist = {"A": 0.0, " A": -20.0, "B": -25.0}
         client = scripted_client([{"tokens": ["A"], "distributions": [dist]}])
-        result = client.classify("pick one", [("A", frozenset({"A", " A"})), ("B", frozenset({"B"}))])
+        result = client.classify("pick one", {"A": frozenset({"A", " A"}), "B": frozenset({"B"})})
         assert result.answer == "A"
         assert result.confidence == pytest.approx(1.0 - math.exp(-25.0), rel=1e-15)
 
@@ -1385,10 +1424,23 @@ class TestClassify:
         with pytest.raises(NoLabelTokenPresent):
             client.classify("pick one", self.LABELS)
 
-    def test_unmappable_label(self, scripted_client):
-        client = scripted_client([{"tokens": ["A"]}])
-        with pytest.raises(UnmappableLabel):
-            client.classify("pick one", [("A", frozenset()), ("B", frozenset({"B"}))])
+    @settings(max_examples=300, deadline=None)
+    @given(label_readouts())
+    @example(({"A": frozenset({"A", " A"}), "B": frozenset({"B"})}, {"A": 0.0, " A": -20.0, "B": -25.0}))
+    @example(({"A": frozenset({"A"}), "B": frozenset({"B"})}, {"B": math.log(0.25), "A": math.log(0.25)}))
+    @example(({"A": frozenset({"A"})}, {"?": -0.1}))
+    def test_matches_brute_force(self, case):
+        label_set, logprobs = case
+        client = ModelClient(MockBackend([{"tokens": ["?"], "distributions": [logprobs]}]))
+        expected = brute_force_classify(label_set, logprobs)
+        if expected is None:
+            with pytest.raises(NoLabelTokenPresent):
+                client.classify("pick one", label_set)
+            return
+        readout = client.classify("pick one", label_set)
+        assert (readout.answer, readout.confidence, readout.raw, readout.flags) == (
+            expected[0], pytest.approx(expected[1], rel=1e-12), pytest.approx(expected[2], rel=1e-12), frozenset()
+        )
 
 
 def self_eval_entries(dist, answer="a"):

@@ -10,6 +10,7 @@ from confcal.errors import (
     AnchorTokensAbsent,
     DuplicateCandidate,
     EmptySequence,
+    InvalidInput,
     InvalidLogProb,
     UnknownCandidate,
 )
@@ -106,6 +107,12 @@ class TestSelfEvalConfidence:
         with pytest.raises(AnchorTokensAbsent):
             self_eval_confidence(d, missing_policy="error")
 
+    @pytest.mark.parametrize("d", [dist(Maybe=-0.1), None], ids=["anchorless", "never-read"])
+    @pytest.mark.parametrize("policy", ["Error", "skip", "", None])
+    def test_unknown_policy_is_refused_before_the_distribution_is_read(self, d, policy):
+        with pytest.raises(InvalidInput, match=r"^missing_policy must be error\|neutral, got "):
+            self_eval_confidence(d, policy)
+
     def test_alias_summing(self):
         d = TokenDistribution(
             entries=(("Yes", math.log(0.2)), (" yes", math.log(0.2)), ("No", math.log(0.1)))
@@ -132,6 +139,11 @@ class TestSelfEvalConfidence:
 
 
 class TestTypes:
+    def test_mass_that_rounds_past_one_is_one(self):
+        d = dist(A=0.0, B=-20.0)
+        assert d.mass(["A", "B"]) == 1.0
+        assert d.mass(["B"]) == math.exp(-20.0)
+
     def test_distribution_rejects_positive_logprob(self):
         with pytest.raises(InvalidLogProb):
             TokenDistribution(entries=(("x", 0.2),))

@@ -13,7 +13,6 @@ from confcal.errors import NoNumberFound, SchemaViolation
 from confcal.metrics import build_report
 from confcal.harness import (
     DatasetExample,
-    LabelSpec,
     TaskSpec,
     extract_last_number,
     load_dataset,
@@ -32,7 +31,7 @@ CLASSIFICATION_TASK = TaskSpec(
     kind="classification",
     matcher="exact",
     prompt_template="{input}",
-    label_set=tuple(LabelSpec(lab, frozenset({lab})) for lab in "ABCD"),
+    label_set={lab: frozenset({lab}) for lab in "ABCD"},
 )
 
 GENERATION_TASK = TaskSpec(
@@ -62,7 +61,19 @@ class TestTaskSpec:
                 "context_field": "passage",  # a retired key, ignored like any unknown one
             }
         )
-        assert spec.label_set[0].aliases == {"A", " A"}
+        assert spec.label_set == {"A": {"A", " A"}}
+
+    def test_alias_under_two_labels_is_refused(self):
+        """Its probability would count for both labels: with A = {x} and
+        B = {x, y}, a first token {x: -0.105, y: -2.3} read B at 0.526."""
+        data = {
+            "task_id": "t",
+            "kind": "classification",
+            "matcher": "exact",
+            "label_set": [{"label": "A", "aliases": ["x"]}, {"label": "B", "aliases": ["x", "y"]}],
+        }
+        with pytest.raises(SchemaViolation, match="^alias 'x' is listed under two labels$"):
+            TaskSpec.from_json(data)
 
 
 class TestLoadDataset:

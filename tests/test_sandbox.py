@@ -115,13 +115,6 @@ class TestAdvantageStep:
         assert policy.probs[0] > 0.99
         assert abs(policy.probs[0] - 0.6) > 0.35
 
-    def test_uniform_reward_zero_update(self):
-        task = binary_task()
-        rng = np.random.default_rng(0)
-        policy = ToyPolicy.uniform(2)
-        updated = advantage_step(policy, task, reward_option=None, rng=rng)
-        assert np.array_equal(updated.logits, policy.logits)
-
     def test_small_clip_bounds_ratio(self):
         task = binary_task(0.5)
         rng = np.random.default_rng(3)
@@ -201,13 +194,11 @@ class TestComparison:
 
     def test_symmetric_fixed_point(self):
         task = ToyTask(np.array([0.5, 0.5]))
-        ce_rng, adv_rng = np.random.default_rng(0), np.random.default_rng(1)
-        ce = advantage = ToyPolicy.uniform(2)
+        ce_rng = np.random.default_rng(0)
+        ce = ToyPolicy.uniform(2)
         for _ in range(500):
             ce = ce_step(ce, task, rng=ce_rng)
-            advantage = advantage_step(advantage, task, reward_option=None, rng=adv_rng)
         assert max(ce.probs) < 0.6
-        assert max(advantage.probs) < 0.6
 
     def test_every_arm_step_goes_through_the_module(self, monkeypatch):
         # a tracer wraps the module's step functions; it sees only the calls

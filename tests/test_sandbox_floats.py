@@ -120,7 +120,7 @@ def step_cases(draw):
         ),
         "batch_size": draw(st.integers(1, 128)),
         "seed": draw(st.integers(0, 2**32 - 1)),
-        "reward_option": draw(st.one_of(st.none(), st.integers(0, k - 1))),
+        "reward_option": draw(st.integers(0, k - 1)),
         "preferred": preferred,
         "rejected": rejected,
         "lr": draw(st.floats(0.0, 1.0)),

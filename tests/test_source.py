@@ -2,7 +2,9 @@
 
 Every name a module imports, and every ``_private`` name it defines at module
 level, must be read somewhere in that same module. A public name may be read
-only by other modules or by the tests, so it is not checked.
+only by other modules or by the tests, so it is not checked. Every error class
+but the base one must be built somewhere in the package, or no run can raise
+it.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "confcal").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "confcal"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def _bound_names(statement: ast.stmt) -> list[str]:
@@ -45,3 +48,15 @@ def test_every_import_and_private_name_is_read(path):
 def test_the_check_finds_an_unused_import_and_private_name():
     source = "import os, json as j\nfrom x import a, b\n_LIMIT = 3\ndef _helper():\n    return a\nPUBLIC = j\n"
     assert unused_names(source) == ["os", "b", "_LIMIT", "_helper"]
+
+
+def test_every_error_class_is_built():
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef) and node.name != "ConfcalError"]
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    }
+    assert [name for name in classes if name not in called] == []
