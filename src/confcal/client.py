@@ -38,14 +38,7 @@ from urllib.request import getproxies, proxy_bypass
 
 import certifi
 
-from .confidence import (
-    DEFAULT_TOP_K,
-    TokenDistribution,
-    check_missing_policy,
-    normalized_confidence,
-    p_yes,
-    self_eval_confidence,
-)
+from .confidence import TokenDistribution, check_missing_policy, normalized_confidence, p_yes, self_eval_confidence
 from .errors import (
     ConfcalError,
     ConfigInvalid,
@@ -60,6 +53,9 @@ from .errors import (
 _log = logging.getLogger(__name__)
 
 SELF_EVAL_PROMPT = "Is this answer correct? Answer only Yes/No."
+
+# every request asks for the top-K logprobs at each position
+DEFAULT_TOP_K = 20
 
 # A 429 or 5xx is retried this many times, after a full-jitter backoff that
 # starts at BACKOFF_START_S seconds and doubles, or after its Retry-After,

@@ -15,17 +15,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .errors import (
-    AnchorTokensAbsent,
-    DuplicateCandidate,
-    EmptySequence,
-    InvalidInput,
-    InvalidLogProb,
-    MalformedResponse,
-    UnknownCandidate,
-)
-
-DEFAULT_TOP_K = 20
+from .errors import AnchorTokensAbsent, InvalidInput, InvalidLogProb, MalformedResponse
 
 # What a self-evaluation with neither anchor in the top-K gives.
 MISSING_POLICIES = ("error", "neutral")
@@ -57,9 +47,9 @@ class TokenDistribution:
             if not isinstance(token, str):
                 raise MalformedResponse(f"top token {token!r} is not a string")
             if not logprob <= 0:  # NaN included
-                raise InvalidLogProb(f"logprob for token {token!r} is not <= 0: {logprob}")
+                raise MalformedResponse(f"logprob for token {token!r} is not <= 0: {logprob}")
             if token in logprobs:
-                raise DuplicateCandidate(f"token {token!r} appears twice in one distribution")
+                raise MalformedResponse(f"token {token!r} appears twice in one distribution")
             logprobs[token] = logprob
         object.__setattr__(self, "_logprobs", logprobs)
 
@@ -93,12 +83,12 @@ def normalized_confidence(candidates: Mapping[str, float], selected: str) -> flo
     every candidate has probability 0 has no ratio, and raises.
     """
     if not candidates:
-        raise EmptySequence("candidate set is empty")
+        raise InvalidInput("candidate set is empty")
     for candidate, logprob in candidates.items():
         if not logprob <= 0:  # NaN included
             raise InvalidLogProb(f"sequence_logprob for {candidate!r} is not <= 0: {logprob}")
     if selected not in candidates:
-        raise UnknownCandidate(f"selected candidate {selected!r} not in candidate set")
+        raise InvalidInput(f"selected candidate {selected!r} not in candidate set")
 
     total = _logsumexp(list(candidates.values()))
     if total == -math.inf:

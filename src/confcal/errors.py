@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit: one class per cause that
+code catches by name, or that a record flag or an exit code tells apart."""
 
 
 class ConfcalError(Exception):
@@ -7,41 +8,11 @@ class ConfcalError(Exception):
 
 # --- confidence arithmetic ---
 
-class EmptySequence(ConfcalError):
-    pass
-
-
 class InvalidLogProb(ConfcalError):
     pass
 
 
-class UnknownCandidate(ConfcalError):
-    pass
-
-
-class DuplicateCandidate(ConfcalError):
-    pass
-
-
 class AnchorTokensAbsent(ConfcalError):
-    pass
-
-
-# --- calibration metrics ---
-
-class DegenerateClasses(ConfcalError):
-    pass
-
-
-class EmptyInput(ConfcalError):
-    pass
-
-
-class AllEmptyBins(ConfcalError):
-    pass
-
-
-class ZeroRetrieval(ConfcalError):
     pass
 
 
@@ -64,7 +35,7 @@ class NoLabelTokenPresent(ConfcalError):
 
 
 class InvalidInput(ConfcalError):
-    pass
+    """A bad argument to a library function."""
 
 
 # --- datasets / harness ---

@@ -9,6 +9,7 @@ answer generation followed by Yes/No self-evaluation.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 from collections.abc import Callable, Sequence
@@ -115,11 +116,11 @@ def _parse_gold_number(gold) -> float:
 
 
 def _is_number(gold) -> bool:
+    """True for a finite number: a NaN or infinite gold matches no answer."""
     try:
-        _parse_gold_number(gold)
+        return math.isfinite(_parse_gold_number(gold))
     except ValueError:
         return False
-    return True
 
 
 def load_dataset(path: str | Path, task: TaskSpec) -> list[DatasetExample]:
@@ -157,11 +158,16 @@ def load_dataset(path: str | Path, task: TaskSpec) -> list[DatasetExample]:
             if gold in ("", [], None):
                 errors.append(f"line {lineno}: empty gold")
                 continue
+            golds = gold if isinstance(gold, list) else [gold]
             if task.matcher == "numeric":
-                bad = [g for g in (gold if isinstance(gold, list) else [gold]) if not _is_number(g)]
+                bad = [g for g in golds if not _is_number(g)]
                 if bad:
                     errors.append(f"line {lineno}: numeric gold {bad[0]!r} is not a number")
                     continue
+            elif bad := [g for g in golds if not _normalize(str(g))]:
+                # "" is in every prediction, and equals an error record's empty one
+                errors.append(f"line {lineno}: gold {bad[0]!r} is empty once normalized")
+                continue
             example_id = str(data["id"])
             if example_id in seen_ids:
                 errors.append(f"line {lineno}: duplicate id {example_id!r}")

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 
-from .errors import AllEmptyBins, DegenerateClasses, EmptyInput, ZeroRetrieval
+from .errors import InvalidInput
 
 DEFAULT_N_BINS = 10
 
@@ -66,7 +66,7 @@ def auroc(records: list[EvalRecord]) -> float:
     report = build_report(records)
     if report.auroc is None:
         n_pos = round(report.accuracy * report.n)
-        raise DegenerateClasses(
+        raise InvalidInput(
             f"need both classes, got {n_pos} correct / {report.n - n_pos} incorrect"
         )
     return report.auroc
@@ -88,7 +88,7 @@ def ece_from_bins(bins: list[tuple[int, float, float]]) -> float:
     """ECE from aggregate (count, mean_accuracy, mean_confidence) rows."""
     total = sum(count for count, _, _ in bins)
     if total <= 0:
-        raise AllEmptyBins("every bin is empty")
+        raise InvalidInput("every bin is empty")
     return sum(
         (count / total) * abs(acc - conf) for count, acc, conf in bins if count > 0
     )
@@ -98,14 +98,14 @@ def accuracy_from_bins(bins: list[tuple[int, float, float]]) -> float:
     """Count-weighted mean of bin accuracies."""
     total = sum(count for count, _, _ in bins)
     if total <= 0:
-        raise AllEmptyBins("every bin is empty")
+        raise InvalidInput("every bin is empty")
     return sum(count * acc for count, acc, _ in bins) / total
 
 
 def retrieval_efficiency(accuracy_gain_pp: float, retrieval_rate_pct: float) -> float:
     """Accuracy gain (percentage points) per percent of queries retrieved."""
     if retrieval_rate_pct == 0:
-        raise ZeroRetrieval("efficiency undefined at 0% retrieval")
+        raise InvalidInput("efficiency undefined at 0% retrieval")
     return accuracy_gain_pp / retrieval_rate_pct
 
 
@@ -115,9 +115,9 @@ def build_report(
     """Accuracy, AUROC, ECE, and the per-bin table for one record set, all
     read off one sort by (confidence, id) and one prefix sum of correctness."""
     if not records:
-        raise EmptyInput("no records")
+        raise InvalidInput("no records")
     if n_bins < 1:
-        raise EmptyInput(f"n_bins must be >= 1, got {n_bins}")
+        raise InvalidInput(f"n_bins must be >= 1, got {n_bins}")
     ordered = sorted(records, key=lambda r: (r.confidence, r.id))
     confs = [r.confidence for r in ordered]
     # hits[i]: the number correct among the i least confident records

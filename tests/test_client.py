@@ -1249,7 +1249,7 @@ class TestResponseForm:
             assert main(argv) == EXIT_OK
             assert len(stub.bodies) == 6  # the self-evaluations are asked again
         records = [json.loads(line) for line in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
-        assert all("error:InvalidLogProb" in r["flags"] for r in records) and len(records) == 2
+        assert all(r["flags"] == ["error:MalformedResponse"] for r in records) and len(records) == 2
         assert len(cache.read_text().splitlines()) == 2  # the two answers only
         assert "NaN" not in cache.read_text()
 
@@ -1282,6 +1282,29 @@ class TestResponseForm:
         assert all("error:MalformedResponse" in r["flags"] for r in records)
         assert capsys.readouterr().err == ""
         assert not cache.exists()
+
+    @pytest.mark.usefixtures("plain_env")
+    @pytest.mark.parametrize(
+        "alternative",
+        [{"token": "y", "logprob": math.nan}, {"token": "x", "logprob": -2.0}, {"token": 7, "logprob": -2.0}],
+        ids=["nan-logprob", "duplicate-token", "int-token"],
+    )
+    def test_a_reply_that_fails_the_check_ends_one_way(self, tmp_path, capsys, alternative):
+        """Whatever its fault, an endpoint reply that fails the response check
+        is a MalformedResponse: the one flag of an eval record, and exit 2 in
+        sweep."""
+        body = chat_body("x")
+        body["choices"][0]["logprobs"]["content"][0]["top_logprobs"].append(alternative)
+        reply = (200, {"Content-Type": "application/json"}, json.dumps(body).encode())
+        with ChatStub(default=reply) as stub:
+            config = generation_config(tmp_path, stub.url, 2, 1)
+            assert main(["eval", "--config", str(config)]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+            assert main(["sweep", "--config", str(config), "--taus", "0.5"]) == EXIT_ENDPOINT
+        records = [json.loads(line) for line in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+        assert [r["flags"] for r in records] == [["error:MalformedResponse"]] * 2
+        err = capsys.readouterr().err
+        assert err.startswith("endpoint error: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("shape", ["compact", "pairs"])
     def test_int_top_token_in_a_cache_line_fails_the_load_with_its_line(self, tmp_path, shape):

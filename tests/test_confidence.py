@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from confcal.confidence import TokenDistribution, normalized_confidence, self_eval_confidence
-from confcal.errors import (
-    AnchorTokensAbsent,
-    DuplicateCandidate,
-    EmptySequence,
-    InvalidInput,
-    InvalidLogProb,
-    UnknownCandidate,
-)
+from confcal.errors import AnchorTokensAbsent, InvalidInput, InvalidLogProb, MalformedResponse
 
 
 def dist(**tokens):
@@ -34,11 +27,11 @@ class TestNormalizedConfidence:
             assert normalized_confidence(cands, c) == pytest.approx(0.25)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySequence):
+        with pytest.raises(InvalidInput, match="^candidate set is empty$"):
             normalized_confidence({}, "a")
 
     def test_unknown_candidate(self):
-        with pytest.raises(UnknownCandidate):
+        with pytest.raises(InvalidInput, match="^selected candidate 'B' not in candidate set$"):
             normalized_confidence({"A": math.log(0.5)}, "B")
 
     def test_underflow_ratio(self):
@@ -145,11 +138,11 @@ class TestTypes:
         assert d.mass(["B"]) == math.exp(-20.0)
 
     def test_distribution_rejects_positive_logprob(self):
-        with pytest.raises(InvalidLogProb):
+        with pytest.raises(MalformedResponse, match="^logprob for token 'x' is not <= 0: 0.2$"):
             TokenDistribution(entries=(("x", 0.2),))
 
     def test_distribution_rejects_nan_logprob(self):
-        with pytest.raises(InvalidLogProb):
+        with pytest.raises(MalformedResponse, match="^logprob for token 'y' is not <= 0: nan$"):
             TokenDistribution(entries=(("x", -1.0), ("y", math.nan)))
 
     def test_candidate_rejects_positive_or_nan_logprob(self):
@@ -158,7 +151,7 @@ class TestTypes:
                 normalized_confidence({"a": logprob, "b": -1.0}, "b")
 
     def test_distribution_rejects_duplicates(self):
-        with pytest.raises(DuplicateCandidate):
+        with pytest.raises(MalformedResponse, match="^token 'x' appears twice in one distribution$"):
             TokenDistribution(entries=(("x", -1.0), ("x", -2.0)))
 
     def test_confidence_score_bounds(self):

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -95,18 +96,37 @@ class TestLoadDataset:
             load_dataset(path, GENERATION_TASK)
 
     @pytest.mark.parametrize(
-        "line, message",
+        "line, message, matcher",
         [
-            ({"id": "e1", "input": "q", "gold": ""}, "line 1: empty gold"),
-            ({"id": "e1", "input": 5, "gold": "g"}, "line 1: input and context must be strings, choices a list of them"),
-            ({"id": "e1", "input": "q", "gold": "g", "choices": ["a", 2]}, "line 1: input and context must be strings"),
+            ({"id": "e1", "input": "q", "gold": ""}, "line 1: empty gold", "substring"),
+            ({"id": "e1", "input": 5, "gold": "g"}, "line 1: input and context must be strings, choices a list of them", "substring"),
+            ({"id": "e1", "input": "q", "gold": "g", "choices": ["a", 2]}, "line 1: input and context must be strings", "substring"),
+            # a gold that normalizes to "" is in every prediction; under exact
+            # it equals the empty prediction of an error record
+            ({"id": "e1", "input": "q", "gold": "."}, "line 1: gold '.' is empty once normalized", "substring"),
+            ({"id": "e1", "input": "q", "gold": " "}, "line 1: gold ' ' is empty once normalized", "substring"),
+            ({"id": "e1", "input": "q", "gold": [""]}, "line 1: gold '' is empty once normalized", "substring"),
+            ({"id": "e1", "input": "q", "gold": ["", "Paris"]}, "line 1: gold '' is empty once normalized", "substring"),
+            ({"id": "e1", "input": "q", "gold": "!?"}, "line 1: gold '!\\?' is empty once normalized", "exact"),
+            # a non-finite numeric gold matches no answer
+            ({"id": "e1", "input": "q", "gold": "nan"}, "line 1: numeric gold 'nan' is not a number", "numeric"),
+            ({"id": "e1", "input": "q", "gold": "inf"}, "line 1: numeric gold 'inf' is not a number", "numeric"),
+            ({"id": "e1", "input": "q", "gold": ["2", "-Infinity"]}, "line 1: numeric gold '-Infinity' is not", "numeric"),
         ],
-        ids=["empty-gold", "number-input", "number-choice"],
+        ids=[
+            "empty-gold", "number-input", "number-choice", "dot-gold", "space-gold", "empty-in-list",
+            "empty-beside-paris", "exact-punctuation", "nan-gold", "inf-gold", "minus-inf-in-list",
+        ],
     )
-    def test_bad_line(self, tmp_path, line, message):
+    def test_bad_line(self, tmp_path, line, message, matcher):
         path = self.write(tmp_path, [line])
+        task = CLASSIFICATION_TASK if matcher == "exact" else replace(GENERATION_TASK, matcher=matcher)
         with pytest.raises(SchemaViolation, match=message):
-            load_dataset(path, GENERATION_TASK)
+            load_dataset(path, task)
+
+    def test_gold_with_punctuation_around_a_word_loads(self, tmp_path):
+        path = self.write(tmp_path, [{"id": "e1", "input": "q", "gold": ["(Paris)", " 42 "]}])
+        assert load_dataset(path, GENERATION_TASK)[0].gold == ["(Paris)", " 42 "]
 
     def test_duplicate_ids(self, tmp_path):
         path = self.write(

@@ -8,7 +8,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confcal.errors import AllEmptyBins, DegenerateClasses, EmptyInput, ZeroRetrieval
+from confcal.errors import InvalidInput
 from confcal.metrics import (
     CalibrationBin,
     EvalRecord,
@@ -42,7 +42,7 @@ def two_sort_auroc(scores, labels):
     n_pos = sum(1 for lab in labels if lab)
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise DegenerateClasses(
+        raise InvalidInput(
             f"need both classes, got {n_pos} correct / {n_neg} incorrect"
         )
     pos_rank_sum = 0.0
@@ -80,7 +80,7 @@ def two_sort_report(records, n_bins):
     the correct records: the oracle of the one-sort ``build_report``."""
     try:
         auc = two_sort_auroc([r.confidence for r in records], [r.correct for r in records])
-    except DegenerateClasses:
+    except InvalidInput:
         auc = None
     bins = two_sort_bins(records, n_bins)
     flag_counts = {}
@@ -122,13 +122,13 @@ class TestAuroc:
         assert auroc(records) == 0.5
 
     def test_degenerate_single_class(self):
-        with pytest.raises(DegenerateClasses, match="^need both classes, got 2 correct / 0 incorrect$"):
+        with pytest.raises(InvalidInput, match="^need both classes, got 2 correct / 0 incorrect$"):
             auroc([make_record(0, True, 0.5), make_record(1, True, 0.6)])
-        with pytest.raises(DegenerateClasses, match="^need both classes, got 0 correct / 3 incorrect$"):
+        with pytest.raises(InvalidInput, match="^need both classes, got 0 correct / 3 incorrect$"):
             auroc([make_record(i, False, 0.5) for i in range(3)])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput, match="^no records$"):
+        with pytest.raises(InvalidInput, match="^no records$"):
             auroc([])
 
     @given(st.data())
@@ -177,7 +177,7 @@ class TestEqualMassBins:
         assert bins[0].mean_confidence == pytest.approx(0.42)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidInput, match="^no records$"):
             equal_mass_bins([], 10)
 
     def test_sorted_ascending_by_confidence(self):
@@ -252,7 +252,7 @@ class TestEceFromBins:
         assert ece_from_bins([(10, 0.8, 0.8)]) == 0.0
 
     def test_all_empty_rejected(self):
-        with pytest.raises(AllEmptyBins):
+        with pytest.raises(InvalidInput, match="^every bin is empty$"):
             ece_from_bins([(0, 0.5, 0.5)])
 
 
@@ -269,7 +269,7 @@ class TestAccuracyFromBins:
         assert accuracy_from_bins([(5, 1.0, 0.9)]) == 1.0
 
     def test_all_empty_rejected(self):
-        with pytest.raises(AllEmptyBins):
+        with pytest.raises(InvalidInput, match="^every bin is empty$"):
             accuracy_from_bins([(0, 1.0, 1.0)])
 
 
@@ -284,7 +284,7 @@ class TestRetrievalEfficiency:
         assert retrieval_efficiency(0.0, 50.0) == 0.0
 
     def test_zero_rate_undefined(self):
-        with pytest.raises(ZeroRetrieval):
+        with pytest.raises(InvalidInput, match="^efficiency undefined at 0% retrieval$"):
             retrieval_efficiency(1.0, 0.0)
 
 
@@ -315,9 +315,9 @@ class TestBuildReport:
         assert asdict(build_report(records, n_bins)) == two_sort_report(records, n_bins)
 
     def test_rejects_empty_and_no_bins(self):
-        with pytest.raises(EmptyInput, match="^no records$"):
+        with pytest.raises(InvalidInput, match="^no records$"):
             build_report([])
-        with pytest.raises(EmptyInput, match="^n_bins must be >= 1, got 0$"):
+        with pytest.raises(InvalidInput, match="^n_bins must be >= 1, got 0$"):
             build_report([make_record(0, True, 0.5)], 0)
 
     def test_report_shape(self):

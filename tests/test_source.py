@@ -4,15 +4,17 @@ Every name a module imports, and every ``_private`` name it defines at module
 level, must be read somewhere in that same module. A public name may be read
 only by other modules or by the tests, so it is not checked. Every error class
 but the base one must be built somewhere in the package, or no run can raise
-it.
+it. Every class name README.md gives must be defined in the package.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "confcal"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "confcal"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -60,3 +62,17 @@ def test_every_error_class_is_built():
         if isinstance(node, ast.Call)
     }
     assert [name for name in classes if name not in called] == []
+
+
+def test_every_class_the_readme_names_is_defined():
+    """A backticked CamelCase name, or an ``error:<Type>`` flag, in README.md
+    names a class of the package: a deleted class leaves no stale name there."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = {a or b for a, b in re.findall(r"`([A-Z][A-Za-z]+)`|error:([A-Z][A-Za-z]+)", readme)}
+    defined = {
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert sorted(named - defined) == []
