@@ -127,7 +127,7 @@ def request_digest(request: CompletionRequest) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionResponse:
     """Model output: the generated tokens and the top-K distribution at each.
 
@@ -160,14 +160,14 @@ class CompletionResponse:
         """The tokens, the alternative tokens at each position, and every
         alternative's logprob as one base64 block of little-endian float64s,
         positions in order."""
-        logprobs = [lp for d in self.token_distributions for _, lp in d.entries]
+        logprobs = [lp for d in self.token_distributions for lp in d.logprobs]
         try:
             block = struct.pack(f"<{len(logprobs)}d", *logprobs)
         except struct.error:  # an integer logprob, as JSON allows, beyond the float range
             raise MalformedResponse("a logprob is beyond the float range") from None
         return {
             "generated_tokens": self.generated_tokens,
-            "top_tokens": [[t for t, _ in d.entries] for d in self.token_distributions],
+            "top_tokens": [list(d.tokens) for d in self.token_distributions],
             "top_logprobs": base64.b64encode(block).decode("ascii"),
         }
 
@@ -179,7 +179,7 @@ class CompletionResponse:
         if "top_logprobs" not in data:
             return cls(
                 data["generated_tokens"],
-                [TokenDistribution(tuple((t, lp) for t, lp in d["entries"])) for d in data["token_distributions"]],
+                [TokenDistribution.from_pairs(d["entries"]) for d in data["token_distributions"]],
             )
         block = base64.b64decode(data["top_logprobs"], validate=True)
         logprobs = struct.unpack(f"<{len(block) // 8}d", block)  # struct.error unless whole doubles
@@ -189,7 +189,7 @@ class CompletionResponse:
             if not isinstance(tokens, list):
                 raise MalformedResponse(f"top tokens {tokens!r:.40} are not a list")
             start, end = end, end + len(tokens)
-            dists.append(TokenDistribution(tuple(zip(tokens, logprobs[start:end]))))
+            dists.append(TokenDistribution(tokens, logprobs[start:end]))
         if end != len(logprobs):
             raise MalformedResponse(f"{len(logprobs)} logprobs for {end} top tokens")
         return cls(data["generated_tokens"], dists)
@@ -201,7 +201,7 @@ class Backend(Protocol):
 
 def _distribution_from_map(entries: dict[str, float]) -> TokenDistribution:
     # Scripted maps may be in any order; sorting keeps cache lines and to_json output stable.
-    return TokenDistribution(tuple(sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))))
+    return TokenDistribution.from_pairs(sorted(entries.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 class MockBackend:
@@ -665,10 +665,12 @@ class HTTPBackend:
         for position, item in enumerate(content):
             try:
                 tokens.append(item["token"])
+                alternatives = item["top_logprobs"]
                 dists.append(
                     TokenDistribution(
+                        [alt["token"] for alt in alternatives],
                         # a positive logprob is read as 0; NaN is kept, for the check to refuse
-                        tuple((alt["token"], 0.0 if (lp := alt["logprob"]) > 0 else lp) for alt in item["top_logprobs"])
+                        [0.0 if (lp := alt["logprob"]) > 0 else lp for alt in alternatives],
                     )
                 )
             except (KeyError, TypeError) as exc:

@@ -12,8 +12,9 @@ correct ratios.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+import sys
+from collections.abc import Container, Iterable, Mapping
+from dataclasses import dataclass
 
 from .errors import AnchorTokensAbsent, InvalidInput, InvalidLogProb, MalformedResponse
 
@@ -33,38 +34,49 @@ DEFAULT_YES_ALIASES = frozenset({"Yes", " Yes", "yes", " yes"})
 DEFAULT_NO_ALIASES = frozenset({"No", " No", "no", " no"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenDistribution:
-    """Truncated top-K map from token to log-probability at one position."""
+    """Truncated top-K at one position: the alternative tokens, and the
+    log-probability of each at the same index.
 
-    entries: tuple[tuple[str, float], ...]
-    _logprobs: dict[str, float] = field(init=False, repr=False, compare=False)
+    Each token string is interned, so a token seen at many positions is one
+    object; a ``str`` subclass is kept as given.
+    """
+
+    tokens: tuple[str, ...]
+    logprobs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        logprobs: dict[str, float] = {}
-        for token, logprob in self.entries:
+        tokens, logprobs = tuple(self.tokens), tuple(self.logprobs)
+        seen: set[str] = set()
+        for token, logprob in zip(tokens, logprobs, strict=True):
             if not isinstance(token, str):
                 raise MalformedResponse(f"top token {token!r} is not a string")
             if not logprob <= 0:  # NaN included
                 raise MalformedResponse(f"logprob for token {token!r} is not <= 0: {logprob}")
-            if token in logprobs:
+            if token in seen:
                 raise MalformedResponse(f"token {token!r} appears twice in one distribution")
-            logprobs[token] = logprob
-        object.__setattr__(self, "_logprobs", logprobs)
+            seen.add(token)
+        object.__setattr__(self, "tokens", tuple([sys.intern(t) if type(t) is str else t for t in tokens]))
+        object.__setattr__(self, "logprobs", logprobs)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[str, float]]) -> TokenDistribution:
+        """The distribution of ``(token, logprob)`` pairs, in their order."""
+        pairs = list(pairs)
+        return cls([token for token, _ in pairs], [logprob for _, logprob in pairs])
 
     def logprob(self, token: str) -> float | None:
-        return self._logprobs.get(token)
+        """Log-probability of ``token``; None when absent from the top-K."""
+        try:
+            return self.logprobs[self.tokens.index(token)]
+        except ValueError:
+            return None
 
-    def probability(self, token: str) -> float:
-        """Linear probability of ``token``; 0 when absent from the top-K."""
-        lp = self.logprob(token)
-        return math.exp(lp) if lp is not None else 0.0
-
-    def mass(self, tokens: Iterable[str]) -> float:
-        """Summed probability of ``tokens``, each alias of one answer; a sum
-        that rounds past 1 is 1."""
-        return min(math.fsum(self.probability(tok) for tok in tokens), 1.0)
+    def mass(self, aliases: Container[str]) -> float:
+        """Summed probability of the top-K tokens in ``aliases``, each alias
+        of one answer; a sum that rounds past 1 is 1."""
+        return min(math.fsum([math.exp(lp) for tok, lp in zip(self.tokens, self.logprobs) if tok in aliases]), 1.0)
 
 
 def _logsumexp(values: list[float]) -> float:

@@ -159,6 +159,10 @@ def load_dataset(path: str | Path, task: TaskSpec) -> list[DatasetExample]:
                 errors.append(f"line {lineno}: empty gold")
                 continue
             golds = gold if isinstance(gold, list) else [gold]
+            if bad := [g for g in golds if isinstance(g, bool) or not isinstance(g, (str, int, float))]:
+                # a matcher would compare the str() of it
+                errors.append(f"line {lineno}: gold {bad[0]!r} is not a string or a number")
+                continue
             if task.matcher == "numeric":
                 bad = [g for g in golds if not _is_number(g)]
                 if bad:

@@ -4,11 +4,13 @@ import base64
 import builtins
 import contextlib
 import errno
+import gc
 import gzip
 import hashlib
 import io
 import json
 import math
+import random
 import re
 import select
 import shutil
@@ -18,6 +20,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import zlib
 from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -184,8 +187,8 @@ class TestCache:
         response = CompletionResponse(
             generated_tokens=("a", "b"),
             token_distributions=(
-                TokenDistribution(entries=(("a", -0.1), ("c", -3.0))),
-                TokenDistribution(entries=(("b", -0.5),)),
+                TokenDistribution.from_pairs((("a", -0.1), ("c", -3.0))),
+                TokenDistribution.from_pairs((("b", -0.5),)),
             ),
         )
         assert CompletionResponse.from_json(response.to_json()) == response
@@ -209,7 +212,7 @@ class TestCache:
         cache = ResponseCache(tmp_path / "cache.jsonl")
         response = CompletionResponse(
             generated_tokens=("t",),
-            token_distributions=(TokenDistribution(entries=(("t", -0.1),)),),
+            token_distributions=(TokenDistribution.from_pairs((("t", -0.1),)),),
         )
         threads = [threading.Thread(target=cache.put, args=("d", response)) for _ in range(8)]
         for t in threads:
@@ -266,7 +269,7 @@ class TestCache:
         def put_many(t):
             for k in range(50):
                 token = f"t{t}-{k}"
-                cache.put(f"d{t}-{k}", CompletionResponse((token,), (TokenDistribution(((token, -0.1),)),)))
+                cache.put(f"d{t}-{k}", CompletionResponse((token,), (TokenDistribution.from_pairs(((token, -0.1),)),)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -331,7 +334,7 @@ class TestSingleFlight:
                 waiting.wait(timeout=10)
                 if fails:
                     raise MalformedResponse("no logprobs")
-                return CompletionResponse(("t",), (TokenDistribution((("t", -0.1),)),))
+                return CompletionResponse(("t",), (TokenDistribution.from_pairs((("t", -0.1),)),))
 
         client = ModelClient(HoldingBackend())
         outcomes = [None, None]
@@ -1050,7 +1053,9 @@ LOGPROBS = st.one_of(
 
 
 def logprob_bits(response):
-    return [[(token, struct.pack("<d", lp)) for token, lp in d.entries] for d in response.token_distributions]
+    return [
+        [(token, struct.pack("<d", lp)) for token, lp in zip(d.tokens, d.logprobs)] for d in response.token_distributions
+    ]
 
 
 def record_line(digest, response):
@@ -1075,7 +1080,7 @@ class TestCacheRecord:
     def test_put_close_reload_keeps_every_bit(self, positions):
         response = CompletionResponse(
             [token for token, _ in positions],
-            [TokenDistribution(tuple(dist.items())) for _, dist in positions],
+            [TokenDistribution.from_pairs(tuple(dist.items())) for _, dist in positions],
         )
         with tempfile.TemporaryDirectory() as tmp:
             cache = ResponseCache(Path(tmp) / "cache.jsonl")
@@ -1088,7 +1093,7 @@ class TestCacheRecord:
     def test_golden_line(self, tmp_path):
         response = CompletionResponse(
             ("Yes", "!"),
-            (TokenDistribution((("Yes", -0.25), ("No", -1.5))), TokenDistribution((("!", -2.0),))),
+            (TokenDistribution.from_pairs((("Yes", -0.25), ("No", -1.5))), TokenDistribution.from_pairs((("!", -2.0),))),
         )
         path = tmp_path / "cache.jsonl"
         cache = ResponseCache(path)
@@ -1129,12 +1134,14 @@ class TestCacheRecord:
         new = {"generated_tokens": ["Yes"], "top_tokens": [["Yes", "No"]], "top_logprobs": blob(-0.2, -1.8)}
         path.write_text(cache_line("d1", "a") + record_line("d2", new) + cache_line("d3", "c"))
         cache = ResponseCache(path)
-        assert cache.get("d1").token_distributions[0].entries == (("a", -0.1),)
-        assert cache.get("d2") == CompletionResponse(("Yes",), (TokenDistribution((("Yes", -0.2), ("No", -1.8))),))
+        dist = cache.get("d1").token_distributions[0]
+        assert (dist.tokens, dist.logprobs) == (("a",), (-0.1,))
+        expected = TokenDistribution.from_pairs((("Yes", -0.2), ("No", -1.8)))
+        assert cache.get("d2") == CompletionResponse(("Yes",), (expected,))
         assert cache.get("d3").text == "c"
 
     def test_an_integer_logprob_beyond_the_float_range_is_malformed_and_not_cached(self, tmp_path):
-        response = CompletionResponse(("a",), (TokenDistribution((("a", -(10**400)),)),))
+        response = CompletionResponse(("a",), (TokenDistribution.from_pairs((("a", -(10**400)),)),))
         cache = ResponseCache(tmp_path / "cache.jsonl")
         with pytest.raises(MalformedResponse, match="float range"):
             cache.put("d1", response)
@@ -1152,8 +1159,39 @@ class TestCacheRecord:
             client = ModelClient(HTTPBackend(stub.url), cache=ResponseCache(path))
             response = client.complete(simple_request())
             client.close()
-        assert response.token_distributions[0].entries == (("Yes", 0.0), ("No", -2.0))
+        dist = response.token_distributions[0]
+        assert (dist.tokens, dist.logprobs) == (("Yes", "No"), (0.0, -2.0))
         assert ResponseCache(path).get(request_digest(simple_request())) == response
+
+    def test_a_loaded_response_holds_its_alternatives_compactly(self, tmp_path):
+        """200 responses of 5 positions, each 20 alternatives drawn from 60
+        tokens, as real top-K lists repeat a small vocabulary: a token seen at
+        many positions is held once, and a position is two tuples."""
+        rng = random.Random(7)
+        vocabulary = [f"tok{k}" for k in range(60)]  # CPython already shares one-character strings
+        path = tmp_path / "cache.jsonl"
+        with path.open("w") as fh:
+            for n in range(200):
+                top = [rng.sample(vocabulary, 20) for _ in range(5)]
+                logprobs = [-rng.expovariate(0.5) for _ in range(100)]
+                response = {"generated_tokens": [t[0] for t in top], "top_tokens": top, "top_logprobs": blob(*logprobs)}
+                fh.write(record_line(f"d{n}", response))
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = ResponseCache(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert held / (200 * 5 * 20) < 100  # bytes per alternative; about 180 with a pair and a dict entry each
+        first, second = cache.get("d0").token_distributions[0], cache.get("d1").token_distributions[4]
+        shared = set(first.tokens) & set(second.tokens)
+        assert shared
+        for token in shared:
+            assert first.tokens[first.tokens.index(token)] is second.tokens[second.tokens.index(token)]
 
 
 DISTRIBUTIONS = st.one_of(
@@ -1180,7 +1218,7 @@ class TestResponseForm:
     def test_json_round_trip(self, positions):
         response = CompletionResponse(
             [token for token, _ in positions],
-            [TokenDistribution(tuple(dist.items())) for _, dist in positions],
+            [TokenDistribution.from_pairs(tuple(dist.items())) for _, dist in positions],
         )
         line = json.dumps(response.to_json(), ensure_ascii=False)
         assert CompletionResponse.from_json(json.loads(line)) == response
@@ -1192,7 +1230,7 @@ class TestResponseForm:
             '[{"position_index": 0, "entries": [["Yes", -0.2], ["No", -1.8]]}], "finish_reason": "stop"}, '
             '"created_at": 1760000000.0}\n'
         )
-        expected = CompletionResponse(("Yes",), (TokenDistribution((("Yes", -0.2), ("No", -1.8))),))
+        expected = CompletionResponse(("Yes",), (TokenDistribution.from_pairs((("Yes", -0.2), ("No", -1.8))),))
         assert ResponseCache(path).get("d1") == expected
 
     def test_int_token_in_a_cache_line_fails_the_load_with_its_line(self, tmp_path):
@@ -1204,7 +1242,7 @@ class TestResponseForm:
 
     @pytest.mark.parametrize("tokens", [("a", 7), "ab", None])
     def test_tokens_must_be_a_list_of_strings(self, tokens):
-        dist = TokenDistribution((("a", -0.1),))
+        dist = TokenDistribution.from_pairs((("a", -0.1),))
         with pytest.raises(MalformedResponse):
             CompletionResponse(tokens, (dist, dist))
 
@@ -1309,7 +1347,7 @@ class TestResponseForm:
     @pytest.mark.parametrize("shape", ["compact", "pairs"])
     def test_int_top_token_in_a_cache_line_fails_the_load_with_its_line(self, tmp_path, shape):
         if shape == "compact":
-            bad = CompletionResponse(("x",), (TokenDistribution((("x", -0.1),)),)).to_json()
+            bad = CompletionResponse(("x",), (TokenDistribution.from_pairs((("x", -0.1),)),)).to_json()
             bad["top_tokens"] = [[7]]
         else:
             bad = {"generated_tokens": ["x"], "token_distributions": [{"entries": [[7, -0.1]]}]}
@@ -1560,7 +1598,7 @@ class TestResponseInvariant:
             def complete(self, request):
                 return CompletionResponse(
                     generated_tokens=("a", "b"),
-                    token_distributions=(TokenDistribution(entries=(("a", -0.1),)),),
+                    token_distributions=(TokenDistribution.from_pairs((("a", -0.1),)),),
                 )
 
         client = ModelClient(BadBackend())

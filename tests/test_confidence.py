@@ -3,14 +3,21 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from confcal.confidence import TokenDistribution, normalized_confidence, self_eval_confidence
+from confcal.confidence import (
+    DEFAULT_NO_ALIASES,
+    DEFAULT_YES_ALIASES,
+    TokenDistribution,
+    normalized_confidence,
+    p_yes,
+    self_eval_confidence,
+)
 from confcal.errors import AnchorTokensAbsent, InvalidInput, InvalidLogProb, MalformedResponse
 
 
 def dist(**tokens):
-    return TokenDistribution(entries=tuple(tokens.items()))
+    return TokenDistribution.from_pairs(tuple(tokens.items()))
 
 
 class TestNormalizedConfidence:
@@ -107,8 +114,8 @@ class TestSelfEvalConfidence:
             self_eval_confidence(d, policy)
 
     def test_alias_summing(self):
-        d = TokenDistribution(
-            entries=(("Yes", math.log(0.2)), (" yes", math.log(0.2)), ("No", math.log(0.1)))
+        d = TokenDistribution.from_pairs(
+            (("Yes", math.log(0.2)), (" yes", math.log(0.2)), ("No", math.log(0.1)))
         )
         assert self_eval_confidence(d) == (pytest.approx(0.8), frozenset())
 
@@ -122,7 +129,7 @@ class TestSelfEvalConfidence:
             entries.append(("Yes", math.log(p_yes)))
         if p_no > 0:
             entries.append(("No", math.log(p_no)))
-        d = TokenDistribution(entries=tuple(entries))
+        d = TokenDistribution.from_pairs(tuple(entries))
         value, _ = self_eval_confidence(d)
         assert 0.0 <= value <= 1.0
         if p_no == 0 and p_yes > 0:
@@ -139,11 +146,11 @@ class TestTypes:
 
     def test_distribution_rejects_positive_logprob(self):
         with pytest.raises(MalformedResponse, match="^logprob for token 'x' is not <= 0: 0.2$"):
-            TokenDistribution(entries=(("x", 0.2),))
+            TokenDistribution.from_pairs((("x", 0.2),))
 
     def test_distribution_rejects_nan_logprob(self):
         with pytest.raises(MalformedResponse, match="^logprob for token 'y' is not <= 0: nan$"):
-            TokenDistribution(entries=(("x", -1.0), ("y", math.nan)))
+            TokenDistribution.from_pairs((("x", -1.0), ("y", math.nan)))
 
     def test_candidate_rejects_positive_or_nan_logprob(self):
         for logprob in (0.2, math.nan):
@@ -152,7 +159,7 @@ class TestTypes:
 
     def test_distribution_rejects_duplicates(self):
         with pytest.raises(MalformedResponse, match="^token 'x' appears twice in one distribution$"):
-            TokenDistribution(entries=(("x", -1.0), ("x", -2.0)))
+            TokenDistribution.from_pairs((("x", -1.0), ("x", -2.0)))
 
     def test_confidence_score_bounds(self):
         """The one set whose ratio would leave [0, 1] is all probability 0:
@@ -170,3 +177,53 @@ class TestTypes:
             assert ("fallback_neutral" in flags) == (missing <= flags)
             assert flags <= missing | {"fallback_neutral"}
             assert 0.0 <= value <= 1.0
+
+
+def old_mass(pairs, aliases):
+    """The readout before a position was two tuples: each alias's probability
+    from a token -> logprob map, summed."""
+    logprobs = dict(pairs)
+
+    def probability(token):
+        lp = logprobs.get(token)
+        return math.exp(lp) if lp is not None else 0.0
+
+    return min(math.fsum(probability(t) for t in aliases), 1.0)
+
+
+VOCABULARY = sorted(DEFAULT_YES_ALIASES | DEFAULT_NO_ALIASES | {"Maybe", "A", " B", "yes!"})
+# 0.0 and values a hair below it make sums that round past 1; 0.1 + 0.2 + 0.3
+# is 0.6000000000000001 summed left to right, and 0.6 by fsum
+READOUT_LOGPROBS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1e-17, -1e-300, -math.inf, *map(math.log, (0.1, 0.2, 0.3, 0.5))]),
+    st.floats(min_value=-800, max_value=0.0),
+)
+
+
+class TestOldFormula:
+    """``mass``, ``p_yes`` and ``self_eval_confidence`` give the old
+    formula's floats bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(
+        pairs=st.dictionaries(st.sampled_from(VOCABULARY), READOUT_LOGPROBS, max_size=len(VOCABULARY)).map(
+            lambda d: tuple(d.items())
+        ),
+        aliases=st.one_of(
+            st.sampled_from([DEFAULT_YES_ALIASES, DEFAULT_NO_ALIASES]), st.frozensets(st.sampled_from(VOCABULARY))
+        ),
+    )
+    @example(pairs=(), aliases=DEFAULT_YES_ALIASES)
+    @example(pairs=(("Maybe", -0.1),), aliases=DEFAULT_NO_ALIASES)
+    @example(pairs=(("Yes", 0.0), (" yes", -20.0), ("No", -30.0)), aliases=DEFAULT_YES_ALIASES)
+    @example(pairs=(("No", -1e-17), (" no", math.log(0.5)), ("yes", 0.0)), aliases=DEFAULT_NO_ALIASES)
+    @example(
+        pairs=tuple(zip(("Yes", " Yes", "yes", "No"), map(math.log, (0.1, 0.2, 0.3, 0.1)))), aliases=DEFAULT_YES_ALIASES
+    )
+    def test_readouts_equal_the_old_formula(self, pairs, aliases):
+        d = TokenDistribution.from_pairs(pairs)
+        assert d.mass(aliases) == old_mass(pairs, aliases)
+        c_yes, c_no = old_mass(pairs, DEFAULT_YES_ALIASES), old_mass(pairs, DEFAULT_NO_ALIASES)
+        assert p_yes(d) == c_yes
+        expected = 0.5 if c_yes == c_no == 0.0 else c_yes / (c_yes + c_no)
+        assert self_eval_confidence(d)[0] == expected

@@ -112,10 +112,17 @@ class TestLoadDataset:
             ({"id": "e1", "input": "q", "gold": "nan"}, "line 1: numeric gold 'nan' is not a number", "numeric"),
             ({"id": "e1", "input": "q", "gold": "inf"}, "line 1: numeric gold 'inf' is not a number", "numeric"),
             ({"id": "e1", "input": "q", "gold": ["2", "-Infinity"]}, "line 1: numeric gold '-Infinity' is not", "numeric"),
+            # a matcher would compare the str() of it: [["Paris"]] is in "Paris"
+            *(
+                ({"id": "e1", "input": "q", "gold": gold}, f"line 1: gold {shown} is not a string or a number", matcher)
+                for matcher in ("substring", "exact", "numeric")
+                for gold, shown in (({"x": 1}, r"\{'x': 1\}"), (True, "True"), ([["Paris"]], r"\['Paris'\]"))
+            ),
         ],
         ids=[
             "empty-gold", "number-input", "number-choice", "dot-gold", "space-gold", "empty-in-list",
             "empty-beside-paris", "exact-punctuation", "nan-gold", "inf-gold", "minus-inf-in-list",
+            *(f"{kind}-gold-{matcher}" for matcher in ("substring", "exact", "numeric") for kind in ("dict", "bool", "nested-list")),
         ],
     )
     def test_bad_line(self, tmp_path, line, message, matcher):
