@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
-from .client import JSONPoster, ModelClient, Readout
+from .client import ModelClient, Readout
 from .errors import MalformedResponse, RetrievalMiss
 from .harness import DatasetExample, is_correct, run_pool, truncate_context
 from .metrics import retrieval_efficiency
@@ -46,6 +46,8 @@ class HTTPRetriever:
     endpoint; posts through a ``JSONPoster``."""
 
     def __init__(self, url: str):
+        from .transport import JSONPoster  # the HTTP stack loads only for an HTTP retriever
+
         self.url = url
         self._poster = JSONPoster(url, timeout_s=RETRIEVER_TIMEOUT_S)
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 
@@ -102,6 +103,22 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             RunConfig.from_mapping({"mock_script": "a", "bogus": "1"})
 
+    @pytest.mark.parametrize("argv", [["eval"], ["sweep", "--taus", "0.5"]])
+    def test_endpoint_error_comes_before_any_file_is_read(self, tmp_path, capsys, argv):
+        """A bad port is an endpoint error (exit 2) although the task spec and
+        the dataset do not exist: they would be a data error (exit 3)."""
+        config = tmp_path / "run.conf"
+        config.write_text(
+            "base_url = http://127.0.0.1:abc/v1\n"
+            f"task_spec = {tmp_path / 'missing.json'}\n"
+            f"dataset = {tmp_path / 'missing.jsonl'}\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+        )
+        assert main([argv[0], "--config", str(config), *argv[1:]]) == EXIT_ENDPOINT
+        err = capsys.readouterr().err
+        assert err.startswith("endpoint error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestFlags:
     """Each subcommand takes only the flags it reads."""
@@ -151,6 +168,50 @@ class TestImportCost:
         env = {**os.environ, "PYTHONPATH": str(Path(confcal.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_commands_that_reach_no_endpoint_load_no_http_stack(self, tmp_path):
+        """``sandbox`` and a mock-backed ``eval`` leave the HTTP stack unloaded;
+        building an HTTP backend loads it."""
+        (tmp_path / "eval").mkdir()
+        eval_config, _ = make_generation_run(tmp_path / "eval")
+        sandbox_config = tmp_path / "sb.conf"
+        sandbox_config.write_text(f"output_dir = {tmp_path / 'sb'}\nsteps = 10\n")
+        code = textwrap.dedent("""
+            import json, sys
+            from confcal.cli import main
+            from confcal.client import HTTPBackend
+            stack = ("http.client", "ssl", "email.parser", "urllib.request", "confcal.transport")
+            codes = [main(["sandbox", "--config", sys.argv[1]]), main(["eval", "--config", sys.argv[2]])]
+            before = [m for m in stack if m in sys.modules]
+            HTTPBackend("http://127.0.0.1:9/v1").close()
+            print(json.dumps([codes, before, [m for m in stack if m in sys.modules]]))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(confcal.__file__).parents[1])}
+        argv = [sys.executable, "-c", code, str(sandbox_config), str(eval_config)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        codes, before, after = json.loads(done.stdout.splitlines()[-1])  # after the commands' own output
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert before == []
+        assert {"confcal.transport", "http.client"} <= set(after)
+
+    def test_an_http_backend_loads_no_certifi(self):
+        """Only an https:// endpoint reads certifi's bundle. ``-S`` keeps a
+        site hook from loading certifi first; certifi's own directory is on
+        the path, so that the https:// backend can load it."""
+        import certifi
+
+        code = textwrap.dedent("""
+            import sys
+            from confcal.client import HTTPBackend
+            HTTPBackend("http://127.0.0.1:9/v1").close()
+            loaded = ["certifi" in sys.modules]
+            HTTPBackend("https://127.0.0.1:9/v1").close()
+            print(loaded + ["certifi" in sys.modules])
+        """)
+        path = os.pathsep.join([str(Path(confcal.__file__).parents[1]), str(Path(certifi.__file__).parents[1])])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[False, True]"
 
 
 class TestEval:

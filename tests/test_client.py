@@ -29,16 +29,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from confcal import client as client_module
+from confcal import client as client_module, transport as transport_module
 from confcal.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_OK, main
 from confcal.client import (
-    RETRY_AFTER_CAP_S,
     SELF_EVAL_PROMPT,
     CompletionRequest,
     CompletionResponse,
-    MAX_RETRIES,
     HTTPBackend,
-    JSONPoster,
     Message,
     MockBackend,
     ModelClient,
@@ -56,6 +53,7 @@ from confcal.errors import (
     RateLimited,
     SchemaViolation,
 )
+from confcal.transport import MAX_RETRIES, RETRY_AFTER_CAP_S, JSONPoster
 
 from conftest import (
     HTML,
@@ -507,7 +505,7 @@ class TestHTTPTransport:
 
     def test_backoff_doubles_with_full_jitter(self, monkeypatch, sleeps):
         bounds = []
-        monkeypatch.setattr(client_module.random, "uniform", lambda a, b: bounds.append((a, b)) or b / 2)
+        monkeypatch.setattr(transport_module.random, "uniform", lambda a, b: bounds.append((a, b)) or b / 2)
         replies = [
             (503, {}, b""),
             (429, {"Retry-After": "Fri, 31 Dec 1999 23:59:59 GMT"}, b""),  # a date: not obeyed
@@ -521,7 +519,7 @@ class TestHTTPTransport:
         assert sleeps == [0.25, 0.5, 1.0]
 
     def test_5xx_on_every_attempt_is_rate_limited(self, monkeypatch, sleeps):
-        monkeypatch.setattr(client_module, "MAX_RETRIES", 2)
+        monkeypatch.setattr(transport_module, "MAX_RETRIES", 2)
         with ChatStub(default=(500, {}, b"overloaded")) as stub:
             backend = HTTPBackend(stub.url)
             with pytest.raises(RateLimited, match="HTTP 500: overloaded"):
@@ -540,7 +538,7 @@ class TestHTTPTransport:
         assert sleeps == []
 
     def test_refused_connection_is_unreachable(self, monkeypatch, sleeps):
-        monkeypatch.setattr(client_module, "MAX_RETRIES", 1)
+        monkeypatch.setattr(transport_module, "MAX_RETRIES", 1)
         with ChatStub() as stub:
             url = stub.url
         backend = HTTPBackend(url)
@@ -751,7 +749,7 @@ class TestReplyReader:
             backend.close()
         assert sleeps == []
         head = io.BytesIO(b"X-Note: a\r\n content-length: 5\r\n\t b \r\nX-Other:\r\n\tc\r\n\r\n")
-        assert client_module._read_fields(head) == {"x-note": "a content-length: 5 b", "x-other": "c"}
+        assert transport_module._read_fields(head) == {"x-note": "a content-length: 5 b", "x-other": "c"}
 
     def test_1xx_replies_are_skipped(self, sleeps):
         early = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n"
@@ -823,7 +821,7 @@ class TestReplyReader:
     def test_garbage_status_line_is_one_error_line(self, tmp_path, monkeypatch, capsys):
         """``eval`` keeps an endpoint error per record; ``sweep`` stops on it,
         with one line and no traceback."""
-        monkeypatch.setattr(client_module, "MAX_RETRIES", 0)
+        monkeypatch.setattr(transport_module, "MAX_RETRIES", 0)
         with RawStub(default=(b"SPAM 200 OK\r\n\r\n", True)) as stub:
             config = generation_config(tmp_path, stub.url, 3, 2)
             assert main(["eval", "--config", str(config)]) == EXIT_OK
@@ -986,7 +984,7 @@ class TestTLS:
         assert stub.url.startswith("https://") and len(stub.headers) == 1
 
     def test_certifi_bundle_rejects_a_self_signed_endpoint(self, self_signed, monkeypatch):
-        monkeypatch.setattr(client_module, "MAX_RETRIES", 0)
+        monkeypatch.setattr(transport_module, "MAX_RETRIES", 0)
         with ChatStub(tls=self_signed) as stub:
             backend = HTTPBackend(stub.url)
             with pytest.raises(EndpointUnreachable, match="certificate verify failed"):
