@@ -11,13 +11,11 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import logging
 import math
 import struct
 import threading
 import time
 from collections.abc import Callable, Iterator, Mapping
-from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _escaped  # a str as json.dumps(..., ensure_ascii=False) writes it
@@ -26,8 +24,6 @@ from typing import BinaryIO, Protocol
 
 from .confidence import TokenDistribution, check_missing_policy, normalized_confidence, p_yes, self_eval_confidence
 from .errors import ConfcalError, InvalidInput, MalformedResponse, NoLabelTokenPresent, SchemaViolation
-
-_log = logging.getLogger(__name__)
 
 SELF_EVAL_PROMPT = "Is this answer correct? Answer only Yes/No."
 
@@ -304,17 +300,18 @@ class ResponseCache:
         self._file: BinaryIO | None = None
         self._torn_at: int | None = None
         if self.path.exists():
-            data = self.path.read_bytes()
-            *lines, tail = data.split(b"\n")
-            for lineno, line in enumerate(lines, start=1):
-                if line.strip():
-                    self._load_line(lineno, line)
-            if tail.strip():
-                self._torn_at = len(data) - len(tail)
-                _log.warning(
-                    "%s:%d: skipping a torn last line (%d bytes, no newline)",
-                    self.path, len(lines) + 1, len(tail),
-                )
+            with self.path.open("rb") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    if line.endswith(b"\n"):
+                        if line.strip():
+                            self._load_line(lineno, line)
+                    elif line.strip():  # the last line, cut off mid-append
+                        import logging  # only a torn line is logged
+
+                        self._torn_at = fh.tell() - len(line)
+                        logging.getLogger(__name__).warning(
+                            "%s:%d: skipping a torn last line (%d bytes, no newline)", self.path, lineno, len(line)
+                        )
 
     def _load_line(self, lineno: int, line: bytes) -> None:
         try:
@@ -381,6 +378,14 @@ class Readout:
     raw: float
 
 
+class _Flight(threading.Event):
+    """A backend fetch that the requests for one digest share: once set, it
+    holds the response, or else the error that the waiters raise."""
+
+    response: CompletionResponse | None = None
+    error: Exception | None = None
+
+
 class ModelClient:
     """Classification and answer-then-self-evaluation readouts over a backend.
 
@@ -400,7 +405,7 @@ class ModelClient:
         self.model_name = model_name
         self.cache = cache
         self.missing_policy = missing_policy
-        self._flights: dict[str, Future] = {}
+        self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
 
     def close(self) -> None:
@@ -426,24 +431,25 @@ class ModelClient:
                 hit = self.cache.get(digest) if self.cache is not None else None
                 if hit is not None:
                     return hit
-                flight = self._flights[digest] = Future()
+                flight = self._flights[digest] = _Flight()
         if not leader:
-            return flight.result()
+            flight.wait()
+            if flight.response is None:  # the fetch failed, or was interrupted
+                raise flight.error or RuntimeError("the shared fetch was interrupted")
+            return flight.response
         try:
             response = self.backend.complete(request)
             if self.cache is not None:
                 self.cache.put(digest, response)
-        except Exception as exc:
-            flight.set_exception(exc)
-            raise
-        else:
-            flight.set_result(response)
+            flight.response = response
             return response
-        finally:
-            if not flight.done():  # interrupted: the waiters fail instead of hanging
-                flight.cancel()
+        except Exception as exc:
+            flight.error = exc
+            raise
+        finally:  # also when interrupted: the waiters fail instead of hanging
             with self._flights_lock:
                 del self._flights[digest]
+            flight.set()
 
     def _first_distribution(self, messages: list[Message]) -> TokenDistribution:
         """The top-K distribution at the first position of a one-token reply."""

@@ -7,20 +7,17 @@ from __future__ import annotations
 
 import base64
 import functools
-import http.client
-import ipaddress
 import json
 import netrc
 import os
 import random
 import socket
-import ssl
+import sys
 import time
 import weakref
 import zlib
 from typing import BinaryIO
 from urllib.parse import SplitResult, unquote, urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 from .client import about_to_wait
 from .errors import ConfigInvalid, EndpointUnreachable, MalformedResponse, RateLimited
@@ -45,16 +42,25 @@ def _basic_auth(user: str, password: str, source: str) -> str:
 def _proxy_for(url: str) -> str | None:
     """The proxy the environment names for ``url`` (its scheme's, else
     ``all``), or None when NO_PROXY names the host or, for an IPv4 host, an
-    IPv4 network that holds it."""
+    IPv4 network that holds it. urllib.request loads only on macOS and
+    Windows (system settings) or when a ``*_proxy`` variable names a proxy."""
+    if sys.platform not in ("darwin", "win32") and not any(
+        value and name.lower().endswith("_proxy") and name.lower() != "no_proxy" for name, value in os.environ.items()
+    ):
+        return None
+    from urllib.request import getproxies, proxy_bypass
+
     parts = urlsplit(url)
     host = parts.hostname or ""
     proxies = getproxies()
     proxy = proxies.get(parts.scheme) or proxies.get("all")
     if not proxy or proxy_bypass(f"{host}:{parts.port}" if parts.port else host):
         return None
-    for entry in proxies.get("no", "").split(","):
+    for entry in (entry for entry in proxies.get("no", "").split(",") if "/" in entry):
+        import ipaddress  # only an entry that may be a network needs it
+
         try:
-            if "/" in entry and ipaddress.IPv4Address(host) in ipaddress.IPv4Network(entry.strip(), strict=False):
+            if ipaddress.IPv4Address(host) in ipaddress.IPv4Network(entry.strip(), strict=False):
                 return None
         except ValueError:  # a host name, or an entry that is not an IPv4 network
             pass
@@ -83,6 +89,10 @@ _MAX_LINE = 65536
 _MAX_HEADERS = 100
 
 
+class _BadReply(OSError):
+    """A reply that breaks HTTP/1.1 framing: a transport error, retried."""
+
+
 class JSONPoster:
     """POSTs JSON to one URL and returns the decoded JSON reply. Posts share
     one LIFO stack of idle keep-alive connections: a post takes the one
@@ -94,15 +104,15 @@ class JSONPoster:
     environment once, here; a netrc entry for the host replaces the Bearer
     header. An ``http://`` URL goes through an http(s) proxy as an
     absolute-form request, an ``https://`` URL through an ``http://`` proxy's
-    CONNECT tunnel. ``http.client`` only opens a connection (TCP, the
-    tunnel, TLS); the request line and headers are built here once, each
-    request is sent with one write, and ``_read_head``/``_read_body`` read
-    the reply. A 429 or 5xx is retried up to ``MAX_RETRIES`` times, after
-    its Retry-After or a doubling backoff with full jitter; a request that a
-    reused connection drops before any status line (the server closed it
-    while idle) is sent again at once on a new connection, without counting
-    as a retry. Redirects are not followed; gzip and deflate bodies are
-    decoded.
+    CONNECT tunnel. The poster opens each connection itself (TCP, the
+    tunnel, whose reply ``_read_head`` reads, then TLS); the request line
+    and headers are built here once, each request is sent with one write,
+    and ``_read_head``/``_read_body`` read the reply. A 429 or 5xx is
+    retried up to ``MAX_RETRIES`` times, after its Retry-After or a doubling
+    backoff with full jitter; a request that a reused connection drops
+    before any status line (the server closed it while idle) is sent again
+    at once on a new connection, without counting as a retry. Redirects are
+    not followed; gzip and deflate bodies are decoded.
     """
 
     def __init__(self, url: str, api_key: str | None = None, timeout_s: float = 120.0):
@@ -118,7 +128,7 @@ class JSONPoster:
         if netrc_auth:
             headers["Authorization"] = netrc_auth
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        self._tunnel: tuple | None = None
+        self._tunnel = b""  # the CONNECT request of a tunnel
         hop = parts  # what the socket connects to
         proxy = _proxy_for(url)
         if proxy:
@@ -135,7 +145,10 @@ class JSONPoster:
                 auth = _basic_auth(unquote(hop.username), unquote(hop.password or ""), f"proxy for {url}")
                 proxy_headers["Proxy-Authorization"] = auth
             if parts.scheme == "https":
-                self._tunnel = (_host_port(parts), None, proxy_headers)
+                host = f"[{parts.hostname}]" if ":" in parts.hostname else parts.hostname
+                authority = f"{host}:{parts.port or 443}"
+                fields = "".join(f"{k}: {v}\r\n" for k, v in {"Host": authority, **proxy_headers}.items())
+                self._tunnel = f"CONNECT {authority} HTTP/1.1\r\n{fields}\r\n".encode()  # ASCII: checked below
             else:
                 target = url
                 headers.update(proxy_headers)
@@ -149,20 +162,23 @@ class JSONPoster:
             self._head = (head + "Content-Length: ").encode("latin-1")
         except UnicodeEncodeError:  # only the API key can be outside latin-1 here
             raise ConfigInvalid("the API key holds a character outside latin-1") from None
-        kw: dict = {"timeout": timeout_s}
-        connection_class = http.client.HTTPConnection
+        address = (hop.hostname, hop.port or (443 if hop.scheme == "https" else 80))
+        self._open = functools.partial(socket.create_connection, address, timeout_s)
+        self._wrap = None  # TLS for each new socket, when a hop is https://
         if "https" in (parts.scheme, hop.scheme):
-            import certifi  # an http:// hop never reads the bundle
+            import ssl  # an http:// hop loads no TLS
 
-            ca_bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or certifi.where()
+            ca_bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            if not ca_bundle:
+                import certifi  # read only when the environment names no bundle
+
+                ca_bundle = certifi.where()
             try:
-                kw["context"] = ssl.create_default_context(
-                    **{("capath" if os.path.isdir(ca_bundle) else "cafile"): ca_bundle}
-                )
+                context = ssl.create_default_context(**{("capath" if os.path.isdir(ca_bundle) else "cafile"): ca_bundle})
             except OSError as exc:  # ssl.SSLError included
                 raise EndpointUnreachable(f"CA bundle {ca_bundle}: {exc}") from None
-            connection_class = http.client.HTTPSConnection
-        self._open = functools.partial(connection_class, _host_port(hop), **kw)
+            tls_host = (parts if parts.scheme == "https" else hop).hostname
+            self._wrap = functools.partial(context.wrap_socket, server_hostname=tls_host)
         self._idle: list[_Connection] = []
         weakref.finalize(self, _close_all, self._idle)
 
@@ -171,15 +187,23 @@ class JSONPoster:
         _close_all(self._idle)
 
     def _connect(self) -> _Connection:
-        conn = self._open()
-        if self._tunnel is not None:
-            conn.set_tunnel(*self._tunnel)
+        """A new connection: TCP without Nagle's delay, the proxy's CONNECT
+        tunnel when there is one, then TLS when a hop is https://."""
+        sock = self._open()
         try:
-            conn.connect()  # sets TCP_NODELAY
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel:
+                sock.sendall(self._tunnel)
+                with sock.makefile("rb", buffering=0) as reader:  # reads no byte past the reply's head
+                    status = _read_head(reader)[0]
+                if status != 200:
+                    raise OSError(f"Tunnel connection failed: {status} from the proxy")
+            if self._wrap is not None:
+                sock = self._wrap(sock)
         except BaseException:
-            conn.close()
+            sock.close()
             raise
-        return _Connection(conn.sock)
+        return _Connection(sock)
 
     def _exchange(self, body: bytes) -> tuple[int, str | None, bytes]:
         """One POST on the connection returned last, or a new one: the
@@ -222,7 +246,7 @@ class JSONPoster:
             retry_after = None
             try:
                 status, retry_after_header, data = self._exchange(body)
-            except (http.client.HTTPException, OSError) as exc:
+            except OSError as exc:
                 last_error = EndpointUnreachable(f"{self.url}: {exc}")
             else:
                 if status == 200:
@@ -265,8 +289,8 @@ def _check_port(parts: SplitResult, where: str) -> None:
 
 
 def _host_port(parts: SplitResult) -> str:
-    """The ``host[:port]`` of a URL, without its login; http.client reads
-    the port and the brackets of an IPv6 address."""
+    """The ``host[:port]`` of a URL, without its login, as its Host header
+    names it."""
     return parts.netloc.rpartition("@")[2]
 
 
@@ -281,7 +305,7 @@ def _close_all(connections: list[_Connection]) -> None:
 def _read_line(reader: BinaryIO) -> bytes:
     line = reader.readline(_MAX_LINE + 1)
     if len(line) > _MAX_LINE:
-        raise http.client.LineTooLong("reply line")
+        raise _BadReply(f"got more than {_MAX_LINE} bytes when reading a reply line")
     return line
 
 
@@ -300,35 +324,35 @@ def _read_fields(reader: BinaryIO) -> dict[str, str]:
         if line in (b"\r\n", b"\n"):
             return fields
         if not line:
-            raise http.client.HTTPException("the reply ended inside its headers")
+            raise _BadReply("the reply ended inside its headers")
         if line[:1] in (b" ", b"\t"):
             if name is None:
-                raise http.client.HTTPException(f"folded line {line[:40]!r} before the first header")
+                raise _BadReply(f"folded line {line[:40]!r} before the first header")
             fields[name] = f"{fields[name]} {line.decode('latin-1').strip()}".strip()
             continue
         name, colon, value = line.decode("latin-1").partition(":")
         if not colon:
-            raise http.client.HTTPException(f"header line {line[:40]!r} has no colon")
+            raise _BadReply(f"header line {line[:40]!r} has no colon")
         name, value = name.strip().lower(), value.strip()
         if name in ("content-length", "transfer-encoding") and fields.get(name, value) != value:
-            raise http.client.HTTPException(f"{name} {fields[name][:40]!r} and {value[:40]!r} differ")
+            raise _BadReply(f"{name} {fields[name][:40]!r} and {value[:40]!r} differ")
         fields[name] = value
-    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+    raise _BadReply(f"got more than {_MAX_HEADERS} headers")
 
 
 def _read_head(reader: BinaryIO) -> tuple[int, dict[str, str], bool]:
     """The status and the headers of the first reply that is not 1xx, and
     whether the connection may stay open: not after ``Connection: close``,
     nor after HTTP/1.0 without keep-alive. A stream that ends before the
-    status line raises ``RemoteDisconnected``, a ``ConnectionError``."""
+    status line raises ``ConnectionError``."""
     while True:
         line = _read_line(reader)
         if not line:
-            raise http.client.RemoteDisconnected("the server closed the connection without a reply")
+            raise ConnectionError("the server closed the connection without a reply")
         words = line.split(None, 2)  # version, status and reason
         status = int(words[1]) if len(words) > 1 and words[1].isdigit() else 0
         if not 100 <= status <= 999 or not words[0].startswith(b"HTTP/"):
-            raise http.client.BadStatusLine(f"bad status line {line[:80]!r}")
+            raise _BadReply(f"bad status line {line[:80]!r}")
         headers = _read_fields(reader)
         if status >= 200:
             break
@@ -348,13 +372,13 @@ def _read_body(reader: BinaryIO, status: int, headers: dict[str, str]) -> tuple[
     coding = headers.get("transfer-encoding")
     if coding is not None:
         if coding.lower() != "chunked":
-            raise http.client.HTTPException(f"unsupported Transfer-Encoding {coding[:40]!r}")
+            raise _BadReply(f"unsupported Transfer-Encoding {coding[:40]!r}")
         return _read_chunked(reader), True
     length = headers.get("content-length")
     if length is None:
         return reader.read(), False
     if not length.isdecimal():
-        raise http.client.HTTPException(f"bad Content-Length {length[:40]!r}")
+        raise _BadReply(f"bad Content-Length {length[:40]!r}")
     return _read_exactly(reader, int(length)), True
 
 
@@ -366,7 +390,7 @@ def _read_exactly(reader: BinaryIO, size: int) -> bytes:
     while left:
         piece = reader.read(min(left, 1 << 20))
         if not piece:
-            raise http.client.IncompleteRead(b"".join(pieces), left)
+            raise _BadReply(f"IncompleteRead({size - left} bytes read, {left} more expected)")
         pieces.append(piece)
         left -= len(piece)
     return b"".join(pieces)
@@ -380,7 +404,7 @@ def _read_chunked(reader: BinaryIO) -> bytes:
         line = _read_line(reader)
         digits = line.split(b";", 1)[0].strip()  # a chunk extension is ignored
         if not digits or digits.strip(b"0123456789abcdefABCDEF"):
-            raise http.client.HTTPException(f"bad chunk size line {line[:40]!r}")
+            raise _BadReply(f"bad chunk size line {line[:40]!r}")
         size = int(digits, 16)
         if not size:
             _read_fields(reader)

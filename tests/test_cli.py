@@ -170,48 +170,68 @@ class TestImportCost:
         assert done.stdout.strip() == "[]"
 
     def test_commands_that_reach_no_endpoint_load_no_http_stack(self, tmp_path):
-        """``sandbox`` and a mock-backed ``eval`` leave the HTTP stack unloaded;
-        building an HTTP backend loads it."""
+        """``sandbox`` and a mock-backed ``eval`` leave the transport
+        unloaded. An ``http://`` backend with no proxy in the environment
+        loads it, but no ``http.client``, ``email``, ``urllib.request``,
+        ``ssl``, ``logging`` or ``concurrent.futures``; an ``https://``
+        backend loads ``ssl``, and a set HTTP_PROXY ``urllib.request``."""
         (tmp_path / "eval").mkdir()
         eval_config, _ = make_generation_run(tmp_path / "eval")
         sandbox_config = tmp_path / "sb.conf"
         sandbox_config.write_text(f"output_dir = {tmp_path / 'sb'}\nsteps = 10\n")
         code = textwrap.dedent("""
-            import json, sys
+            import json, os, sys
             from confcal.cli import main
             from confcal.client import HTTPBackend
-            stack = ("http.client", "ssl", "email.parser", "urllib.request", "confcal.transport")
+            stack = ("confcal.transport", "http.client", "email.parser", "urllib.request", "ssl", "logging",
+                     "concurrent.futures")
+            loaded = []
             codes = [main(["sandbox", "--config", sys.argv[1]]), main(["eval", "--config", sys.argv[2]])]
-            before = [m for m in stack if m in sys.modules]
-            HTTPBackend("http://127.0.0.1:9/v1").close()
-            print(json.dumps([codes, before, [m for m in stack if m in sys.modules]]))
+            for url, proxy in [("http", None), ("https", None), ("http", "http://127.0.0.1:9")]:
+                loaded.append([m for m in stack if m in sys.modules])
+                if proxy:
+                    os.environ["HTTP_PROXY"] = proxy
+                HTTPBackend(f"{url}://127.0.0.1:9/v1").close()
+            loaded.append([m for m in stack if m in sys.modules])
+            print(json.dumps([codes, loaded]))
         """)
-        env = {**os.environ, "PYTHONPATH": str(Path(confcal.__file__).parents[1])}
+        env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
+        env["PYTHONPATH"] = str(Path(confcal.__file__).parents[1])
         argv = [sys.executable, "-c", code, str(sandbox_config), str(eval_config)]
         done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-        codes, before, after = json.loads(done.stdout.splitlines()[-1])  # after the commands' own output
+        codes, loaded = json.loads(done.stdout.splitlines()[-1])  # after the commands' own output
         assert codes == [EXIT_OK, EXIT_OK]
-        assert before == []
-        assert {"confcal.transport", "http.client"} <= set(after)
+        # macOS and Windows read their system proxy settings through urllib.request
+        system = ["urllib.request"] if sys.platform in ("darwin", "win32") else []
+        assert loaded[:2] == [[], ["confcal.transport"] + system]
+        assert "ssl" in loaded[2] and "urllib.request" in loaded[3]
 
     def test_an_http_backend_loads_no_certifi(self):
-        """Only an https:// endpoint reads certifi's bundle. ``-S`` keeps a
-        site hook from loading certifi first; certifi's own directory is on
-        the path, so that the https:// backend can load it."""
+        """Only an https:// endpoint whose CA bundle the environment does not
+        name (REQUESTS_CA_BUNDLE, else CURL_CA_BUNDLE) reads certifi's.
+        ``-S`` keeps a site hook from loading certifi first; certifi's own
+        directory is on the path, so that the last backend can load it."""
         import certifi
 
         code = textwrap.dedent("""
-            import sys
+            import os, sys
             from confcal.client import HTTPBackend
             HTTPBackend("http://127.0.0.1:9/v1").close()
             loaded = ["certifi" in sys.modules]
+            for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+                os.environ[name] = sys.argv[1]
+                HTTPBackend("https://127.0.0.1:9/v1").close()
+                del os.environ[name]
+                loaded.append("certifi" in sys.modules)
             HTTPBackend("https://127.0.0.1:9/v1").close()
             print(loaded + ["certifi" in sys.modules])
         """)
         path = os.pathsep.join([str(Path(confcal.__file__).parents[1]), str(Path(certifi.__file__).parents[1])])
-        env = {**os.environ, "PYTHONPATH": path}
-        done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[False, True]"
+        env = {name: value for name, value in os.environ.items() if name not in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE")}
+        env["PYTHONPATH"] = path
+        argv = [sys.executable, "-S", "-c", code, certifi.where()]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[False, False, False, True]"
 
 
 class TestEval:

@@ -377,6 +377,46 @@ class TestSingleFlight:
         assert not any(t.is_alive() for t in threads)
         assert backend.calls == len(requests_)
 
+    def test_an_interrupted_fetch_fails_its_waiters(self, monkeypatch):
+        """A KeyboardInterrupt stops the leader's fetch while a second caller
+        waits on it: that caller raises a RuntimeError instead of hanging."""
+        waiting = threading.Event()
+        real_wait = client_module._Flight.wait
+
+        def wait(flight, timeout=None):
+            waiting.set()
+            return real_wait(flight, timeout)
+
+        monkeypatch.setattr(client_module._Flight, "wait", wait)
+
+        class InterruptedBackend:
+            calls = 0
+
+            def complete(self, request):
+                InterruptedBackend.calls += 1
+                waiting.wait(timeout=10)
+                raise KeyboardInterrupt
+
+        client = ModelClient(InterruptedBackend())
+        outcomes = [None, None]
+
+        def call(k):
+            try:
+                client.complete(simple_request())
+            except (KeyboardInterrupt, RuntimeError) as exc:
+                outcomes[k] = exc
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert InterruptedBackend.calls == 1 and waiting.is_set()
+        assert sorted(type(exc).__name__ for exc in outcomes) == ["KeyboardInterrupt", "RuntimeError"]
+        assert "the shared fetch was interrupted" in [str(exc) for exc in outcomes]
+        assert client._flights == {}
+
 
 @contextlib.contextmanager
 def serving(token, paths):
@@ -546,6 +586,37 @@ class TestHTTPTransport:
             backend.complete(simple_request())
         backend.close()
         assert len(sleeps) == 1
+
+    @pytest.mark.parametrize(
+        "proxy, url, address",
+        [
+            (None, "http://example.invalid/v1", ("example.invalid", 80)),
+            (None, "https://example.invalid/v1", ("example.invalid", 443)),
+            (("https_proxy", "http://127.0.0.1"), "https://example.invalid/v1", ("127.0.0.1", 80)),
+            (("http_proxy", "https://127.0.0.1"), "http://example.invalid/v1", ("127.0.0.1", 443)),
+        ],
+    )
+    def test_a_url_without_a_port_is_reached_on_its_scheme_default(self, monkeypatch, sleeps, proxy, url, address):
+        """The port left out of the endpoint's or the proxy's URL is that
+        URL's own scheme default, also for an http:// proxy that tunnels to
+        an https:// endpoint."""
+        for name in ("https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        if proxy:
+            monkeypatch.setenv(*proxy)
+        monkeypatch.setattr(transport_module, "MAX_RETRIES", 0)
+        addresses = []
+
+        def create_connection(address, *args, **kwargs):
+            addresses.append(address)
+            raise ConnectionRefusedError("refused")
+
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        backend = HTTPBackend(url)
+        with pytest.raises(EndpointUnreachable, match="refused"):
+            backend.complete(simple_request())
+        backend.close()
+        assert addresses == [address]
 
     def test_non_json_200_is_malformed(self, sleeps):
         with ChatStub(default=HTML) as stub:
@@ -927,10 +998,12 @@ def self_signed(tmp_path):
 
 
 class ConnectProxy(LoopbackServer):
-    """Loopback proxy that answers CONNECT and then relays bytes both ways
-    until either side closes; it keeps each tunnel's target and headers."""
+    """Loopback proxy that answers CONNECT with ``status``: a 200, with the
+    header lines ``extra`` after its own, then relays bytes both ways until
+    either side closes; any other status refuses the tunnel. It keeps each
+    tunnel's target and headers."""
 
-    def __init__(self):
+    def __init__(self, status=200, extra=()):
         self.targets = []
         self.headers = []
         proxy = self
@@ -939,9 +1012,14 @@ class ConnectProxy(LoopbackServer):
             def do_CONNECT(self):
                 proxy.targets.append(self.path)
                 proxy.headers.append(self.headers)
+                if status != 200:
+                    self.send_error(status)
+                    return
                 host, port = self.path.rsplit(":", 1)
                 with socket.create_connection((host, int(port)), timeout=10) as upstream:
                     self.send_response(200, "Connection established")
+                    for name, value in extra:
+                        self.send_header(name, value)
                     self.end_headers()
                     relay(self.connection, upstream)
 
@@ -1003,6 +1081,33 @@ class TestTLS:
         assert proxy.headers[0]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
         assert stub.paths == ["/v1/chat/completions"]
         assert "Proxy-Authorization" not in stub.headers[0]
+
+    @pytest.mark.parametrize("status", [407, 502])
+    def test_refused_tunnel_is_retried_then_one_endpoint_error(self, self_signed, monkeypatch, sleeps, status):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", self_signed[0])
+        with ChatStub(tls=self_signed) as stub, ConnectProxy(status) as proxy:
+            monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{proxy.port}")
+            backend = HTTPBackend(stub.url)
+            with pytest.raises(EndpointUnreachable, match=f": Tunnel connection failed: {status} "):
+                backend.complete(simple_request())
+            backend.close()
+        assert len(proxy.targets) == MAX_RETRIES + 1 and len(sleeps) == MAX_RETRIES
+        assert stub.connections == 0
+
+    def test_tunnel_reply_with_more_header_lines(self, self_signed, monkeypatch):
+        """A 200 to CONNECT has no body (RFC 9110 section 9.3.6): its
+        Content-Length is not read as one, and the TLS handshake starts
+        right after the blank line."""
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", self_signed[0])
+        extra = [("Proxy-Agent", "loopback/1"), ("Via", "1.1 loopback"), ("Content-Length", "1000")]
+        with ChatStub(tls=self_signed) as stub, ConnectProxy(200, extra) as proxy:
+            monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{proxy.port}")
+            backend = HTTPBackend(stub.url)
+            assert backend.complete(simple_request("q0")).text == "ok"
+            assert backend.complete(simple_request("q1")).text == "ok"  # on the same tunnel
+            backend.close()
+        assert proxy.targets == [stub.url.split("/")[2]]
+        assert stub.paths == ["/v1/chat/completions"] * 2 and stub.connections == 1
 
 
 def cache_line(digest, token):
@@ -1421,19 +1526,19 @@ def label_readouts(draw):
 
 
 def brute_force_classify(label_set, logprobs):
-    """The paper's formula: each label's summed alias probability over the
-    sum across labels; argmax ties go to the alphabetically first label.
-    The raw value is the chosen label's probability, at most 1. None when no
-    label has probability."""
+    """The paper's formula: each label's summed alias probability, a sum
+    that rounds past 1 counting as 1, over the sum across labels; argmax
+    ties go to the alphabetically first label. The raw value is the chosen
+    label's probability. None when no label has probability."""
     probs = {
-        label: math.fsum(math.exp(logprobs[alias]) for alias in aliases if alias in logprobs)
+        label: min(math.fsum(math.exp(logprobs[alias]) for alias in aliases if alias in logprobs), 1.0)
         for label, aliases in label_set.items()
     }
     total = math.fsum(probs.values())
     if total == 0.0:
         return None
     chosen = min(label for label, p in probs.items() if p == max(probs.values()))
-    return chosen, probs[chosen] / total, min(probs[chosen], 1.0)
+    return chosen, probs[chosen] / total, probs[chosen]
 
 
 class TestClassify:
@@ -1488,6 +1593,15 @@ class TestClassify:
     @example(({"A": frozenset({"A", " A"}), "B": frozenset({"B"})}, {"A": 0.0, " A": -20.0, "B": -25.0}))
     @example(({"A": frozenset({"A"}), "B": frozenset({"B"})}, {"B": math.log(0.25), "A": math.log(0.25)}))
     @example(({"A": frozenset({"A"})}, {"?": -0.1}))
+    @example(  # A's mass is 1 + e^-10: clamped or not, the confidence differs by about 1e-12
+        (
+            {"A": frozenset({"A", " A"}), "B": frozenset({"B"}), "C": frozenset({"C", " C", "c"}),
+             "D": frozenset({"D", " D", "d", " d"}), "E": frozenset({"E", " E", "e", " e"})},
+            {"A": 0.0, " A": -10.0, **dict.fromkeys(
+                [" C", " D", " E", " d", " e", "B", "C", "D", "E", "c", "d", "e", "?", "Z", " maybe"], -20.0
+            )},
+        )
+    )
     def test_matches_brute_force(self, case):
         label_set, logprobs = case
         client = ModelClient(MockBackend([{"tokens": ["?"], "distributions": [logprobs]}]))
