@@ -1,4 +1,5 @@
-"""Chat-completion client with per-token logprob extraction.
+"""Chat-completion client that reads a reply's text and its first position's
+top-K logprobs, the one distribution a readout reads.
 
 Speaks the de-facto JSON-over-HTTP chat-completion format (the variant
 exposing "logprobs"/"top_logprobs" per generated token), with a scripted
@@ -27,7 +28,8 @@ from .errors import ConfcalError, InvalidInput, MalformedResponse, NoLabelTokenP
 
 SELF_EVAL_PROMPT = "Is this answer correct? Answer only Yes/No."
 
-# every request asks for the top-K logprobs at each position
+# every request asks for the top-K logprobs; the endpoint returns them at each
+# position, and only the first position's are read
 DEFAULT_TOP_K = 20
 
 _wait_hook = threading.local()
@@ -93,72 +95,66 @@ def request_digest(request: CompletionRequest) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _text(tokens: list[str]) -> str:
+    """The generated text: ``tokens``, a list of strings, joined."""
+    if not isinstance(tokens, (list, tuple)):
+        raise MalformedResponse("generated tokens must be a list of strings")
+    for token in tokens:
+        if not isinstance(token, str):
+            raise MalformedResponse(f"generated token {token!r} is not a string")
+    return "".join(tokens)
+
+
 @dataclass(frozen=True, slots=True)
 class CompletionResponse:
-    """Model output: the generated tokens and the top-K distribution at each.
+    """Model output: the generated text, and the top-K distribution at its
+    first position, None only for a reply with no token."""
 
-    Every response, whether from a backend or the cache, is checked here:
-    tokens must be strings, one distribution per token.
-    """
-
-    generated_tokens: tuple[str, ...]
-    token_distributions: tuple[TokenDistribution, ...]
+    text: str
+    first: TokenDistribution | None
 
     def __post_init__(self):
-        if not isinstance(self.generated_tokens, (list, tuple)):
-            raise MalformedResponse("generated tokens must be a list of strings")
-        object.__setattr__(self, "generated_tokens", tuple(self.generated_tokens))
-        object.__setattr__(self, "token_distributions", tuple(self.token_distributions))
-        for token in self.generated_tokens:
-            if not isinstance(token, str):
-                raise MalformedResponse(f"generated token {token!r} is not a string")
-        if len(self.token_distributions) != len(self.generated_tokens):
-            raise MalformedResponse(
-                f"{len(self.generated_tokens)} tokens but "
-                f"{len(self.token_distributions)} distributions"
-            )
-
-    @property
-    def text(self) -> str:
-        return "".join(self.generated_tokens)
+        if self.first is None and self.text:
+            raise MalformedResponse("a reply with a token has no first-position distribution")
 
     def to_json(self) -> dict:
-        """The tokens, the alternative tokens at each position, and every
-        alternative's logprob as one base64 block of little-endian float64s,
-        positions in order."""
-        logprobs = [lp for d in self.token_distributions for lp in d.logprobs]
+        """The text as the one generated token, the first position's
+        alternative tokens, and their logprobs as one base64 block of
+        little-endian float64s; a reply with no token has none of them."""
+        if self.first is None:
+            tokens, top_tokens, logprobs = [], [], ()
+        else:
+            tokens, top_tokens, logprobs = [self.text], [list(self.first.tokens)], self.first.logprobs
         try:
             block = struct.pack(f"<{len(logprobs)}d", *logprobs)
         except struct.error:  # an integer logprob, as JSON allows, beyond the float range
             raise MalformedResponse("a logprob is beyond the float range") from None
         return {
-            "generated_tokens": self.generated_tokens,
-            "top_tokens": [list(d.tokens) for d in self.token_distributions],
+            "generated_tokens": tokens,
+            "top_tokens": top_tokens,
             "top_logprobs": base64.b64encode(block).decode("ascii"),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "CompletionResponse":
-        """Reads ``to_json`` output, or the older shape of ``[token, logprob]``
-        pairs per position; any other key, as older cache lines carry, is
-        ignored."""
+        """Reads ``to_json`` output, or an older line that holds every
+        position, in this shape or as ``[token, logprob]`` pairs per position,
+        keeping the first; any other key, as older cache lines carry, is
+        ignored. A line with a token but no position is an IndexError."""
+        tokens = data["generated_tokens"]
         if "top_logprobs" not in data:
-            return cls(
-                data["generated_tokens"],
-                [TokenDistribution.from_pairs(d["entries"]) for d in data["token_distributions"]],
-            )
-        block = base64.b64decode(data["top_logprobs"], validate=True)
-        logprobs = struct.unpack(f"<{len(block) // 8}d", block)  # struct.error unless whole doubles
-        dists = []
-        end = 0
-        for tokens in data["top_tokens"]:
-            if not isinstance(tokens, list):
-                raise MalformedResponse(f"top tokens {tokens!r:.40} are not a list")
-            start, end = end, end + len(tokens)
-            dists.append(TokenDistribution(tokens, logprobs[start:end]))
-        if end != len(logprobs):
-            raise MalformedResponse(f"{len(logprobs)} logprobs for {end} top tokens")
-        return cls(data["generated_tokens"], dists)
+            first = TokenDistribution.from_pairs(data["token_distributions"][0]["entries"]) if tokens else None
+        else:
+            block = base64.b64decode(data["top_logprobs"], validate=True)
+            logprobs = struct.unpack(f"<{len(block) // 8}d", block)  # struct.error unless whole doubles
+            positions = data["top_tokens"]
+            for top_tokens in positions:
+                if not isinstance(top_tokens, list):
+                    raise MalformedResponse(f"top tokens {top_tokens!r:.40} are not a list")
+            if sum(map(len, positions)) != len(logprobs):
+                raise MalformedResponse(f"{len(logprobs)} logprobs for {sum(map(len, positions))} top tokens")
+            first = TokenDistribution(positions[0], logprobs[: len(positions[0])]) if tokens else None
+        return cls(_text(tokens), first)
 
 
 class Backend(Protocol):
@@ -187,11 +183,9 @@ class MockBackend:
 
     def _add(self, entry: dict) -> None:
         tokens = entry["tokens"]
-        raw_dists = entry.get("distributions")
-        if raw_dists is None:
-            # Tokens without scripted distributions get a certain (logprob 0) dist.
-            raw_dists = [{tok: 0.0} for tok in tokens]
-        response = CompletionResponse(tokens, tuple(_distribution_from_map(d) for d in raw_dists))
+        # the first position's distribution; without one scripted, its token is certain (logprob 0)
+        first = _distribution_from_map((entry.get("distributions") or [{tokens[0]: 0.0}])[0]) if tokens else None
+        response = CompletionResponse(_text(tokens), first)
         digest = entry.get("digest")
         if digest:
             self._by_digest[digest] = response
@@ -263,21 +257,20 @@ class HTTPBackend:
         if not isinstance(content, list):
             raise MalformedResponse(f"endpoint returned logprobs content {content!r:.60}, not a list")
         tokens: list[str] = []
-        dists: list[TokenDistribution] = []
+        first = None
         for position, item in enumerate(content):
             try:
                 tokens.append(item["token"])
-                alternatives = item["top_logprobs"]
-                dists.append(
-                    TokenDistribution(
+                if position == 0:  # later positions' top_logprobs are never read
+                    alternatives = item["top_logprobs"]
+                    first = TokenDistribution(
                         [alt["token"] for alt in alternatives],
                         # a positive logprob is read as 0; NaN is kept, for the check to refuse
                         [0.0 if (lp := alt["logprob"]) > 0 else lp for alt in alternatives],
                     )
-                )
             except (KeyError, TypeError) as exc:
                 raise MalformedResponse(f"malformed logprob entry at position {position}") from exc
-        return CompletionResponse(tokens, dists)
+        return CompletionResponse(_text(tokens), first)
 
 
 class ResponseCache:
@@ -453,10 +446,10 @@ class ModelClient:
 
     def _first_distribution(self, messages: list[Message]) -> TokenDistribution:
         """The top-K distribution at the first position of a one-token reply."""
-        response = self.complete(CompletionRequest(tuple(messages), self.model_name, 1))
-        if not response.token_distributions:
+        first = self.complete(CompletionRequest(tuple(messages), self.model_name, 1)).first
+        if first is None:
             raise MalformedResponse("no token distribution at first answer position")
-        return response.token_distributions[0]
+        return first
 
     def classify(self, input: str, label_set: Mapping[str, frozenset[str]]) -> Readout:
         """Single-token readout: per-label summed alias probability, normalized.

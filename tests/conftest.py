@@ -106,7 +106,7 @@ class PureBackend:
             p_yes = (n % 97 + 1) / 99
             token = "Yes"
             entries = (("Yes", math.log(p_yes)), ("No", math.log(1 - p_yes)))
-        return CompletionResponse((token,), (TokenDistribution.from_pairs(entries),))
+        return CompletionResponse(token, TokenDistribution.from_pairs(entries))
 
 
 class MemoryCache(dict):

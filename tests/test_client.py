@@ -22,7 +22,6 @@ import tempfile
 import threading
 import tracemalloc
 import zlib
-from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -155,9 +154,9 @@ class TestMockBackend:
     def test_scripted_echo(self):
         backend = MockBackend([{"tokens": ["B"], "distributions": [{"B": -0.1, "A": -2.4}]}])
         response = backend.complete(simple_request())
-        assert response.generated_tokens == ("B",)
-        assert response.token_distributions[0].logprob("B") == -0.1
-        assert response.token_distributions[0].logprob("A") == -2.4
+        assert response.text == "B"
+        assert response.first.logprob("B") == -0.1
+        assert response.first.logprob("A") == -2.4
 
     def test_in_order_consumption(self):
         backend = MockBackend([{"tokens": ["x"]}, {"tokens": ["y"]}])
@@ -182,13 +181,7 @@ class TestMockBackend:
 @closes_everything
 class TestCache:
     def test_round_trip_lossless(self, tmp_path):
-        response = CompletionResponse(
-            generated_tokens=("a", "b"),
-            token_distributions=(
-                TokenDistribution.from_pairs((("a", -0.1), ("c", -3.0))),
-                TokenDistribution.from_pairs((("b", -0.5),)),
-            ),
-        )
+        response = CompletionResponse("ab", TokenDistribution.from_pairs((("a", -0.1), ("c", -3.0))))
         assert CompletionResponse.from_json(response.to_json()) == response
 
         cache = ResponseCache(tmp_path / "cache.jsonl")
@@ -208,10 +201,7 @@ class TestCache:
 
     def test_concurrent_writers_single_entry(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache.jsonl")
-        response = CompletionResponse(
-            generated_tokens=("t",),
-            token_distributions=(TokenDistribution.from_pairs((("t", -0.1),)),),
-        )
+        response = CompletionResponse("t", TokenDistribution.from_pairs((("t", -0.1),)))
         threads = [threading.Thread(target=cache.put, args=("d", response)) for _ in range(8)]
         for t in threads:
             t.start()
@@ -267,7 +257,7 @@ class TestCache:
         def put_many(t):
             for k in range(50):
                 token = f"t{t}-{k}"
-                cache.put(f"d{t}-{k}", CompletionResponse((token,), (TokenDistribution.from_pairs(((token, -0.1),)),)))
+                cache.put(f"d{t}-{k}", CompletionResponse(token, TokenDistribution.from_pairs(((token, -0.1),))))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -316,23 +306,23 @@ class TestSingleFlight:
         """The backend holds its call until the second caller is waiting for
         that same fetch; a client that fetched twice would reach it twice."""
         waiting = threading.Event()
-        real_result = Future.result
+        real_wait = client_module._Flight.wait
 
-        def result(future, timeout=None):
+        def wait(flight, timeout=None):
             waiting.set()
-            return real_result(future, timeout)
+            return real_wait(flight, timeout)
 
-        monkeypatch.setattr(Future, "result", result)
+        monkeypatch.setattr(client_module._Flight, "wait", wait)
 
         class HoldingBackend:
             calls = 0
 
             def complete(self, request):
                 HoldingBackend.calls += 1
-                waiting.wait(timeout=10)
+                assert waiting.wait(timeout=10), "the second caller never waited on the fetch"
                 if fails:
                     raise MalformedResponse("no logprobs")
-                return CompletionResponse(("t",), (TokenDistribution.from_pairs((("t", -0.1),)),))
+                return CompletionResponse("t", TokenDistribution.from_pairs((("t", -0.1),)))
 
         client = ModelClient(HoldingBackend())
         outcomes = [None, None]
@@ -1145,8 +1135,10 @@ class TestCacheDamage:
         assert path.read_text() == content
 
 
-# -0.25, -1.5 and -2.0 as little-endian IEEE-754 doubles, in base64
-GOLDEN_BLOB = "AAAAAAAA0L8AAAAAAAD4vwAAAAAAAADA"
+# -0.25 and -1.5 as little-endian IEEE-754 doubles, in base64
+GOLDEN_BLOB = "AAAAAAAA0L8AAAAAAAD4vw=="
+# -0.25, -1.5 and -2.0 likewise: the block of an older line holding two positions
+TWO_POSITION_BLOB = "AAAAAAAA0L8AAAAAAAD4vwAAAAAAAADA"
 
 # signed zeros, -inf, subnormals and the smallest normal, beside any float <= 0
 LOGPROBS = st.one_of(
@@ -1156,9 +1148,16 @@ LOGPROBS = st.one_of(
 
 
 def logprob_bits(response):
-    return [
-        [(token, struct.pack("<d", lp)) for token, lp in zip(d.tokens, d.logprobs)] for d in response.token_distributions
-    ]
+    first = response.first
+    return None if first is None else [(token, struct.pack("<d", lp)) for token, lp in zip(first.tokens, first.logprobs)]
+
+
+def response_of(text, dist):
+    """The response of ``text`` with the top-K ``dist`` (token -> logprob),
+    or of no token when ``dist`` is None."""
+    if dist is None:
+        return CompletionResponse("", None)
+    return CompletionResponse(text, TokenDistribution.from_pairs(tuple(dist.items())))
 
 
 def record_line(digest, response):
@@ -1171,43 +1170,58 @@ def blob(*logprobs):
 
 @closes_everything
 class TestCacheRecord:
-    """A cache line holds each position's top tokens, and all their logprobs
-    as one base64 block of little-endian float64s, positions in order."""
+    """A cache line holds the text as the one generated token, the first
+    position's top tokens, and their logprobs as one base64 block of
+    little-endian float64s; an older line that holds every position loads
+    its first."""
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(
-        st.lists(st.tuples(st.text(max_size=4), st.dictionaries(st.text(max_size=4), LOGPROBS, max_size=25)), max_size=5)
-    )
-    @example([])
-    @example([('say "hi"\n', {'"': -0.0, "\n\\": -math.inf, "é✓ü": -5e-324, "x": -1e-310}), ("", {})])
-    def test_put_close_reload_keeps_every_bit(self, positions):
-        response = CompletionResponse(
-            [token for token, _ in positions],
-            [TokenDistribution.from_pairs(tuple(dist.items())) for _, dist in positions],
-        )
+    @given(st.text(max_size=8), st.none() | st.dictionaries(st.text(max_size=4), LOGPROBS, max_size=25))
+    @example("", None)
+    @example("", {})
+    @example('say "hi"\n', {'"': -0.0, "\n\\": -math.inf, "é✓ü": -5e-324, "x": -1e-310})
+    def test_put_close_reload_keeps_every_bit(self, text, dist):
+        response = response_of(text, dist)
         with tempfile.TemporaryDirectory() as tmp:
             cache = ResponseCache(Path(tmp) / "cache.jsonl")
             cache.put("d1", response)
             cache.close()
             reloaded = ResponseCache(Path(tmp) / "cache.jsonl").get("d1")
-        assert reloaded.generated_tokens == response.generated_tokens
+        assert reloaded.text == response.text
         assert logprob_bits(reloaded) == logprob_bits(response)
 
-    def test_golden_line(self, tmp_path):
-        response = CompletionResponse(
-            ("Yes", "!"),
-            (TokenDistribution.from_pairs((("Yes", -0.25), ("No", -1.5))), TokenDistribution.from_pairs((("!", -2.0),))),
-        )
+    @pytest.mark.parametrize(
+        "response, line",
+        [
+            (
+                CompletionResponse("Yes!", TokenDistribution.from_pairs((("Yes", -0.25), ("No", -1.5)))),
+                f'"generated_tokens": ["Yes!"], "top_tokens": [["Yes", "No"]], "top_logprobs": "{GOLDEN_BLOB}"',
+            ),
+            (CompletionResponse("", None), '"generated_tokens": [], "top_tokens": [], "top_logprobs": ""'),
+        ],
+        ids=["first-position", "no-token"],
+    )
+    def test_golden_line(self, tmp_path, response, line):
         path = tmp_path / "cache.jsonl"
         cache = ResponseCache(path)
         cache.put("d1", response)
         cache.close()
         assert path.read_text(encoding="utf-8").startswith(
-            '{"request_digest": "d1", "response": {"generated_tokens": ["Yes", "!"], '
-            f'"top_tokens": [["Yes", "No"], ["!"]], "top_logprobs": "{GOLDEN_BLOB}"}}, "created_at": '
+            f'{{"request_digest": "d1", "response": {{{line}}}, "created_at": '
         )
-        assert base64.b64decode(GOLDEN_BLOB) == bytes.fromhex("000000000000d0bf" "000000000000f8bf" "00000000000000c0")
+        assert base64.b64decode(GOLDEN_BLOB) == bytes.fromhex("000000000000d0bf" "000000000000f8bf")
         assert ResponseCache(path).get("d1") == response
+
+    def test_an_older_line_of_two_positions_loads_its_first(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            '{"request_digest": "d1", "response": {"generated_tokens": ["Yes", "!"], '
+            f'"top_tokens": [["Yes", "No"], ["!"]], "top_logprobs": "{TWO_POSITION_BLOB}"}}, "created_at": 1760000000.0}}\n'
+        )
+        assert base64.b64decode(TWO_POSITION_BLOB) == bytes.fromhex("000000000000d0bf" "000000000000f8bf" "00000000000000c0")
+        response = ResponseCache(path).get("d1")
+        assert response.text == "Yes!"
+        assert logprob_bits(response) == [("Yes", bytes.fromhex("000000000000d0bf")), ("No", bytes.fromhex("000000000000f8bf"))]
 
     @pytest.mark.parametrize(
         "top_tokens, top_logprobs",
@@ -1233,18 +1247,26 @@ class TestCacheRecord:
             ResponseCache(path)
 
     def test_a_file_mixing_old_and_new_lines_loads(self, tmp_path):
+        """Pairs per position, every position in one block, and the first
+        position only, in one file."""
         path = tmp_path / "cache.jsonl"
-        new = {"generated_tokens": ["Yes"], "top_tokens": [["Yes", "No"]], "top_logprobs": blob(-0.2, -1.8)}
-        path.write_text(cache_line("d1", "a") + record_line("d2", new) + cache_line("d3", "c"))
+        pairs = {
+            "generated_tokens": ["a", "b"],
+            "token_distributions": [{"entries": [["a", -0.1]]}, {"entries": [["b", -0.3]]}],
+        }
+        every = {"generated_tokens": ["Yes", "."], "top_tokens": [["Yes", "No"], ["."]], "top_logprobs": blob(-0.2, -1.8, -0.5)}
+        first = {"generated_tokens": ["No"], "top_tokens": [["No", "Yes"]], "top_logprobs": blob(-0.4, -1.1)}
+        path.write_text(
+            record_line("d1", pairs) + record_line("d2", every) + record_line("d3", first) + cache_line("d4", "c")
+        )
         cache = ResponseCache(path)
-        dist = cache.get("d1").token_distributions[0]
-        assert (dist.tokens, dist.logprobs) == (("a",), (-0.1,))
-        expected = TokenDistribution.from_pairs((("Yes", -0.2), ("No", -1.8)))
-        assert cache.get("d2") == CompletionResponse(("Yes",), (expected,))
-        assert cache.get("d3").text == "c"
+        assert cache.get("d1") == CompletionResponse("ab", TokenDistribution.from_pairs((("a", -0.1),)))
+        assert cache.get("d2") == CompletionResponse("Yes.", TokenDistribution.from_pairs((("Yes", -0.2), ("No", -1.8))))
+        assert cache.get("d3") == CompletionResponse("No", TokenDistribution.from_pairs((("No", -0.4), ("Yes", -1.1))))
+        assert cache.get("d4").text == "c"
 
     def test_an_integer_logprob_beyond_the_float_range_is_malformed_and_not_cached(self, tmp_path):
-        response = CompletionResponse(("a",), (TokenDistribution.from_pairs((("a", -(10**400)),)),))
+        response = CompletionResponse("a", TokenDistribution.from_pairs((("a", -(10**400)),)))
         cache = ResponseCache(tmp_path / "cache.jsonl")
         with pytest.raises(MalformedResponse, match="float range"):
             cache.put("d1", response)
@@ -1262,21 +1284,21 @@ class TestCacheRecord:
             client = ModelClient(HTTPBackend(stub.url), cache=ResponseCache(path))
             response = client.complete(simple_request())
             client.close()
-        dist = response.token_distributions[0]
+        dist = response.first
         assert (dist.tokens, dist.logprobs) == (("Yes", "No"), (0.0, -2.0))
         assert ResponseCache(path).get(request_digest(simple_request())) == response
 
     def test_a_loaded_response_holds_its_alternatives_compactly(self, tmp_path):
-        """200 responses of 5 positions, each 20 alternatives drawn from 60
-        tokens, as real top-K lists repeat a small vocabulary: a token seen at
-        many positions is held once, and a position is two tuples."""
+        """200 responses, each 20 alternatives drawn from 60 tokens, as real
+        top-K lists repeat a small vocabulary: a token seen in many responses
+        is held once, and a distribution is two tuples."""
         rng = random.Random(7)
         vocabulary = [f"tok{k}" for k in range(60)]  # CPython already shares one-character strings
         path = tmp_path / "cache.jsonl"
         with path.open("w") as fh:
             for n in range(200):
-                top = [rng.sample(vocabulary, 20) for _ in range(5)]
-                logprobs = [-rng.expovariate(0.5) for _ in range(100)]
+                top = [rng.sample(vocabulary, 20)]
+                logprobs = [-rng.expovariate(0.5) for _ in range(20)]
                 response = {"generated_tokens": [t[0] for t in top], "top_tokens": top, "top_logprobs": blob(*logprobs)}
                 fh.write(record_line(f"d{n}", response))
         gc.collect()
@@ -1289,8 +1311,8 @@ class TestCacheRecord:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert held / (200 * 5 * 20) < 100  # bytes per alternative; about 180 with a pair and a dict entry each
-        first, second = cache.get("d0").token_distributions[0], cache.get("d1").token_distributions[4]
+        assert held / (200 * 20) < 100  # bytes per alternative; about 180 with a pair and a dict entry each
+        first, second = cache.get("d0").first, cache.get("d1").first
         shared = set(first.tokens) & set(second.tokens)
         assert shared
         for token in shared:
@@ -1317,12 +1339,9 @@ class TestResponseForm:
     """A response is checked in one place, whether a backend or the cache made it."""
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.text(max_size=4), DISTRIBUTIONS), max_size=4))
-    def test_json_round_trip(self, positions):
-        response = CompletionResponse(
-            [token for token, _ in positions],
-            [TokenDistribution.from_pairs(tuple(dist.items())) for _, dist in positions],
-        )
+    @given(st.text(max_size=8), st.none() | DISTRIBUTIONS)
+    def test_json_round_trip(self, text, dist):
+        response = response_of(text, dist)
         line = json.dumps(response.to_json(), ensure_ascii=False)
         assert CompletionResponse.from_json(json.loads(line)) == response
 
@@ -1333,7 +1352,7 @@ class TestResponseForm:
             '[{"position_index": 0, "entries": [["Yes", -0.2], ["No", -1.8]]}], "finish_reason": "stop"}, '
             '"created_at": 1760000000.0}\n'
         )
-        expected = CompletionResponse(("Yes",), (TokenDistribution.from_pairs((("Yes", -0.2), ("No", -1.8))),))
+        expected = CompletionResponse("Yes", TokenDistribution.from_pairs((("Yes", -0.2), ("No", -1.8))))
         assert ResponseCache(path).get("d1") == expected
 
     def test_int_token_in_a_cache_line_fails_the_load_with_its_line(self, tmp_path):
@@ -1343,11 +1362,10 @@ class TestResponseForm:
         with pytest.raises(SchemaViolation, match=r"cache\.jsonl:2: .*not a string"):
             ResponseCache(path)
 
-    @pytest.mark.parametrize("tokens", [("a", 7), "ab", None])
+    @pytest.mark.parametrize("tokens", [["a", 7], "ab", None])
     def test_tokens_must_be_a_list_of_strings(self, tokens):
-        dist = TokenDistribution.from_pairs((("a", -0.1),))
         with pytest.raises(MalformedResponse):
-            CompletionResponse(tokens, (dist, dist))
+            CompletionResponse.from_json({"generated_tokens": tokens, "top_tokens": [["a"]], "top_logprobs": blob(-0.1)})
 
     @pytest.mark.usefixtures("plain_env")
     def test_a_cache_of_25_entry_replies_reloads(self, tmp_path):
@@ -1447,10 +1465,44 @@ class TestResponseForm:
         err = capsys.readouterr().err
         assert err.startswith("endpoint error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.usefixtures("plain_env")
+    @pytest.mark.parametrize("token, cached", [("!", True), (7, False)], ids=["alternatives", "int-token"])
+    def test_past_the_first_position_only_the_token_is_checked(self, tmp_path, token, cached):
+        """A NaN logprob and a repeated token among the third position's
+        alternatives are never read, so the reply makes a normal record and
+        is cached; a third token that is not a string still fails it."""
+
+        def reply(request):
+            if request["max_tokens"] == 1:
+                body = chat_body("Yes")
+                body["choices"][0]["logprobs"]["content"][0]["top_logprobs"].append({"token": "No", "logprob": -2.0})
+                return 200, {"Content-Type": "application/json"}, json.dumps(body).encode()
+            body = chat_body("o")
+            body["choices"][0]["logprobs"]["content"] += [
+                {"token": "k", "top_logprobs": [{"token": "k", "logprob": -0.1}]},
+                {"token": token, "top_logprobs": [{"token": "x", "logprob": math.nan}, {"token": "x", "logprob": -1.0}]},
+            ]
+            return 200, {"Content-Type": "application/json"}, json.dumps(body).encode()
+
+        cache = tmp_path / "cache.jsonl"
+        with ChatStub(default=reply) as stub:
+            argv = ["eval", "--config", str(generation_config(tmp_path, stub.url, 2, 1)), "--cache-path", str(cache)]
+            assert main(argv) == EXIT_OK
+            records = [json.loads(line) for line in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+            if cached:
+                assert [(r["prediction"], r["correct"], r["flags"]) for r in records] == [("ok!", True, [])] * 2
+                assert len(cache.read_text().splitlines()) == 4 and "NaN" not in cache.read_text()
+                calls = len(stub.bodies)
+                assert main(argv) == EXIT_OK
+                assert len(stub.bodies) == calls  # the second run is served from the cache
+            else:
+                assert [r["flags"] for r in records] == [["error:MalformedResponse"]] * 2
+                assert not cache.exists()
+
     @pytest.mark.parametrize("shape", ["compact", "pairs"])
     def test_int_top_token_in_a_cache_line_fails_the_load_with_its_line(self, tmp_path, shape):
         if shape == "compact":
-            bad = CompletionResponse(("x",), (TokenDistribution.from_pairs((("x", -0.1),)),)).to_json()
+            bad = CompletionResponse("x", TokenDistribution.from_pairs((("x", -0.1),))).to_json()
             bad["top_tokens"] = [[7]]
         else:
             bad = {"generated_tokens": ["x"], "token_distributions": [{"entries": [[7, -0.1]]}]}
@@ -1481,8 +1533,8 @@ class TestHTTPBackendParsing:
             ]
         }
         response = HTTPBackend._parse(body)
-        assert response.generated_tokens == ("Yes",)
-        assert response.token_distributions[0].logprob("No") == -1.8
+        assert response.text == "Yes"
+        assert response.first.logprob("No") == -1.8
 
     def test_missing_logprobs_is_malformed(self):
         with pytest.raises(MalformedResponse):
@@ -1705,13 +1757,10 @@ class TestGenerateAnswer:
 
 
 class TestResponseInvariant:
-    def test_token_distribution_length_mismatch(self):
+    def test_a_reply_with_tokens_but_no_first_distribution_is_malformed(self):
         class BadBackend:
             def complete(self, request):
-                return CompletionResponse(
-                    generated_tokens=("a", "b"),
-                    token_distributions=(TokenDistribution.from_pairs((("a", -0.1),)),),
-                )
+                return CompletionResponse("ab", None)
 
         client = ModelClient(BadBackend())
         with pytest.raises(MalformedResponse):
