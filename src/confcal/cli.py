@@ -3,6 +3,7 @@
 Config files are flat ``key = value`` text; CONFCAL_<KEY> environment
 variables override file values, and flags override both. Each artifact is
 rendered whole (``_json``, ``_csv``) before ``_write`` opens the first file.
+A CSV cell that would need quotes is refused; an input may start with a BOM.
 
 Exit codes: 0 success, 1 config error (any usage error, or a key or flag
 the command does not read), 2 endpoint error, 3 data error.
@@ -11,8 +12,6 @@ the command does not read), 2 endpoint error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -27,6 +26,7 @@ from .errors import (
     ConfcalError,
     ConfigInvalid,
     EndpointUnreachable,
+    InvalidInput,
     MalformedResponse,
     RateLimited,
     SchemaViolation,
@@ -60,17 +60,31 @@ def _json(data) -> str:
 
 
 def _csv(header: list[str], rows) -> str:
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return text.getvalue()
+    """``csv.writer``'s bytes for string cells (a cell may hold joined columns); a cell it would quote is refused."""
+    lines = [",".join(header), *map(",".join, rows)]
+    text = "\r\n".join(lines) + "\r\n"
+    commas = len(lines) * (len(header) - 1)
+    if '"' in text or text.count(",") != commas or not text.count("\r") == text.count("\n") == len(lines):
+        raise InvalidInput("CSV cell with a comma, a quote or a line break, or a row without one cell per column")
+    return text
 
 
 def _curve_csv(bins) -> str:
     """The calibration curve of a report's bins, each a dict as in report.json."""
-    rows = ([i, b["count"], _fmt(b["mean_confidence"]), _fmt(b["mean_accuracy"])] for i, b in enumerate(bins, 1))
+    rows = ([str(i), f"{b['count']:d}", _fmt(b["mean_confidence"]), _fmt(b["mean_accuracy"])]
+            for i, b in enumerate(bins, 1))
     return _csv(["bin", "count", "mean_confidence", "mean_accuracy"], rows)
+
+
+def _sweep_csv(rows: list[adaptive.SweepRow]) -> str:
+    """Each cut point's four cells are rendered to one string once; a row adds its tau."""
+    cuts: dict[tuple, str] = {}
+    lines = []
+    for row in rows:
+        if (text := cuts.get(row[1:])) is None:
+            text = cuts[row[1:]] = ",".join(map(_fmt, row[1:]))
+        lines.append((f"{row.tau:.6f}", text))
+    return _csv(["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"], lines)
 
 
 def _write(out: Path, texts: dict[str, str]) -> None:
@@ -95,7 +109,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").split("#", 1)[0].strip()
+                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8").split("#", 1)[0].strip()
             except UnicodeDecodeError as exc:
                 raise ConfigInvalid(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
             if not line:
@@ -251,25 +265,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         client.close()
         if remote is not None:
             remote.close()
-    # Rows of one cut point differ only in tau: each cut point's four cells
-    # are rendered once.
-    cells: dict[tuple, list[str]] = {}
-
-    def line(row: adaptive.SweepRow) -> list[str]:
-        cut = row[1:]
-        if cut not in cells:
-            cells[cut] = [_fmt(v) for v in cut]
-        return [_fmt(row.tau), *cells[cut]]
-
-    header = ["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"]
-    _write(out, {"sweep.csv": _csv(header, map(line, rows))})
+    _write(out, {"sweep.csv": _sweep_csv(rows)})
     return EXIT_OK
 
 
 def cmd_ece_from_bins(args: argparse.Namespace) -> int:
+    import csv  # the one command that reads a CSV
     path = Path(args.bin_csv)
     bins: list[tuple[int, float, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         required = {"count", "mean_accuracy", "mean_confidence"}
         try:
@@ -286,15 +290,11 @@ def cmd_ece_from_bins(args: argparse.Namespace) -> int:
         except UnicodeDecodeError as exc:  # decoded a block at a time, so no line number
             raise SchemaViolation(f"{path}: not UTF-8 ({exc})") from exc
         except (TypeError, ValueError) as exc:  # TypeError: a short row
-            raise SchemaViolation(
-                f"{path}:{reader.line_num}: bad row ({type(exc).__name__}: {exc})"
-            ) from exc
+            raise SchemaViolation(f"{path}:{reader.line_num}: bad row ({type(exc).__name__}: {exc})") from exc
     if not bins:
         raise SchemaViolation(f"{path}: no bin rows")
-    ece_val = metrics.ece_from_bins(bins)
-    acc_val = metrics.accuracy_from_bins(bins)
-    print(f"ece = {_fmt(ece_val)}")
-    print(f"weighted_accuracy = {_fmt(acc_val)}")
+    print(f"ece = {_fmt(metrics.ece_from_bins(bins))}")
+    print(f"weighted_accuracy = {_fmt(metrics.accuracy_from_bins(bins))}")
     return EXIT_OK
 
 
@@ -312,7 +312,7 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
     result = sandbox.run_paradigm_comparison(task, sandbox_cfg)
 
     trace = (
-        [p.step, name, _fmt(p.kl), _fmt(p.max_prob), _fmt(p.ece_proxy)]
+        [str(p.step), name, _fmt(p.kl), _fmt(p.max_prob), _fmt(p.ece_proxy)]
         for name, points in result.traces.items()
         for p in points
     )
@@ -324,7 +324,7 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.report_json)
     out = Path(args.output or path.with_suffix(".csv"))
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             text = _curve_csv(json.load(fh)["bins"])
         except (ValueError, KeyError, TypeError) as exc:

@@ -90,7 +90,7 @@ class TaskSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TaskSpec":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 return cls.from_json(json.load(fh))
             except (ValueError, KeyError, TypeError, AttributeError, SchemaViolation) as exc:

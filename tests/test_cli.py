@@ -1,6 +1,7 @@
 """End-to-end CLI tests over the mock backend and the benchmark's loopback stub."""
 
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 ROOT = Path(__file__).resolve().parents[1]
 
 import confcal
-from confcal import adaptive, harness, metrics
+from confcal import adaptive, cli, harness, metrics
 from confcal.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -35,7 +36,7 @@ from confcal.cli import (
     main,
 )
 from confcal.client import MockBackend, ModelClient
-from confcal.errors import ConfigInvalid
+from confcal.errors import ConfigInvalid, InvalidInput
 
 from conftest import LoopbackServer, answer_entry, closes_everything, yes_no_entry
 
@@ -205,6 +206,35 @@ class TestImportCost:
         system = ["urllib.request"] if sys.platform in ("darwin", "win32") else []
         assert loaded[:2] == [[], ["confcal.transport"] + system]
         assert "ssl" in loaded[2] and "urllib.request" in loaded[3]
+
+    def test_only_ece_from_bins_loads_csv(self, tmp_path):
+        """The CSVs confcal writes are joined text: ``sandbox``, a mock
+        ``eval`` and ``sweep`` and ``report`` leave the csv module unloaded;
+        ``ece-from-bins``, which reads a CSV, loads it."""
+        for command in ("eval", "sweep"):
+            (tmp_path / command).mkdir()
+        eval_config, eval_out = make_generation_run(tmp_path / "eval")
+        sweep_config, _ = make_generation_run(tmp_path / "sweep", command="sweep")
+        (tmp_path / "sb.conf").write_text(f"output_dir = {tmp_path / 'sb'}\nsteps = 10\n")
+        (tmp_path / "bins.csv").write_text("count,mean_accuracy,mean_confidence\n10,0.8,0.7\n")
+        code = textwrap.dedent("""
+            import json, sys
+            from confcal.cli import main
+            sb, ev, sw, report, bins = sys.argv[1:]
+            codes = [
+                main(["sandbox", "--config", sb]),
+                main(["eval", "--config", ev]),
+                main(["sweep", "--config", sw, "--taus", "0.0"]),
+                main(["report", report]),
+            ]
+            loaded = ["csv" in sys.modules]
+            codes.append(main(["ece-from-bins", bins]))
+            print(json.dumps([codes, loaded + ["csv" in sys.modules]]))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(confcal.__file__).parents[1])}
+        files = [tmp_path / "sb.conf", eval_config, sweep_config, eval_out / "report.json", tmp_path / "bins.csv"]
+        done = subprocess.run([sys.executable, "-c", code, *map(str, files)], env=env, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [[EXIT_OK] * 5, [False, True]]
 
     def test_an_http_backend_loads_no_certifi(self):
         """Only an https:// endpoint whose CA bundle the environment does not
@@ -720,6 +750,91 @@ class TestArtifactRounding:
         assert any(round(v, 4) != v for v in values)
 
 
+def csv_writer_text(header, rows):
+    """What the standard library's ``csv.writer`` writes, the oracle of ``cli._csv``."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+# a cell as confcal renders it: an int, a %.6f number, undefined (None) or a method name
+CELLS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.none(),
+    st.sampled_from(["ce", "advantage", "dpo", "tau", "retrieval_pct"]),
+)
+
+
+def rendered(cell):
+    return str(cell) if isinstance(cell, int) else cell if isinstance(cell, str) else cli._fmt(cell)
+
+
+class TestCsv:
+    """``cli._csv`` writes the bytes of ``csv.writer``'s default dialect for
+    the cells confcal writes, none of which needs quoting, and refuses a cell
+    that would. (csv.writer also quotes a lone empty cell, which only a
+    one-column CSV could hold; confcal writes none, so rows have 2+ cells.)"""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda width: st.tuples(
+        st.lists(st.sampled_from(["bin", "count", "step", "method", "kl", "tau"]), min_size=width, max_size=width),
+        st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=20),
+    )))
+    def test_bytes_are_csv_writers(self, table):
+        header, rows = table
+        # csv.writer gets ints and None as they are: str(int) and "" are its own renderings
+        raw = [[cli._fmt(cell) if isinstance(cell, float) else cell for cell in row] for row in rows]
+        assert cli._csv(header, [[rendered(cell) for cell in row] for row in rows]) == csv_writer_text(header, raw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.none() | st.floats()), min_size=1, max_size=6,
+                 unique_by=lambda cut: cut[0]),
+        st.lists(st.tuples(st.floats(-1, 2), st.integers(0, 5)), min_size=1, max_size=40),
+    )
+    def test_sweep_rows_render_as_cell_by_cell(self, cuts, picks):
+        """Rows that repeat cut points, carry a None efficiency, or hold unsorted
+        and repeated taus render as each row's cells through csv.writer did.
+        Cut points differ in retrieval rate, as ``adaptive.sweep``'s do, so no
+        two of them compare equal (0.0 == -0.0) while rendering apart."""
+        rows = [adaptive.SweepRow(tau, *cuts[pick % len(cuts)]) for tau, pick in picks]
+        header = ["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"]
+        assert cli._sweep_csv(rows) == csv_writer_text(header, [[cli._fmt(v) for v in row] for row in rows])
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\r\n"])
+    def test_cell_needing_quotes_is_refused(self, char):
+        with pytest.raises(InvalidInput):
+            cli._csv(["step", "method"], [["1", "ce"], ["2", f"c{char}e"]])
+        with pytest.raises(InvalidInput):
+            cli._csv(["step", f"met{char}hod"], [])
+
+    def test_row_without_one_cell_per_column_is_refused(self):
+        with pytest.raises(InvalidInput):
+            cli._csv(["step", "method"], [["1", "ce", "x"]])
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+    def test_refused_cell_is_one_data_error_and_no_file(self, tmp_path, monkeypatch, char):
+        from confcal import sandbox
+
+        run = sandbox.run_paradigm_comparison
+
+        def renamed(task, cfg):
+            result = run(task, cfg)
+            result.traces[f"c{char}e"] = result.traces.pop("ce")
+            return result
+
+        monkeypatch.setattr(sandbox, "run_paradigm_comparison", renamed)
+        config = tmp_path / "sb.conf"
+        config.write_text(f"output_dir = {tmp_path / 'out'}\nsteps = 10\n")
+        code, err = run_quietly(["sandbox", "--config", str(config)])
+        assert code == EXIT_DATA
+        assert err.startswith("data error: CSV cell with a comma") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
 def _bench_module(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -795,6 +910,49 @@ def write_all_inputs(root):
     return files, argvs
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def _bom_sandbox(root, bom):
+    (root / "sb.conf").write_bytes(bom + f"steps = 10\noutput_dir = {root / 'out'}\n".encode())
+    code = run_quietly(["sandbox", "--config", str(root / "sb.conf")])
+    return code, (root / "out" / "trace.csv").read_bytes(), (root / "out" / "summary.json").read_bytes()
+
+
+def _bom_bins(root, bom):
+    (root / "bins.csv").write_bytes(bom + b"count,mean_accuracy,mean_confidence\n10,0.8,0.7\n30,0.5,0.6\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["ece-from-bins", str(root / "bins.csv")])
+    return code, out.getvalue()
+
+
+def _bom_task_spec(root, bom):
+    labels = [{"label": "A", "aliases": ["A", " A"]}, {"label": "B", "aliases": ["B"]}]
+    spec = {"task_id": "t", "kind": "classification", "matcher": "exact", "label_set": labels}
+    (root / "task.json").write_bytes(bom + json.dumps(spec).encode())
+    return harness.TaskSpec.from_file(root / "task.json")
+
+
+def _bom_report(root, bom):
+    report = {"bins": [{"count": 3, "mean_confidence": 0.5, "mean_accuracy": 0.25}]}
+    (root / "report.json").write_bytes(bom + json.dumps(report).encode())
+    code = run_quietly(["report", str(root / "report.json"), "--output", str(root / "curve.csv")])
+    return code, (root / "curve.csv").read_bytes()
+
+
+@pytest.mark.parametrize("read", [_bom_sandbox, _bom_bins, _bom_task_spec, _bom_report])
+def test_byte_order_mark_reads_as_without(tmp_path, read):
+    """A leading UTF-8 byte-order mark, as Windows editors and Excel's "CSV
+    UTF-8" write, changes nothing a config file, bin table, task spec or
+    report gives."""
+    results = []
+    for name, bom in (("plain", b""), ("bom", BOM)):
+        (tmp_path / name).mkdir()
+        results.append(read(tmp_path / name, bom))
+    assert results[0] == results[1]
+
+
 class TestMalformedInput:
     """A malformed input file ends in one line on stderr, never a traceback."""
 
@@ -809,6 +967,7 @@ class TestMalformedInput:
             ("mock", b'{"tokens": ["Yes"], "distributions": [{"Yes": NaN}]}\n', EXIT_DATA),
             ("report", b'{"bins": 3}', EXIT_DATA),
             ("report", b"not json", EXIT_DATA),
+            ("report", b'{"bins": [{"count": 1.5, "mean_confidence": 0.5, "mean_accuracy": 0.5}]}', EXIT_DATA),
             ("dataset", b"1\n", EXIT_DATA),
             ("config", b"n_bins = \xff\n", EXIT_CONFIG),
         ],
