@@ -15,7 +15,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .client import ModelClient, Readout
-from .errors import MalformedResponse, RetrievalMiss
+from .errors import InvalidInput, MalformedResponse, RetrievalMiss
 from .harness import DatasetExample, is_correct, run_pool, truncate_context
 from .metrics import retrieval_efficiency
 
@@ -155,9 +155,9 @@ def sweep(
     tau is one bisection into that table: O(n log n + T log n) in all.
     """
     if not taus:
-        raise ValueError("tau list is empty")
+        raise InvalidInput("tau list is empty")
     if not examples:
-        raise ValueError("example list is empty")
+        raise InvalidInput("example list is empty")
 
     first = run_pool(lambda ex: _first_pass(ex, client), examples, concurrency)
     max_tau = max(taus)

@@ -70,8 +70,14 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _curve_csv(bins) -> str:
-    """The calibration curve of a report's bins, each a dict as in report.json."""
-    rows = ([str(i), f"{b['count']:d}", _fmt(b["mean_confidence"]), _fmt(b["mean_accuracy"])]
+    """The calibration curve of a report's bins, each a dict as in report.json;
+    a count or a mean that is not a finite JSON number (``null``, ``true``, ``NaN``) is a TypeError."""
+    def cell(value, spec: str) -> str:
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise TypeError(f"{value!r} is not a number")
+        return format(value, spec)
+
+    rows = ([str(i), cell(b["count"], "d"), cell(b["mean_confidence"], ".6f"), cell(b["mean_accuracy"], ".6f")]
             for i, b in enumerate(bins, 1))
     return _csv(["bin", "count", "mean_confidence", "mean_accuracy"], rows)
 
@@ -229,13 +235,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     task, examples, client, out = _open_run(cfg)
     try:
-        result = harness.run_eval(task, examples, client, concurrency=_pool_size(cfg))
+        records, raw_records = harness.run_eval(task, examples, client, concurrency=_pool_size(cfg))
     finally:
         client.close()
-    records = result.raw_records if cfg.confidence_mode == "raw" else result.records
+    records = raw_records if cfg.confidence_mode == "raw" else records
     report = asdict(metrics.build_report(records, n_bins=cfg.n_bins))
     if cfg.confidence_mode == "both":
-        report["raw_auroc"] = metrics.build_report(result.raw_records, cfg.n_bins).auroc
+        report["raw_auroc"] = metrics.build_report(raw_records, cfg.n_bins).auroc
     lines = ({**vars(rec), "confidence": round(rec.confidence, 6), "flags": sorted(rec.flags)} for rec in records)
     texts = {
         "records.jsonl": "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines),
@@ -309,15 +315,15 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
         sandbox_cfg = sandbox.SandboxConfig(**{k: v for k, v in settings.items() if v is not None})
     except ConfcalError as exc:
         raise ConfigInvalid(str(exc)) from exc
-    result = sandbox.run_paradigm_comparison(task, sandbox_cfg)
+    traces, summary = sandbox.run_paradigm_comparison(task, sandbox_cfg)
 
     trace = (
         [str(p.step), name, _fmt(p.kl), _fmt(p.max_prob), _fmt(p.ece_proxy)]
-        for name, points in result.traces.items()
+        for name, points in traces.items()
         for p in points
     )
     header = ["step", "method", "kl", "max_prob", "ece_proxy"]
-    _write(Path(cfg.output_dir), {"trace.csv": _csv(header, trace), "summary.json": _json(result.summary)})
+    _write(Path(cfg.output_dir), {"trace.csv": _csv(header, trace), "summary.json": _json(summary)})
     return EXIT_OK
 
 
@@ -327,7 +333,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     with open(path, encoding="utf-8-sig") as fh:
         try:
             text = _curve_csv(json.load(fh)["bins"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:  # OverflowError: an integer past the float range
             raise SchemaViolation(f"{path}: not a report JSON ({type(exc).__name__}: {exc})") from exc
     _write(out.parent, {out.name: text})
     return EXIT_OK

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring as _escaped  # a str as json.dumps(..
 from pathlib import Path
 from typing import BinaryIO, Protocol
 
-from .confidence import TokenDistribution, check_missing_policy, normalized_confidence, p_yes, self_eval_confidence
+from .confidence import TokenDistribution, check_missing_policy, p_yes, self_eval_confidence
 from .errors import ConfcalError, InvalidInput, MalformedResponse, NoLabelTokenPresent, SchemaViolation
 
 SELF_EVAL_PROMPT = "Is this answer correct? Answer only Yes/No."
@@ -452,7 +452,9 @@ class ModelClient:
         return first
 
     def classify(self, input: str, label_set: Mapping[str, frozenset[str]]) -> Readout:
-        """Single-token readout: per-label summed alias probability, normalized.
+        """Single-token readout: the chosen label's summed alias probability
+        divided by the label set's total, in linear space, where the masses
+        are (``normalized_confidence`` is the form for sequence log-probabilities).
 
         ``label_set`` maps each label to its aliases, as ``TaskSpec`` holds it.
         Labels whose aliases are all absent from the top-K score probability 0.
@@ -467,9 +469,7 @@ class ModelClient:
             )
 
         chosen = min(probs, key=lambda lab: (-probs[lab], lab))
-        logprobs = {label: math.log(p) if p > 0 else -math.inf for label, p in probs.items()}
-        confidence = normalized_confidence(logprobs, chosen)
-        return Readout(chosen, confidence, frozenset(), probs[chosen])
+        return Readout(chosen, probs[chosen] / math.fsum(probs.values()), frozenset(), probs[chosen])
 
     def answer(self, question: str, context: str | None = None) -> Readout:
         """Free-form answer of up to 256 tokens, then its one-token Yes/No

@@ -1,12 +1,13 @@
 """Pure confidence arithmetic over truncated token distributions.
 
-The paper's two readouts, each one function that returns plain values: the
-label confidence renormalized over the label set (``normalized_confidence``,
-a float) and the Yes/No self-evaluation c_yes / (c_yes + c_no) with its
-neutral 0.5 fallback (``self_eval_confidence``, a float and its flag names).
-Candidate log-probabilities are normalized with a stable log-sum-exp, so
-candidate sets whose linear-space probabilities underflow still produce
-correct ratios.
+The paper's two readouts: the label confidence, which
+``client.ModelClient.classify`` divides out of the label masses
+(``TokenDistribution.mass``) in linear space, and the Yes/No
+self-evaluation c_yes / (c_yes + c_no) with its neutral 0.5 fallback
+(``self_eval_confidence``, a float and its flag names).
+``normalized_confidence`` is the same ratio for sequence log-probabilities,
+normalized with a stable log-sum-exp, so candidate sets whose linear-space
+probabilities underflow still produce correct ratios.
 """
 
 from __future__ import annotations
@@ -65,13 +66,6 @@ class TokenDistribution:
         """The distribution of ``(token, logprob)`` pairs, in their order."""
         pairs = list(pairs)
         return cls([token for token, _ in pairs], [logprob for _, logprob in pairs])
-
-    def logprob(self, token: str) -> float | None:
-        """Log-probability of ``token``; None when absent from the top-K."""
-        try:
-            return self.logprobs[self.tokens.index(token)]
-        except ValueError:
-            return None
 
     def mass(self, aliases: Container[str]) -> float:
         """Summed probability of the top-K tokens in ``aliases``, each alias

@@ -228,14 +228,6 @@ def match_answer(prediction: str, gold: str | list[str], matcher: str) -> bool:
     raise SchemaViolation(f"unknown matcher {matcher!r}")
 
 
-@dataclass
-class EvalRunResult:
-    """Each record, and its raw-confidence twin on the same id."""
-
-    records: list[EvalRecord]
-    raw_records: list[EvalRecord]
-
-
 def is_correct(
     prediction: str, gold: str | list[str], matcher: str, flags: set[str] | None = None
 ) -> bool:
@@ -337,16 +329,16 @@ def run_eval(
     examples: list[DatasetExample],
     client: ModelClient,
     concurrency: int = 1,
-) -> EvalRunResult:
+) -> tuple[list[EvalRecord], list[EvalRecord]]:
     """Evaluate every example; per-example failures become flagged records.
 
-    Each record has a raw-confidence twin on the same id (unnormalized
-    chosen-label probability for classification, raw P(Yes) for
-    self-evaluation). Both lists are sorted by id.
+    Returns the records and their raw-confidence twins, one per record on
+    the same id (unnormalized chosen-label probability for classification,
+    raw P(Yes) for self-evaluation). Both lists are sorted by id.
     """
     pairs = run_pool(lambda ex: _eval_one(task, ex, client), examples, concurrency)
     pairs.sort(key=lambda pair: pair[0].id)
-    return EvalRunResult([rec for rec, _ in pairs], [raw for _, raw in pairs])
+    return [rec for rec, _ in pairs], [raw for _, raw in pairs]
 
 
 def verify_records(task: TaskSpec, records: list[EvalRecord]) -> bool:

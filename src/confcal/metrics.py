@@ -38,7 +38,7 @@ class EvalRecord:
     def __post_init__(self):
         object.__setattr__(self, "flags", frozenset(self.flags))
         if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence out of [0,1]: {self.confidence}")
+            raise InvalidInput(f"confidence out of [0,1]: {self.confidence}")
 
 
 @dataclass(frozen=True)

@@ -325,16 +325,12 @@ def _trace_point(step: int, task: ToyTask, policy: ToyPolicy) -> TraceStep:
     )
 
 
-@dataclass
-class ComparisonResult:
-    traces: dict[str, list[TraceStep]]
-    summary: dict[str, float | bool]
-
-
-def run_paradigm_comparison(task: ToyTask, config: SandboxConfig = SandboxConfig()) -> ComparisonResult:
+def run_paradigm_comparison(task: ToyTask, config: SandboxConfig = SandboxConfig()) -> tuple[dict, dict]:
     """Train CE, advantage-weighted, and preference arms from one init: the
     advantage arm rewards option 0, the preference arm prefers option 0 over
-    option 1, each at its step function's default clip or beta."""
+    option 1, each at its step function's default clip or beta. Returns each
+    arm's trace of ``TraceStep`` points by name, and the summary of the
+    final points."""
     rng_ce = np.random.default_rng(config.seed)
     rng_adv = np.random.default_rng(config.seed + 1)
     # Each arm's step by name. The lambdas look the step functions up at
@@ -360,4 +356,4 @@ def run_paradigm_comparison(task: ToyTask, config: SandboxConfig = SandboxConfig
     summary: dict[str, float | bool] = {f"{name}_final_kl": final[name].kl for name in arms}
     summary.update({f"{name}_final_max_prob": final[name].max_prob for name in arms})
     summary["ce_most_calibrated"] = all(final["ce"].kl < final[name].kl for name in arms if name != "ce")
-    return ComparisonResult(traces=traces, summary=summary)
+    return traces, summary

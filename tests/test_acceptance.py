@@ -235,13 +235,13 @@ class TestCriterion8Sandbox:
         import numpy as np
 
         task = ToyTask(np.array([0.7, 0.3]))
-        result = run_paradigm_comparison(task, SandboxConfig())
+        _, summary = run_paradigm_comparison(task, SandboxConfig())
 
-        assert result.summary["ce_final_kl"] < 0.01
+        assert summary["ce_final_kl"] < 0.01
         for arm in ("advantage", "dpo"):
-            assert result.summary[f"{arm}_final_max_prob"] > 0.99
+            assert summary[f"{arm}_final_max_prob"] > 0.99
             # sup-norm gap to the data distribution
-            assert result.summary[f"{arm}_final_max_prob"] - 0.7 > 0.25
+            assert summary[f"{arm}_final_max_prob"] - 0.7 > 0.25
         assert time.perf_counter() - start < 60.0
         report("8 sandbox calibrated-vs-sharpened contrast")
 

@@ -24,7 +24,7 @@ from confcal.adaptive import (
 from confcal import client as client_module
 from confcal.cli import EXIT_ENDPOINT, EXIT_OK, _fmt, main
 from confcal.client import HTTPBackend, MockBackend, ModelClient, Readout, ResponseCache, request_digest
-from confcal.errors import NoNumberFound, RetrievalMiss
+from confcal.errors import InvalidInput, NoNumberFound, RetrievalMiss
 from confcal.harness import DatasetExample, TaskSpec, load_dataset, match_answer, run_eval
 from confcal.metrics import retrieval_efficiency
 
@@ -215,8 +215,12 @@ class TestSweep:
         assert all(row.accuracy_pct == baseline for row in rows)
 
     def test_empty_taus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="tau list is empty"):
             sweep(four_examples(), [], None, None, "substring")
+
+    def test_empty_examples_rejected(self):
+        with pytest.raises(InvalidInput, match="example list is empty"):
+            sweep([], [0.5], None, None, "substring")
 
 
 def _correct(answer, gold, matcher="numeric"):
@@ -438,7 +442,7 @@ class TestLazyPool:
             client = ModelClient(backend, cache=MemoryCache(cached))
             with thread_starts() as started:
                 rows = sweep(examples, PURE_TAUS, client, retriever, "substring", concurrency)
-                records = run_eval(PURE_TASK, examples, client, concurrency=concurrency).records
+                records, _ = run_eval(PURE_TASK, examples, client, concurrency=concurrency)
             return rows, records, backend.calls, started
 
         serial_rows, serial_records, serial_calls, _ = run(1)

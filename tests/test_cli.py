@@ -822,9 +822,9 @@ class TestCsv:
         run = sandbox.run_paradigm_comparison
 
         def renamed(task, cfg):
-            result = run(task, cfg)
-            result.traces[f"c{char}e"] = result.traces.pop("ce")
-            return result
+            traces, summary = run(task, cfg)
+            traces[f"c{char}e"] = traces.pop("ce")
+            return traces, summary
 
         monkeypatch.setattr(sandbox, "run_paradigm_comparison", renamed)
         config = tmp_path / "sb.conf"
@@ -968,6 +968,11 @@ class TestMalformedInput:
             ("report", b'{"bins": 3}', EXIT_DATA),
             ("report", b"not json", EXIT_DATA),
             ("report", b'{"bins": [{"count": 1.5, "mean_confidence": 0.5, "mean_accuracy": 0.5}]}', EXIT_DATA),
+            ("report", b'{"bins": [{"count": 3, "mean_confidence": null, "mean_accuracy": 0.5}]}', EXIT_DATA),
+            ("report", b'{"bins": [{"count": 3, "mean_confidence": 0.5, "mean_accuracy": true}]}', EXIT_DATA),
+            ("report", b'{"bins": [{"count": true, "mean_confidence": 0.5, "mean_accuracy": 0.5}]}', EXIT_DATA),
+            ("report", b'{"bins": [{"count": 3, "mean_confidence": NaN, "mean_accuracy": 0.5}]}', EXIT_DATA),
+            ("report", b'{"bins": [{"count": 3, "mean_confidence": 1%s, "mean_accuracy": 0.5}]}' % (b"0" * 400), EXIT_DATA),
             ("dataset", b"1\n", EXIT_DATA),
             ("config", b"n_bins = \xff\n", EXIT_CONFIG),
         ],

@@ -149,14 +149,18 @@ class TestDigest:
         with pytest.raises(InvalidInput, match="max_tokens must be an integer"):
             simple_request(max_tokens=max_tokens)
 
+    @pytest.mark.parametrize("max_tokens", [0, -1])
+    def test_max_tokens_below_one_is_invalid(self, max_tokens):
+        with pytest.raises(InvalidInput, match="max_tokens must be >= 1"):
+            simple_request(max_tokens=max_tokens)
+
 
 class TestMockBackend:
     def test_scripted_echo(self):
         backend = MockBackend([{"tokens": ["B"], "distributions": [{"B": -0.1, "A": -2.4}]}])
         response = backend.complete(simple_request())
         assert response.text == "B"
-        assert response.first.logprob("B") == -0.1
-        assert response.first.logprob("A") == -2.4
+        assert (response.first.tokens, response.first.logprobs) == (("B", "A"), (-0.1, -2.4))
 
     def test_in_order_consumption(self):
         backend = MockBackend([{"tokens": ["x"]}, {"tokens": ["y"]}])
@@ -176,6 +180,14 @@ class TestMockBackend:
         script.write_text(json.dumps({"tokens": ["hi"], "distributions": [{"hi": -0.2}]}) + "\n")
         backend = MockBackend.from_jsonl(script)
         assert backend.complete(simple_request()).text == "hi"
+
+    def test_from_jsonl_skips_blank_lines(self, tmp_path):
+        script = tmp_path / "script.jsonl"
+        script.write_text('{"tokens": ["x"]}\n\n   \n{"tokens": ["y"]}\n')
+        backend = MockBackend.from_jsonl(script)
+        assert [backend.complete(simple_request()).text for _ in range(2)] == ["x", "y"]
+        with pytest.raises(MalformedResponse, match="exhausted after 2"):
+            backend.complete(simple_request())
 
 
 @closes_everything
@@ -343,6 +355,27 @@ class TestSingleFlight:
         assert outcomes[0] is outcomes[1]
         assert isinstance(outcomes[0], MalformedResponse if fails else CompletionResponse)
 
+
+    def test_a_fetch_that_ended_since_the_first_lookup_is_served_from_the_cache(self):
+        """The first cache lookup misses; a fetch for the digest ends before
+        the client takes the flights lock, so the second lookup, under it,
+        hits and no backend call is made."""
+        cached = CompletionResponse("t", TokenDistribution.from_pairs((("t", -0.1),)))
+
+        class LateCache:
+            gets = 0
+
+            def get(self, digest):
+                LateCache.gets += 1
+                return None if LateCache.gets == 1 else cached
+
+        class NoBackend:
+            def complete(self, request):
+                raise AssertionError("the backend was called")
+
+        client = ModelClient(NoBackend(), cache=LateCache())
+        assert client.complete(simple_request()) is cached
+        assert LateCache.gets == 2 and client._flights == {}
 
     def test_each_digest_fetched_once_under_contention(self, tmp_path):
         backend = PureBackend()
@@ -664,6 +697,17 @@ class TestHTTPTransport:
         expected = "Basic " + base64.b64encode(b"alice:s3cret").decode()
         assert stub.headers[0].get_all("Authorization") == [expected]
 
+    def test_netrc_without_an_entry_for_the_host_keeps_bearer(self, tmp_path, monkeypatch):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine example.com login alice password s3cret\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        with ChatStub() as stub:
+            backend = HTTPBackend(stub.url, api_key="sk-test")
+            backend.complete(simple_request())
+            backend.close()
+        assert stub.headers[0].get_all("Authorization") == ["Bearer sk-test"]
+
     def test_netrc_login_outside_latin1_is_one_config_error(self, tmp_path, monkeypatch, capsys):
         netrc = tmp_path / "netrc"
         netrc.write_text("machine 127.0.0.1 login Łukasz password s3cret\n", encoding="utf-8")
@@ -684,6 +728,16 @@ class TestHTTPTransport:
             assert backend.complete(simple_request()).text == "direct"
             backend.close()
         assert direct == ["/chat/completions"] and proxied == []
+
+    def test_no_proxy_cidr_does_not_bypass_a_host_name(self, monkeypatch):
+        """A network entry holds only IPv4 addresses: a host-name endpoint
+        next to it still goes through the proxy."""
+        for name in ("http_proxy", "all_proxy", "ALL_PROXY", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:3128")
+        monkeypatch.setenv("NO_PROXY", "10.0.0.0/8,127.0.0.0/8")
+        assert transport_module._proxy_for("http://example.invalid/v1") == "http://127.0.0.1:3128"
+        assert transport_module._proxy_for("http://127.0.0.1:9/v1") is None
 
 
 def chunked(body, size=7):
@@ -879,6 +933,18 @@ class TestReplyReader:
             backend.close()
         assert len(stub.requests) == MAX_RETRIES + 1 and len(sleeps) == MAX_RETRIES
 
+    def test_new_connection_closed_before_a_status_line_is_retried_then_unreachable(self, monkeypatch):
+        """Only a reused connection's drop is sent again at once; a new
+        connection that closes without a reply is a transport error, retried
+        after the backoff."""
+        monkeypatch.setattr(transport_module, "BACKOFF_START_S", 0.001)
+        with RawStub(default=(b"", True)) as stub:
+            backend = HTTPBackend(stub.url)
+            with pytest.raises(EndpointUnreachable, match="closed the connection without a reply"):
+                backend.complete(simple_request())
+            backend.close()
+        assert len(stub.requests) == stub.connections == MAX_RETRIES + 1
+
     def test_garbage_status_line_is_one_error_line(self, tmp_path, monkeypatch, capsys):
         """``eval`` keeps an endpoint error per record; ``sweep`` stops on it,
         with one line and no traceback."""
@@ -1050,6 +1116,13 @@ class TestTLS:
             assert backend.complete(simple_request()).text == "ok"
             backend.close()
         assert stub.url.startswith("https://") and len(stub.headers) == 1
+
+    def test_bundle_that_does_not_load_is_unreachable_when_built(self, tmp_path, monkeypatch):
+        bundle = tmp_path / "bundle.pem"
+        bundle.write_text("-----BEGIN CERTIFICATE-----\nnot base64\n-----END CERTIFICATE-----\n")
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(bundle))
+        with pytest.raises(EndpointUnreachable, match=f"^CA bundle {bundle}: "):
+            HTTPBackend("https://127.0.0.1:9/v1")
 
     def test_certifi_bundle_rejects_a_self_signed_endpoint(self, self_signed, monkeypatch):
         monkeypatch.setattr(transport_module, "MAX_RETRIES", 0)
@@ -1534,7 +1607,7 @@ class TestHTTPBackendParsing:
         }
         response = HTTPBackend._parse(body)
         assert response.text == "Yes"
-        assert response.first.logprob("No") == -1.8
+        assert (response.first.tokens, response.first.logprobs) == (("Yes", "No"), (-0.2, -1.8))
 
     def test_missing_logprobs_is_malformed(self):
         with pytest.raises(MalformedResponse):

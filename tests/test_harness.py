@@ -192,6 +192,10 @@ class TestMatchAnswer:
     def test_gold_list_any(self):
         assert match_answer("paris", ["Lyon", "Paris"], "substring")
 
+    def test_unknown_matcher_is_a_schema_violation(self):
+        with pytest.raises(SchemaViolation, match="unknown matcher 'fuzzy'"):
+            match_answer("Paris", "Paris", "fuzzy")
+
     def test_extract_last_number(self):
         assert extract_last_number("about -3.5 then 2,000") == 2000.0
 
@@ -214,9 +218,7 @@ class TestRunEvalClassification:
 
     def test_scripted_confidences(self):
         client = ModelClient(MockBackend(self.entries()))
-        records = run_eval(
-            CLASSIFICATION_TASK, self.examples(["A", "B", "C", "D"]), client
-        ).records
+        records, _ = run_eval(CLASSIFICATION_TASK, self.examples(["A", "B", "C", "D"]), client)
         assert [r.prediction for r in records] == ["A", "A", "C", "D"]
         assert records[0].confidence == pytest.approx(0.7 / 0.8)
         assert records[1].confidence == pytest.approx(0.5)  # alphabetical tie-break
@@ -226,15 +228,15 @@ class TestRunEvalClassification:
 
     def test_mode_both_pairs_ids(self):
         client = ModelClient(MockBackend(self.entries()))
-        result = run_eval(CLASSIFICATION_TASK, self.examples(["A", "B", "C", "D"]), client)
-        assert [r.id for r in result.records] == [r.id for r in result.raw_records]
-        assert all(r.method == "raw" for r in result.raw_records)
+        records, raw_records = run_eval(CLASSIFICATION_TASK, self.examples(["A", "B", "C", "D"]), client)
+        assert [r.id for r in records] == [r.id for r in raw_records]
+        assert all(r.method == "raw" for r in raw_records)
         # raw confidence is the unnormalized chosen-label probability
-        assert result.raw_records[0].confidence == pytest.approx(0.7)
+        assert raw_records[0].confidence == pytest.approx(0.7)
 
     def test_empty_examples(self):
         client = ModelClient(MockBackend([]))
-        assert run_eval(CLASSIFICATION_TASK, [], client).records == []
+        assert run_eval(CLASSIFICATION_TASK, [], client) == ([], [])
 
 
 class TestRunPool:
@@ -274,7 +276,7 @@ class TestRunPool:
                 GENERATION_TASK, examples, ModelClient(backend, cache=cache), concurrency=8
             )
         assert started == [] and backend.calls == 0
-        assert warm.records == cold.records
+        assert warm == cold
 
     def test_cold_eval_has_every_worker_in_flight(self):
         """Threads start at the first backend call, and then all ``concurrency``
@@ -321,7 +323,7 @@ class TestRunEvalGeneration:
         entries = [answer_entry("It is Paris of course"), yes_no_entry(0.8, 0.1)]
         client = ModelClient(MockBackend(entries))
         examples = [DatasetExample(id="e0", input="capital of France?", gold="Paris")]
-        records = run_eval(GENERATION_TASK, examples, client).records
+        records, _ = run_eval(GENERATION_TASK, examples, client)
         assert records[0].correct
         assert records[0].confidence > 0.5
         assert records[0].method == "self_eval"
@@ -330,16 +332,16 @@ class TestRunEvalGeneration:
         entries = [answer_entry("maybe Lyon"), yes_no_entry(0.3, 0.6)]
         client = ModelClient(MockBackend(entries))
         examples = [DatasetExample(id="e0", input="capital of France?", gold="Paris")]
-        result = run_eval(GENERATION_TASK, examples, client)
-        assert not result.records[0].correct
-        assert result.records[0].confidence == pytest.approx(0.3 / 0.9)
-        assert result.raw_records[0].confidence == pytest.approx(0.3)
+        records, raw_records = run_eval(GENERATION_TASK, examples, client)
+        assert not records[0].correct
+        assert records[0].confidence == pytest.approx(0.3 / 0.9)
+        assert raw_records[0].confidence == pytest.approx(0.3)
 
     def test_anchor_fallback_flagged_not_dropped(self):
         entries = [answer_entry("some answer"), yes_no_entry(0.0, 0.0)]
         client = ModelClient(MockBackend(entries))
         examples = [DatasetExample(id="e0", input="q?", gold="zzz")]
-        records = run_eval(GENERATION_TASK, examples, client).records
+        records, _ = run_eval(GENERATION_TASK, examples, client)
         assert len(records) == 1
         assert records[0].confidence == 0.5
         assert "fallback_neutral" in records[0].flags
@@ -351,7 +353,7 @@ class TestRunEvalGeneration:
         entries = [answer_entry("I cannot say"), yes_no_entry(0.5, 0.3)]
         client = ModelClient(MockBackend(entries))
         examples = [DatasetExample(id="e0", input="2+2?", gold="4")]
-        records = run_eval(task, examples, client).records
+        records, _ = run_eval(task, examples, client)
         assert not records[0].correct
         assert "no_number_found" in records[0].flags
 
@@ -359,17 +361,25 @@ class TestRunEvalGeneration:
         task = TaskSpec(task_id="math", kind="generation", matcher="numeric")
         client = ModelClient(MockBackend([]))  # exhausted: every call fails
         examples = [DatasetExample(id="e0", input="2+2?", gold="4")]
-        records = run_eval(task, examples, client).records
+        records, _ = run_eval(task, examples, client)
         assert not records[0].correct
         assert records[0].confidence == 0.5
         assert records[0].flags == {"error:MalformedResponse"}
         assert "no_number_found" not in build_report(records).flag_counts
 
+    def test_self_evaluation_with_no_token_is_an_error_record(self):
+        # the answer parses, but its self-evaluation reply holds no token
+        client = ModelClient(MockBackend([answer_entry("Paris"), {"tokens": []}]))
+        examples = [DatasetExample(id="e0", input="q?", gold="Paris")]
+        records, raw_records = run_eval(GENERATION_TASK, examples, client)
+        assert records[0].flags == raw_records[0].flags == {"error:MalformedResponse"}
+        assert not records[0].correct and records[0].confidence == 0.5
+
     def test_classification_error_record_has_no_anchor_flag(self):
         # no alias of any label in the top-K
         client = ModelClient(MockBackend([{"tokens": ["Z"], "distributions": [{"Z": -0.1}]}]))
         examples = [DatasetExample(id="e0", input="pick", gold="A")]
-        records = run_eval(CLASSIFICATION_TASK, examples, client).records
+        records, _ = run_eval(CLASSIFICATION_TASK, examples, client)
         assert not records[0].correct and records[0].confidence == 0.5
         assert build_report(records).flag_counts == {"error:NoLabelTokenPresent": 1}
 
@@ -378,7 +388,7 @@ class TestRunEvalGeneration:
             entries = [answer_entry("Paris"), yes_no_entry(0.7, 0.2)]
             client = ModelClient(MockBackend(entries))
             examples = [DatasetExample(id="e0", input="q?", gold="Paris")]
-            return run_eval(GENERATION_TASK, examples, client).records
+            return run_eval(GENERATION_TASK, examples, client)
 
         assert run_once() == run_once()
 
@@ -386,7 +396,7 @@ class TestRunEvalGeneration:
         entries = [answer_entry("Paris"), yes_no_entry(0.7, 0.2)]
         client = ModelClient(MockBackend(entries))
         examples = [DatasetExample(id="e0", input="q?", gold="Paris")]
-        records = run_eval(GENERATION_TASK, examples, client).records
+        records, _ = run_eval(GENERATION_TASK, examples, client)
         assert verify_records(GENERATION_TASK, records)
 
 
@@ -400,7 +410,7 @@ class TestBuildReport:
             entries.append(yes_no_entry(0.9 if correct else 0.1, 0.1 if correct else 0.9))
             examples.append(DatasetExample(id=f"e{i}", input=f"q{i}?", gold="Paris"))
         client = ModelClient(MockBackend(entries))
-        records = run_eval(GENERATION_TASK, examples, client).records
+        records, _ = run_eval(GENERATION_TASK, examples, client)
         report = build_report(records, n_bins=3)
         assert report.auroc == 1.0
         assert report.accuracy == pytest.approx(0.5)

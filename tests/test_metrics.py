@@ -98,6 +98,13 @@ def two_sort_report(records, n_bins):
     }
 
 
+class TestEvalRecord:
+    @pytest.mark.parametrize("confidence", [-0.01, 1.01, float("nan"), float("inf")])
+    def test_confidence_outside_unit_interval_is_invalid_input(self, confidence):
+        with pytest.raises(InvalidInput, match="confidence out of"):
+            make_record(0, True, confidence)
+
+
 class TestAuroc:
     def test_perfect_separation(self):
         records = [

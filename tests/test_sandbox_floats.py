@@ -227,5 +227,4 @@ class TestPinnedBytes:
         values = load_config_file(_bench_gen().sandbox_config(tmp_path, seed, 200))
         task = ToyTask(np.array([float(x) for x in values["data_distribution"].split(",")]))
         config = SandboxConfig(steps=int(values["steps"]), seed=int(values["seed"]))
-        result = run_paradigm_comparison(task, config)
-        assert _six_decimals(result.traces, result.summary) == _six_decimals(*oracle.run_paradigm_comparison(task, config))
+        assert _six_decimals(*run_paradigm_comparison(task, config)) == _six_decimals(*oracle.run_paradigm_comparison(task, config))
