@@ -70,14 +70,15 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _curve_csv(bins) -> str:
-    """The calibration curve of a report's bins, each a dict as in report.json;
-    a count or a mean that is not a finite JSON number (``null``, ``true``, ``NaN``) is a TypeError."""
-    def cell(value, spec: str) -> str:
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise TypeError(f"{value!r} is not a number")
-        return format(value, spec)
+    """The calibration curve of a report's bins, each a dict as in report.json; a count or a mean that is
+    not a JSON number (``null``, ``true``), a negative or float count, or a mean outside [0, 1] (``NaN``
+    included) is a ValueError, as ``ece-from-bins`` refuses it, and a count past the float range an OverflowError."""
+    def cell(value, spec: str, high: float = 1.0) -> str:
+        if type(value) not in (int, float) or not 0 <= value <= high or not math.isfinite(value):
+            raise ValueError(f"{value!r} is not a number in [0, {high}]")
+        return format(value, spec)  # "d" refuses a float count
 
-    rows = ([str(i), cell(b["count"], "d"), cell(b["mean_confidence"], ".6f"), cell(b["mean_accuracy"], ".6f")]
+    rows = ([str(i), cell(b["count"], "d", math.inf), cell(b["mean_confidence"], ".6f"), cell(b["mean_accuracy"], ".6f")]
             for i, b in enumerate(bins, 1))
     return _csv(["bin", "count", "mean_confidence", "mean_accuracy"], rows)
 
@@ -313,9 +314,9 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
         # an empty list is unset, as it is for taus
         task = sandbox.ToyTask(cfg.data_distribution or RunConfig.data_distribution)
         sandbox_cfg = sandbox.SandboxConfig(**{k: v for k, v in settings.items() if v is not None})
+        traces, summary = sandbox.run_paradigm_comparison(task, sandbox_cfg)  # or a batch_size numpy cannot draw
     except ConfcalError as exc:
         raise ConfigInvalid(str(exc)) from exc
-    traces, summary = sandbox.run_paradigm_comparison(task, sandbox_cfg)
 
     trace = (
         [str(p.step), name, _fmt(p.kl), _fmt(p.max_prob), _fmt(p.ece_proxy)]

@@ -16,14 +16,15 @@ import math
 import struct
 import threading
 import time
-from collections.abc import Callable, Iterator, Mapping
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring as _escaped  # a str as json.dumps(..., ensure_ascii=False) writes it
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
-from typing import BinaryIO, Protocol
+from typing import BinaryIO, NamedTuple, Protocol
 
-from .confidence import TokenDistribution, check_missing_policy, p_yes, self_eval_confidence
+from .confidence import TokenDistribution, check_missing_policy, self_eval_confidence
 from .errors import ConfcalError, InvalidInput, MalformedResponse, NoLabelTokenPresent, SchemaViolation
 
 SELF_EVAL_PROMPT = "Is this answer correct? Answer only Yes/No."
@@ -54,6 +55,12 @@ def about_to_wait() -> None:
         callback()
 
 
+def _escaped(text: str) -> str:
+    """``text`` as ``json.dumps(..., ensure_ascii=False)`` writes it. ASCII text without DEL takes the ASCII
+    escape, twice as fast; DEL (U+007F) is the one character that escape writes differently (``\\u007f``)."""
+    return encode_basestring_ascii(text) if text.isascii() and "\x7f" not in text else encode_basestring(text)
+
+
 @dataclass(frozen=True)
 class Message:
     role: str  # system | user | assistant
@@ -66,18 +73,17 @@ class Message:
         object.__setattr__(self, "digest_form", f"[{_escaped(self.role)},{_escaped(self.content)}]")
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
-    messages: tuple[Message, ...]
-    model_name: str = "mock"
-    max_tokens: int = 1
+class CompletionRequest(namedtuple("CompletionRequest", ("messages", "model_name", "max_tokens"))):
+    """A request's fields, checked when it is built; a tuple, so equal fields are equal and hash alike."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "messages", tuple(self.messages))
-        if isinstance(self.max_tokens, bool) or not isinstance(self.max_tokens, int):
-            raise InvalidInput(f"max_tokens must be an integer, got {self.max_tokens!r}")
-        if self.max_tokens < 1:
-            raise InvalidInput(f"max_tokens must be >= 1, got {self.max_tokens}")
+    __slots__ = ()
+
+    def __new__(cls, messages: Iterable[Message], model_name: str = "mock", max_tokens: int = 1):
+        if isinstance(max_tokens, bool) or not isinstance(max_tokens, int):
+            raise InvalidInput(f"max_tokens must be an integer, got {max_tokens!r}")
+        if max_tokens < 1:
+            raise InvalidInput(f"max_tokens must be >= 1, got {max_tokens}")
+        return tuple.__new__(cls, (tuple(messages), model_name, max_tokens))
 
 
 def request_digest(request: CompletionRequest) -> str:
@@ -359,8 +365,7 @@ def _user_turn(question: str, context: str | None) -> Message:
     return Message("user", f"{context}\n\n{question}" if context else question)
 
 
-@dataclass(frozen=True)
-class Readout:
+class Readout(NamedTuple):
     """One confidence readout: the chosen label or generated answer, its
     confidence in [0, 1], the flag names it carries, and the raw value
     behind it (the chosen label's summed alias probability, or P(Yes))."""
@@ -474,11 +479,10 @@ class ModelClient:
     def answer(self, question: str, context: str | None = None) -> Readout:
         """Free-form answer of up to 256 tokens, then its one-token Yes/No
         self-evaluation, both at temperature 0 and after ``context`` when
-        given; ``self_eval_confidence`` applies the missing policy."""
+        given; ``self_eval_confidence`` applies the missing policy and gives P(Yes), the raw value."""
         if not question.strip():
             raise InvalidInput("question is empty")
         turn = _user_turn(question, context)
         answer = self.complete(CompletionRequest((turn,), self.model_name, 256)).text
         dist = self._first_distribution([turn, Message("assistant", answer), _SELF_EVAL_TURN])
-        confidence, flags = self_eval_confidence(dist, missing_policy=self.missing_policy)
-        return Readout(answer, confidence, flags, p_yes(dist))
+        return Readout(answer, *self_eval_confidence(dist, missing_policy=self.missing_policy))

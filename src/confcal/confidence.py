@@ -4,7 +4,7 @@ The paper's two readouts: the label confidence, which
 ``client.ModelClient.classify`` divides out of the label masses
 (``TokenDistribution.mass``) in linear space, and the Yes/No
 self-evaluation c_yes / (c_yes + c_no) with its neutral 0.5 fallback
-(``self_eval_confidence``, a float and its flag names).
+(``self_eval_confidence``, a float, its flag names and P(Yes)).
 ``normalized_confidence`` is the same ratio for sequence log-probabilities,
 normalized with a stable log-sum-exp, so candidate sets whose linear-space
 probabilities underflow still produce correct ratios.
@@ -107,10 +107,13 @@ def p_yes(dist: TokenDistribution) -> float:
     return dist.mass(DEFAULT_YES_ALIASES)
 
 
-def self_eval_confidence(dist: TokenDistribution, missing_policy: str = "neutral") -> tuple[float, frozenset[str]]:
+def self_eval_confidence(
+    dist: TokenDistribution, missing_policy: str = "neutral"
+) -> tuple[float, frozenset[str], float]:
     """Yes/No anchor-token confidence c_yes / (c_yes + c_no), the masses on
-    ``DEFAULT_YES_ALIASES`` / ``DEFAULT_NO_ALIASES``, and its flags:
-    ``anchor_missing_yes`` / ``anchor_missing_no`` for a mass of 0.
+    ``DEFAULT_YES_ALIASES`` / ``DEFAULT_NO_ALIASES``, its flags
+    (``anchor_missing_yes`` / ``anchor_missing_no`` for a mass of 0), and
+    c_yes, the raw P(Yes) that ``p_yes`` gives.
 
     Tokens absent from the truncated distribution contribute probability 0.
     When both alias sets are entirely absent the missing policy decides:
@@ -128,5 +131,5 @@ def self_eval_confidence(dist: TokenDistribution, missing_policy: str = "neutral
     if c_yes == 0.0 and c_no == 0.0:
         if missing_policy == "error":
             raise AnchorTokensAbsent("no yes/no anchor token present in top-K")
-        return 0.5, frozenset({*flags, "fallback_neutral"})
-    return c_yes / (c_yes + c_no), frozenset(flags)
+        return 0.5, frozenset({*flags, "fallback_neutral"}), c_yes
+    return c_yes / (c_yes + c_no), frozenset(flags), c_yes

@@ -163,7 +163,10 @@ def ce_step(
         target = task.data_distribution
     else:
         _check_rng(rng)
-        counts = rng.multinomial(batch_size, task.data_distribution).tolist()
+        try:
+            counts = rng.multinomial(batch_size, task.data_distribution).tolist()
+        except OverflowError as exc:  # a batch_size past a C long
+            raise InvalidInput(f"batch_size {batch_size} is too large to draw ({exc})") from exc
         target = [c / batch_size for c in counts]
     delta = [-lr * (p - t) for p, t in zip(probs, target)]
     return policy._apply(delta)
@@ -183,7 +186,11 @@ def _draw_counts(rng: np.random.Generator, probs: list[float], batch_size: int) 
     last = cdf[-1]
     cdf = [c / last for c in cdf]
     counts = [0] * len(probs)
-    for u in rng.random(batch_size).tolist():
+    try:
+        draws = rng.random(batch_size).tolist()
+    except (MemoryError, ValueError) as exc:  # numpy cannot hold batch_size doubles
+        raise InvalidInput(f"batch_size {batch_size} is too large to draw ({exc})") from exc
+    for u in draws:
         counts[bisect_right(cdf, u)] += 1
     return counts
 

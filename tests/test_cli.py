@@ -657,6 +657,40 @@ class TestSandbox:
         assert setting.split(" = ")[0] in err
         assert not (out / "summary.json").exists()
 
+    # numpy refuses these draws on its size arithmetic, before any allocation, on any host:
+    # 2**62 doubles are more than an array can be, and 2**63 is past a C long
+    @pytest.mark.parametrize("batch_size", [2**62, 2**63])
+    def test_batch_too_large_to_draw_is_config_error(self, tmp_path, capsys, batch_size):
+        code, out = self.run_sandbox(tmp_path, extra=f"batch_size = {batch_size}\n")
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: batch_size {batch_size} is too large to draw") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_batch_the_host_cannot_hold_is_config_error(self, tmp_path, capsys, monkeypatch):
+        """A draw that fails for want of memory (10**13 doubles are 72.8 TiB) names batch_size too.
+        Whether numpy refuses such a size or maps it depends on the host's overcommit setting, so
+        the uniform draw is made to fail as numpy's does, and nothing is allocated."""
+        import numpy as np
+
+        class NoRoom:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def random(self, size):
+                raise MemoryError(f"Unable to allocate {size * 8} bytes for an array of shape ({size},)")
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", NoRoom)
+        code, out = self.run_sandbox(tmp_path, extra=f"batch_size = {10**13}\n")
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: batch_size {10**13} is too large to draw") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["file", "env", "flag"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch, source):
         config = tmp_path / "sb.conf"
@@ -973,6 +1007,12 @@ class TestMalformedInput:
             ("report", b'{"bins": [{"count": true, "mean_confidence": 0.5, "mean_accuracy": 0.5}]}', EXIT_DATA),
             ("report", b'{"bins": [{"count": 3, "mean_confidence": NaN, "mean_accuracy": 0.5}]}', EXIT_DATA),
             ("report", b'{"bins": [{"count": 3, "mean_confidence": 1%s, "mean_accuracy": 0.5}]}' % (b"0" * 400), EXIT_DATA),
+            ("report", b'{"bins": [{"count": -3, "mean_confidence": 1.5, "mean_accuracy": 0.5}]}', EXIT_DATA),
+            ("report", b'{"bins": [{"count": -1, "mean_confidence": 0.5, "mean_accuracy": 0.5}]}', EXIT_DATA),
+            ("report", b'{"bins": [{"count": 3, "mean_confidence": 1.5, "mean_accuracy": 0.5}]}', EXIT_DATA),
+            ("report", b'{"bins": [{"count": 3, "mean_confidence": 0.5, "mean_accuracy": -0.25}]}', EXIT_DATA),
+            ("report", b'{"bins": [{"count": 3, "mean_confidence": 0.5, "mean_accuracy": 1e400}]}', EXIT_DATA),
+            ("report", b'{"bins": [{"count": 1%s, "mean_confidence": 0.5, "mean_accuracy": 0.5}]}' % (b"0" * 400), EXIT_DATA),
             ("dataset", b"1\n", EXIT_DATA),
             ("config", b"n_bins = \xff\n", EXIT_CONFIG),
         ],
@@ -985,6 +1025,8 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         if name != "config":
             assert str(files[name]) in err
+        if name == "report":  # no file written
+            assert not (tmp_path / "curve.csv").exists()
 
     def test_unreadable_path_is_data_error(self, tmp_path):
         files, argvs = write_all_inputs(tmp_path)

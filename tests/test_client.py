@@ -22,6 +22,7 @@ import tempfile
 import threading
 import tracemalloc
 import zlib
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -38,10 +39,17 @@ from confcal.client import (
     Message,
     MockBackend,
     ModelClient,
+    Readout,
     ResponseCache,
     request_digest,
 )
-from confcal.confidence import TokenDistribution
+from confcal.confidence import (
+    DEFAULT_NO_ALIASES,
+    DEFAULT_YES_ALIASES,
+    TokenDistribution,
+    p_yes,
+    self_eval_confidence,
+)
 from confcal.errors import (
     AnchorTokensAbsent,
     ConfigInvalid,
@@ -124,6 +132,19 @@ class TestDigest:
         # every cache on disk is keyed by these: temperature 0.0, top_logprobs 20
         assert request_digest(request_) == digest
 
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            ("a\x7fb", "8bb64ad8e9f0cae90ebd516b227710f5e6f5210f021cd0a7d5e1b0a02b38a02b"),
+            ("ctx line\x7f\n\nWhat is 1 + 2?", "86f1b00a15da5c318208919a097d2ea6c2a42fcffb2406c287d49b352d42ff38"),
+        ],
+        ids=["del", "context-with-del"],
+    )
+    def test_pinned_ascii_text_with_del(self, text, digest):
+        # DEL is ASCII, and json.dumps(..., ensure_ascii=False) writes it as is,
+        # where the ASCII escape writes \u007f: these keys stay as caches hold them
+        assert request_digest(CompletionRequest((Message("user", text),), "m", 1)) == digest
+
     def test_changes_with_messages(self):
         assert request_digest(simple_request("a")) != request_digest(simple_request("b"))
 
@@ -133,6 +154,10 @@ class TestDigest:
         st.sampled_from(["mock", "synthetic-7b", "", "m\u00e9-\u6a21\u578b", 'a"b\\c\n']),
         st.sampled_from([1, 2, 256, 4096]) | st.integers(min_value=1, max_value=10**12),
     )
+    # ASCII text takes the ASCII escape; ASCII text holding DEL, and non-ASCII text, the other one
+    @example(turns=[("user", "ctx line\n\nWhat is 1 + 2?"), ("assistant", '3 "quoted" \\')], model_name="mock", max_tokens=1)
+    @example(turns=[("user", "a\x7fb"), ("assistant", "\x7f")], model_name="m\x7f", max_tokens=256)
+    @example(turns=[("user", "caf\u00e9 \x7f \U0001f600"), ("system", "\u2028")], model_name="m\u00e9", max_tokens=1)
     def test_equals_json_dumps_of_the_payload(self, turns, model_name, max_tokens):
         request = CompletionRequest(tuple(Message(*turn) for turn in turns), model_name, max_tokens)
         assert request_digest(request) == json_dumps_digest(request)
@@ -153,6 +178,77 @@ class TestDigest:
     def test_max_tokens_below_one_is_invalid(self, max_tokens):
         with pytest.raises(InvalidInput, match="max_tokens must be >= 1"):
             simple_request(max_tokens=max_tokens)
+
+
+class TestValueObjects:
+    def test_equal_fields_are_equal_and_hash_alike(self):
+        request = CompletionRequest([Message("user", "q")], "m", 256)
+        twin = CompletionRequest(messages=(Message("user", "q"),), model_name="m", max_tokens=256)
+        assert request == twin and hash(request) == hash(twin) and Counter([request, twin]) == {request: 2}
+        assert request.messages == (Message("user", "q"),) and (request.model_name, request.max_tokens) == ("m", 256)
+        assert request != CompletionRequest((Message("user", "q"),), "m", 1)
+        readout, twin = Readout("a", 0.5, frozenset({"f"}), 0.25), Readout("a", 0.5, frozenset({"f"}), 0.25)
+        assert readout == twin and hash(readout) == hash(twin) and readout != readout._replace(raw=0.5)
+        assert (readout.answer, readout.confidence, readout.flags, readout.raw) == ("a", 0.5, {"f"}, 0.25)
+
+    def test_fields_cannot_be_set(self):
+        request = simple_request()
+        with pytest.raises(AttributeError):
+            request.max_tokens = 2
+        with pytest.raises(AttributeError):
+            Readout("a", 0.5, frozenset(), 0.25).raw = 1.0
+
+
+def oracle_cache_line(messages, max_tokens, text, dist):
+    """A cache line answering ``messages`` with ``text`` and the top-K
+    ``dist``, keyed by ``json_dumps_digest``."""
+    digest = json_dumps_digest(CompletionRequest(tuple(Message(*m) for m in messages), "mock", max_tokens))
+    return record_line(digest, response_of(text, dist).to_json())
+
+
+@closes_everything
+@pytest.mark.usefixtures("plain_env")
+class TestCachedSweep:
+    # (question, context, second-pass answer): ASCII, ASCII holding DEL, and non-ASCII text
+    EXAMPLES = [
+        ("Capital of France?", "Paris is the capital of France.", "Paris"),
+        ("Capital\x7f of Peru?", "Lima\x7f is the capital of Peru.", "Lima\x7f"),
+        ("Capitale de la Suisse ?", "Berne est la capitale f\u00e9d\u00e9rale \U0001f600.", "B\u00e9rne \u6a21"),
+    ]
+
+    def test_served_wholly_from_a_cache_keyed_by_the_oracle(self, tmp_path, capsys, sleeps):
+        """Every request of the sweep hits a cache line keyed by json.dumps of
+        the payload: the run reaches no backend and appends nothing."""
+        lines = []
+        for question, context, answer in self.EXAMPLES:
+            for turn, text, p in ((question, "Oslo", 0.4), (f"{context}\n\n{question}", answer, 0.9)):
+                lines.append(oracle_cache_line([("user", turn)], 256, text, {text: -0.01}))
+                self_eval = [("user", turn), ("assistant", text), ("user", SELF_EVAL_PROMPT)]
+                lines.append(oracle_cache_line(self_eval, 1, "Yes", {"Yes": math.log(p), "No": math.log(1 - p)}))
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("".join(lines), encoding="utf-8")
+        before = cache.read_bytes()
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("".join(
+            json.dumps({"id": f"e{i}", "input": q, "gold": a, "context": c}) + "\n"
+            for i, (q, c, a) in enumerate(self.EXAMPLES)
+        ))
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({"task_id": "t", "kind": "generation", "matcher": "substring"}))
+        with ChatStub() as stub:
+            closed = stub.url
+        config = tmp_path / "run.conf"
+        config.write_text(
+            f"base_url = {closed}\ncache_path = {cache}\ntask_spec = {task}\ndataset = {dataset}\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["sweep", "--config", str(config), "--taus", "0.5"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert cache.read_bytes() == before and sleeps == []
+        # each first answer is wrong at 0.4; each retrieved answer right at 0.9
+        assert (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1] == (
+            "0.500000,100.000000,100.000000,100.000000,1.000000"
+        )
 
 
 class TestMockBackend:
@@ -1807,6 +1903,19 @@ class TestSelfEvaluate:
     def test_unknown_policy_is_refused(self, policy):
         with pytest.raises(InvalidInput, match=r"^missing_policy must be error\|neutral, got "):
             ModelClient(MockBackend([]), missing_policy=policy)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(sorted(DEFAULT_YES_ALIASES | DEFAULT_NO_ALIASES | {"Maybe"})),
+            st.sampled_from([0.0, -1e-17, math.log(0.5), -math.inf]) | st.floats(min_value=-800, max_value=0.0),
+        )
+    )
+    def test_raw_and_confidence_are_the_readouts_of_the_distribution(self, logprobs):
+        readout = ModelClient(MockBackend(self_eval_entries(logprobs))).answer("q?")
+        dist = TokenDistribution.from_pairs(logprobs.items())
+        confidence, flags, _ = self_eval_confidence(dist)
+        assert (readout.confidence, readout.flags, readout.raw) == (confidence, flags, p_yes(dist))
 
 
 class TestGenerateAnswer:

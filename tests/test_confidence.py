@@ -86,20 +86,22 @@ class TestSelfEvalConfidence:
 
     def test_no_absent_from_top_k(self):
         d = dist(Yes=math.log(0.4), Other=math.log(0.3))
-        value, flags = self_eval_confidence(d)
+        value, flags, raw = self_eval_confidence(d)
         assert value == pytest.approx(1.0)
         assert flags == {"anchor_missing_no"}
+        assert raw == pytest.approx(0.4)
 
     def test_yes_absent_from_top_k(self):
         d = dist(No=math.log(0.4))
-        value, flags = self_eval_confidence(d)
+        value, flags, raw = self_eval_confidence(d)
         assert value == 0.0
         assert flags == {"anchor_missing_yes"}
+        assert raw == 0.0
 
     def test_both_absent_neutral(self):
         d = dist(Maybe=math.log(0.9))
         assert self_eval_confidence(d, missing_policy="neutral") == (
-            0.5, {"anchor_missing_yes", "anchor_missing_no", "fallback_neutral"}
+            0.5, {"anchor_missing_yes", "anchor_missing_no", "fallback_neutral"}, 0.0
         )
 
     def test_both_absent_error(self):
@@ -117,7 +119,7 @@ class TestSelfEvalConfidence:
         d = TokenDistribution.from_pairs(
             (("Yes", math.log(0.2)), (" yes", math.log(0.2)), ("No", math.log(0.1)))
         )
-        assert self_eval_confidence(d) == (pytest.approx(0.8), frozenset())
+        assert self_eval_confidence(d) == (pytest.approx(0.8), frozenset(), pytest.approx(0.4))
 
     @given(
         p_yes=st.floats(min_value=0.0, max_value=0.5),
@@ -130,7 +132,7 @@ class TestSelfEvalConfidence:
         if p_no > 0:
             entries.append(("No", math.log(p_no)))
         d = TokenDistribution.from_pairs(tuple(entries))
-        value, _ = self_eval_confidence(d)
+        value, _, _ = self_eval_confidence(d)
         assert 0.0 <= value <= 1.0
         if p_no == 0 and p_yes > 0:
             assert value == 1.0
@@ -173,7 +175,7 @@ class TestTypes:
     def test_fallback_flag_requires_both_anchors(self):
         missing = {"anchor_missing_yes", "anchor_missing_no"}
         for tokens in ({}, {"Yes": -1.0}, {"No": -1.0}, {"Yes": -1.0, "No": -2.0}, {"Maybe": -0.1}):
-            value, flags = self_eval_confidence(dist(**tokens))
+            value, flags, _ = self_eval_confidence(dist(**tokens))
             assert ("fallback_neutral" in flags) == (missing <= flags)
             assert flags <= missing | {"fallback_neutral"}
             assert 0.0 <= value <= 1.0
@@ -226,4 +228,4 @@ class TestOldFormula:
         c_yes, c_no = old_mass(pairs, DEFAULT_YES_ALIASES), old_mass(pairs, DEFAULT_NO_ALIASES)
         assert p_yes(d) == c_yes
         expected = 0.5 if c_yes == c_no == 0.0 else c_yes / (c_yes + c_no)
-        assert self_eval_confidence(d)[0] == expected
+        assert self_eval_confidence(d)[::2] == (expected, c_yes)
