@@ -78,13 +78,16 @@ class AdaptiveOutcome:
     flags: frozenset[str] = field(default_factory=frozenset)
 
 
-class SweepRow(NamedTuple):
-    # the field order is the column order of sweep.csv
-    tau: float
-    retrieval_rate_pct: float
-    accuracy_pct: float
-    gain_pp: float
-    efficiency: float | None
+class SweepTable(NamedTuple):
+    """The first-pass confidences, sorted, and at index i the (retrieval rate %, accuracy %,
+    gain pp, efficiency or None) of the examples when the i least confident retrieve."""
+
+    confs: list[float]
+    cuts: list[tuple[float, float, float, float | None]]
+
+    def cut_index(self, tau: float) -> int:
+        """The index in ``cuts`` of tau's row: strict <, so a confidence equal to tau keeps pass 1."""
+        return bisect_left(self.confs, tau)
 
 
 def _first_pass(example: DatasetExample, client: ModelClient) -> Readout:
@@ -141,9 +144,9 @@ def sweep(
     retriever,
     matcher: str,
     concurrency: int = 1,
-) -> list[SweepRow]:
-    """One row per threshold, each equal to aggregating ``answer_adaptive``
-    over the examples at that threshold.
+) -> SweepTable:
+    """The cut table of the examples, whose row at ``cut_index(tau)`` equals
+    aggregating ``answer_adaptive`` over the examples at threshold tau.
 
     All first passes run, then the second passes of the examples whose
     first-pass confidence is below ``max(taus)``: at most 2n passes, on
@@ -152,7 +155,7 @@ def sweep(
     tau are the prefix with confidence < tau, so there are n+1 cut points.
     A prefix sum of what retrieval changes gives each cut point's rate,
     accuracy, gain and efficiency, in O(n) after the O(n log n) sort; each
-    tau is one bisection into that table: O(n log n + T log n) in all.
+    tau is one bisection into that table, which holds for taus up to ``max(taus)``.
     """
     if not taus:
         raise InvalidInput("tau list is empty")
@@ -187,5 +190,4 @@ def sweep(
         gain_pp = acc_pct - baseline_acc_pct
         eff = retrieval_efficiency(gain_pp, rate_pct) if rate_pct > 0 else None
         cuts.append((rate_pct, acc_pct, gain_pp, eff))
-    # strict <: a confidence equal to tau keeps pass 1
-    return [SweepRow._make((tau, *cuts[bisect_left(confs, tau)])) for tau in taus]
+    return SweepTable(confs, cuts)

@@ -83,14 +83,11 @@ def _curve_csv(bins) -> str:
     return _csv(["bin", "count", "mean_confidence", "mean_accuracy"], rows)
 
 
-def _sweep_csv(rows: list[adaptive.SweepRow]) -> str:
-    """Each cut point's four cells are rendered to one string once; a row adds its tau."""
-    cuts: dict[tuple, str] = {}
-    lines = []
-    for row in rows:
-        if (text := cuts.get(row[1:])) is None:
-            text = cuts[row[1:]] = ",".join(map(_fmt, row[1:]))
-        lines.append((f"{row.tau:.6f}", text))
+def _sweep_csv(table: adaptive.SweepTable, taus: list[float]) -> str:
+    """One row per tau, in order: the tau, then its cut point's four cells, each cut point rendered once."""
+    at = list(map(table.cut_index, taus))
+    cells = {i: ",".join(map(_fmt, table.cuts[i])) for i in set(at)}
+    lines = [(f"{tau:.6f}", cells[i]) for tau, i in zip(taus, at)]
     return _csv(["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"], lines)
 
 
@@ -265,14 +262,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if cfg.retriever_url:
             remote = adaptive.HTTPRetriever(cfg.retriever_url)
         retriever = remote or adaptive.StaticRetriever.from_examples(examples)
-        rows = adaptive.sweep(
+        table = adaptive.sweep(
             examples, cfg.taus, client, retriever, task.matcher, concurrency=_pool_size(cfg)
         )
     finally:
         client.close()
         if remote is not None:
             remote.close()
-    _write(out, {"sweep.csv": _sweep_csv(rows)})
+    _write(out, {"sweep.csv": _sweep_csv(table, cfg.taus)})
     return EXIT_OK
 
 
@@ -280,6 +277,7 @@ def cmd_ece_from_bins(args: argparse.Namespace) -> int:
     import csv  # the one command that reads a CSV
     path = Path(args.bin_csv)
     bins: list[tuple[int, float, float]] = []
+    total = 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         required = {"count", "mean_accuracy", "mean_confidence"}
@@ -294,9 +292,11 @@ def cmd_ece_from_bins(args: argparse.Namespace) -> int:
                         f"{path}:{reader.line_num}: bad row {row}: need count >= 0 and means in [0, 1]"
                     )
                 bins.append((count, acc, conf))
+                total += count
+                float(total)  # OverflowError: the counts so far sum past the float range
         except UnicodeDecodeError as exc:  # decoded a block at a time, so no line number
             raise SchemaViolation(f"{path}: not UTF-8 ({exc})") from exc
-        except (TypeError, ValueError) as exc:  # TypeError: a short row
+        except (TypeError, ValueError, OverflowError) as exc:  # TypeError: a short row
             raise SchemaViolation(f"{path}:{reader.line_num}: bad row ({type(exc).__name__}: {exc})") from exc
     if not bins:
         raise SchemaViolation(f"{path}: no bin rows")

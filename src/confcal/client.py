@@ -19,7 +19,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import BinaryIO, NamedTuple, Protocol
@@ -61,16 +61,14 @@ def _escaped(text: str) -> str:
     return encode_basestring_ascii(text) if text.isascii() and "\x7f" not in text else encode_basestring(text)
 
 
-@dataclass(frozen=True)
-class Message:
-    role: str  # system | user | assistant
-    content: str
-    # ``[role, content]`` as request_digest writes it, escaped once when the
-    # message is built: a turn shared by two requests is escaped once
-    digest_form: str = field(init=False, repr=False, compare=False)
+class Message(namedtuple("Message", ("role", "content", "digest_form"))):
+    """A turn's role (system | user | assistant) and content, and ``[role, content]`` as request_digest
+    writes it, escaped once when the turn is built; a tuple, so equal turns are equal and hash alike."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "digest_form", f"[{_escaped(self.role)},{_escaped(self.content)}]")
+    __slots__ = ()
+
+    def __new__(cls, role: str, content: str):
+        return tuple.__new__(cls, (role, content, f"[{_escaped(role)},{_escaped(content)}]"))
 
 
 class CompletionRequest(namedtuple("CompletionRequest", ("messages", "model_name", "max_tokens"))):

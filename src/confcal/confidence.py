@@ -70,7 +70,17 @@ class TokenDistribution:
     def mass(self, aliases: Container[str]) -> float:
         """Summed probability of the top-K tokens in ``aliases``, each alias
         of one answer; a sum that rounds past 1 is 1."""
-        return min(math.fsum([math.exp(lp) for tok, lp in zip(self.tokens, self.logprobs) if tok in aliases]), 1.0)
+        return self.masses(aliases, ())[0]
+
+    def masses(self, first: Container[str], second: Container[str]) -> tuple[float, float]:
+        """``mass`` of two alias sets, read in one pass over the top-K."""
+        in_first, in_second = [], []
+        for tok, lp in zip(self.tokens, self.logprobs):
+            if tok in first:
+                in_first.append(math.exp(lp))
+            if tok in second:
+                in_second.append(math.exp(lp))
+        return min(math.fsum(in_first), 1.0), min(math.fsum(in_second), 1.0)
 
 
 def _logsumexp(values: list[float]) -> float:
@@ -121,8 +131,7 @@ def self_eval_confidence(
     the two anchor flags; any other policy raises.
     """
     check_missing_policy(missing_policy)
-    c_yes = p_yes(dist)
-    c_no = dist.mass(DEFAULT_NO_ALIASES)
+    c_yes, c_no = dist.masses(DEFAULT_YES_ALIASES, DEFAULT_NO_ALIASES)
     flags = set()
     if c_yes == 0.0:
         flags.add("anchor_missing_yes")

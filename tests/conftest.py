@@ -12,6 +12,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -21,6 +22,21 @@ from confcal.confidence import TokenDistribution
 from confcal.metrics import EvalRecord
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+class SweepRow(NamedTuple):
+    """One tau's row of a sweep, in the column order of sweep.csv."""
+
+    tau: float
+    retrieval_rate_pct: float
+    accuracy_pct: float
+    gain_pp: float
+    efficiency: float | None
+
+
+def sweep_rows(table, taus):
+    """Each tau's row of ``adaptive.sweep``'s cut table, in the order of ``taus``."""
+    return [SweepRow(tau, *table.cuts[table.cut_index(tau)]) for tau in taus]
 
 
 def make_record(i, correct, confidence, task_id="task", method="self_eval", flags=()):

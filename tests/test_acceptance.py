@@ -27,7 +27,7 @@ from confcal.metrics import (
 )
 from confcal.sandbox import SandboxConfig, ToyTask, run_paradigm_comparison
 
-from conftest import CountingClient, answer_entry, load_bin_csv, make_record, yes_no_entry
+from conftest import CountingClient, answer_entry, load_bin_csv, make_record, sweep_rows, yes_no_entry
 
 
 def report(criterion, ok=True):
@@ -215,7 +215,7 @@ class TestCriterion7AdaptiveController:
         client = CountingClient(MockBackend(self.script()))
         retriever = StaticRetriever({f"e{i}": "passage" for i in range(4)})
         taus = [0.0, 0.3, 0.5, 0.96, 1.01]
-        rows = sweep(self.examples(), taus, client, retriever, "substring")
+        rows = sweep_rows(sweep(self.examples(), taus, client, retriever, "substring"), taus)
 
         rates = [row.retrieval_rate_pct for row in rows]
         assert rates == sorted(rates)

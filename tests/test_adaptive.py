@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from confcal.adaptive import (
     HTTPRetriever,
     StaticRetriever,
-    SweepRow,
     _first_pass,
     _second_pass,
     answer_adaptive,
@@ -34,8 +33,10 @@ from conftest import (
     CountingClient,
     MemoryCache,
     PureBackend,
+    SweepRow,
     answer_entry,
     closes_everything,
+    sweep_rows,
     thread_starts,
     yes_no_entry,
 )
@@ -171,7 +172,8 @@ class TestSweep:
     def test_hand_traced_scenario(self):
         client = ModelClient(MockBackend(four_example_script()))
         retriever = StaticRetriever({f"e{i}": "passage" for i in range(4)})
-        rows = sweep(four_examples(), [0.0, 0.5, 1.01], client, retriever, "substring")
+        taus = [0.0, 0.5, 1.01]
+        rows = sweep_rows(sweep(four_examples(), taus, client, retriever, "substring"), taus)
 
         by_tau = {row.tau: row for row in rows}
         assert by_tau[0.0].retrieval_rate_pct == 0.0
@@ -188,7 +190,7 @@ class TestSweep:
         client = ModelClient(MockBackend(four_example_script()))
         retriever = StaticRetriever({f"e{i}": "passage" for i in range(4)})
         taus = [0.0, 0.1, 0.41, 0.5, 0.96, 1.01]
-        rows = sweep(four_examples(), taus, client, retriever, "substring")
+        rows = sweep_rows(sweep(four_examples(), taus, client, retriever, "substring"), taus)
         rates = [row.retrieval_rate_pct for row in rows]
         assert rates == sorted(rates)
 
@@ -210,7 +212,8 @@ class TestSweep:
         client = ModelClient(MockBackend(entries))
         retriever = StaticRetriever({f"e{i}": "" for i in range(3)})
         examples = [example(i=f"e{i}") for i in range(3)]
-        rows = sweep(examples, [0.0, 0.5, 1.01], client, retriever, "substring")
+        taus = [0.0, 0.5, 1.01]
+        rows = sweep_rows(sweep(examples, taus, client, retriever, "substring"), taus)
         baseline = rows[0].accuracy_pct
         assert all(row.accuracy_pct == baseline for row in rows)
 
@@ -301,16 +304,17 @@ class TestSweepProperties:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
         st.lists(st.tuples(passes, st.none() | passes), min_size=1, max_size=12),
-        st.lists(st.sampled_from(GRID + (-0.5, 0.3, 1.5)), min_size=1, max_size=8),
+        st.lists(st.sampled_from(GRID + (-0.5, 0.3, 1.5, -math.inf, math.inf)), min_size=1, max_size=8),
     )
     def test_rows_equal_per_tau_answer_adaptive(self, plan, taus):
         """``plan`` holds (first pass, second pass or None for a retrieval
-        miss) per example; ``taus`` come unsorted and may repeat."""
+        miss) per example; ``taus`` come unsorted and may repeat, and may be
+        infinite, as ``--taus`` accepts."""
         examples, client, retriever = table_run(plan)
         n = len(examples)
 
         with mock.patch("confcal.harness.match_answer", wraps=match_answer) as matched:
-            rows = sweep(examples, taus, client, retriever, "numeric")
+            rows = sweep_rows(sweep(examples, taus, client, retriever, "numeric"), taus)
         assert n <= matched.call_count <= 2 * n
 
         assert rows == brute_force_sweep(examples, taus, client, retriever, "numeric")
@@ -325,7 +329,7 @@ class TestSweepProperties:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
         st.lists(st.tuples(wide_passes, st.none() | wide_passes), min_size=1, max_size=12),
-        st.lists(st.sampled_from(GRID + (-0.5, 1.5)) | st.floats(-0.1, 1.1), max_size=48),
+        st.lists(st.sampled_from(GRID + (-0.5, 1.5, -math.inf, math.inf)) | st.floats(-0.1, 1.1), max_size=48),
         st.randoms(use_true_random=False),
     )
     def test_many_more_taus_than_examples(self, plan, extra, rng):
@@ -335,7 +339,7 @@ class TestSweepProperties:
         examples, client, retriever = table_run(plan)
         taus = [first[1] for first, _ in plan] + extra
         rng.shuffle(taus)
-        rows = sweep(examples, taus, client, retriever, "numeric")
+        rows = sweep_rows(sweep(examples, taus, client, retriever, "numeric"), taus)
         assert rows == brute_force_sweep(examples, taus, client, retriever, "numeric")
 
 
@@ -385,12 +389,12 @@ class TestSweepConcurrency:
         taus = [0.0, 0.2, 0.35, 0.5, 0.75, 1.01]
 
         recorder = RecordingBackend(entries)
-        in_order = sweep(examples, taus, ModelClient(recorder), retriever, "substring")
+        in_order = sweep_rows(sweep(examples, taus, ModelClient(recorder), retriever, "substring"), taus)
         keyed = [dict(entry, digest=d) for entry, d in zip(entries, recorder.digests)]
 
-        serial = sweep(examples, taus, ModelClient(MockBackend(keyed)), retriever, "substring")
-        pooled = sweep(
-            examples, taus, ModelClient(OverlapBackend(keyed)), retriever, "substring", concurrency=4
+        serial = sweep_rows(sweep(examples, taus, ModelClient(MockBackend(keyed)), retriever, "substring"), taus)
+        pooled = sweep_rows(
+            sweep(examples, taus, ModelClient(OverlapBackend(keyed)), retriever, "substring", concurrency=4), taus
         )
         assert pooled == serial == in_order
         assert 0 < in_order[3].retrieval_rate_pct < 100
@@ -472,11 +476,13 @@ class TestDigestCalls:
         monkeypatch.setattr(client_module, "request_digest", counting)
         cache = MemoryCache()
         backend = PureBackend()
-        cold = sweep(examples, [1.01], ModelClient(backend, cache=cache), retriever, "substring")
+        cold = sweep_rows(sweep(examples, [1.01], ModelClient(backend, cache=cache), retriever, "substring"), [1.01])
         assert cold[0].retrieval_rate_pct == 100.0 and backend.calls == 4 * n
         assert len(digested) == 4 * n
         digested.clear()
-        warm = sweep(examples, [1.01], ModelClient(PureBackend(), cache=cache), retriever, "substring")
+        warm = sweep_rows(
+            sweep(examples, [1.01], ModelClient(PureBackend(), cache=cache), retriever, "substring"), [1.01]
+        )
         assert len(digested) == 4 * n and warm == cold
 
 

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -598,6 +599,45 @@ class TestEceFromBins:
             err = capsys.readouterr().err
             assert len(err.strip().splitlines()) == 1, err
 
+    @pytest.mark.parametrize("counts", [["9" * 401], ["1", "9" * 308, "9" * 308]], ids=["one-count", "summed"])
+    def test_counts_past_the_float_range(self, tmp_path, capsys, counts):
+        """A count, or counts summing, past the float range: one data error naming the row, before any output."""
+        path = tmp_path / "bins.csv"
+        path.write_text("count,mean_accuracy,mean_confidence\n" + "".join(f"{c},0.5,0.5\n" for c in counts))
+        assert main(["ece-from-bins", str(path)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"data error: {path}:{len(counts) + 1}: bad row (OverflowError") and err.count("\n") == 1
+
+
+class TestWorkEntry:
+    """The benchmark times a call's work from its first call into ``harness.run_eval``,
+    ``adaptive.sweep`` or ``sandbox.run_paradigm_comparison``, wrapped as a module
+    attribute; a command that bypassed the attribute would leave it nothing to time."""
+
+    @pytest.mark.parametrize(
+        "command, name", [("eval", "harness.run_eval"), ("sweep", "adaptive.sweep"),
+                          ("sandbox", "sandbox.run_paradigm_comparison")]
+    )
+    def test_each_command_enters_its_work_once_through_the_module(self, tmp_path, monkeypatch, command, name):
+        module_name, attr = name.split(".")
+        module = importlib.import_module(f"confcal.{module_name}")
+        real, calls = getattr(module, attr), []
+
+        def counting(*args, **kwargs):
+            calls.append(attr)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+        if command == "sandbox":
+            config = tmp_path / "sb.conf"
+            config.write_text(f"output_dir = {tmp_path / 'out'}\nsteps = 20\n")
+        else:
+            config, _ = make_generation_run(tmp_path, command=command)
+        argv = [command, "--config", str(config), *(["--taus", "0.0"] if command == "sweep" else [])]
+        assert main(argv) == EXIT_OK
+        assert calls == [attr]
+
 
 class TestSandbox:
     def run_sandbox(self, tmp_path, extra=""):
@@ -825,18 +865,22 @@ class TestCsv:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.none() | st.floats()), min_size=1, max_size=6,
-                 unique_by=lambda cut: cut[0]),
-        st.lists(st.tuples(st.floats(-1, 2), st.integers(0, 5)), min_size=1, max_size=40),
+        st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.none() | st.floats()), min_size=1, max_size=6),
+        st.data(),
     )
-    def test_sweep_rows_render_as_cell_by_cell(self, cuts, picks):
-        """Rows that repeat cut points, carry a None efficiency, or hold unsorted
-        and repeated taus render as each row's cells through csv.writer did.
-        Cut points differ in retrieval rate, as ``adaptive.sweep``'s do, so no
-        two of them compare equal (0.0 == -0.0) while rendering apart."""
-        rows = [adaptive.SweepRow(tau, *cuts[pick % len(cuts)]) for tau, pick in picks]
+    def test_sweep_rows_render_as_cell_by_cell(self, cuts, data):
+        """A cut table whose cut points share values, carry a None efficiency or
+        differ only in the sign of a zero, read at unsorted, repeated, tied and
+        infinite taus, renders as each tau's row through csv.writer: the tau,
+        then the cut point with that many confidences strictly below it."""
+        conf = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)
+        confs = sorted(data.draw(st.lists(conf, min_size=len(cuts) - 1, max_size=len(cuts) - 1)))
+        tau = st.sampled_from(confs or [0.5]) | st.floats(-1, 2) | st.sampled_from([-math.inf, math.inf])
+        taus = data.draw(st.lists(tau, min_size=1, max_size=40))
+        rows = [[tau, *cuts[sum(c < tau for c in confs)]] for tau in taus]
         header = ["tau", "retrieval_pct", "accuracy_pct", "gain_pp", "efficiency"]
-        assert cli._sweep_csv(rows) == csv_writer_text(header, [[cli._fmt(v) for v in row] for row in rows])
+        table = adaptive.SweepTable(confs, cuts)
+        assert cli._sweep_csv(table, taus) == csv_writer_text(header, [[cli._fmt(v) for v in row] for row in rows])
 
     @pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\r\n"])
     def test_cell_needing_quotes_is_refused(self, char):

@@ -191,10 +191,21 @@ class TestValueObjects:
         assert readout == twin and hash(readout) == hash(twin) and readout != readout._replace(raw=0.5)
         assert (readout.answer, readout.confidence, readout.flags, readout.raw) == ("a", 0.5, {"f"}, 0.25)
 
+    @pytest.mark.parametrize("content", ["q", "a\x7fb", "caf\u00e9 \U0001f600"], ids=["ascii", "del", "non-ascii"])
+    def test_messages_build_by_position_or_name_and_compare_by_value(self, content):
+        message, twin = Message("user", content), Message(role="user", content=content)
+        digest_form = json.dumps(["user", content], separators=(",", ":"), ensure_ascii=False)
+        assert (message.role, message.content, message.digest_form) == ("user", content, digest_form)
+        assert message == twin and hash(message) == hash(twin) and Counter([message, twin]) == {message: 2}
+        assert message != Message("assistant", content) and message != Message("user", content + " ")
+
     def test_fields_cannot_be_set(self):
         request = simple_request()
         with pytest.raises(AttributeError):
             request.max_tokens = 2
+        for field in ("role", "content", "digest_form"):
+            with pytest.raises(AttributeError):
+                setattr(request.messages[0], field, "x")
         with pytest.raises(AttributeError):
             Readout("a", 0.5, frozenset(), 0.25).raw = 1.0
 

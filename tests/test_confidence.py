@@ -13,7 +13,8 @@ from confcal.confidence import (
     p_yes,
     self_eval_confidence,
 )
-from confcal.errors import AnchorTokensAbsent, InvalidInput, InvalidLogProb, MalformedResponse
+from confcal.client import CompletionResponse, ModelClient
+from confcal.errors import AnchorTokensAbsent, InvalidInput, InvalidLogProb, MalformedResponse, NoLabelTokenPresent
 
 
 def dist(**tokens):
@@ -229,3 +230,75 @@ class TestOldFormula:
         assert p_yes(d) == c_yes
         expected = 0.5 if c_yes == c_no == 0.0 else c_yes / (c_yes + c_no)
         assert self_eval_confidence(d)[::2] == (expected, c_yes)
+
+
+def alias_sum(pairs, aliases):
+    """One alias set summed on its own: the probability of each of its tokens in the top-K, a sum past 1 being 1."""
+    return min(math.fsum([math.exp(lp) for token, lp in pairs if token in aliases]), 1.0)
+
+
+class OneReply:
+    """Backend that answers every request with one top-K."""
+
+    def __init__(self, distribution):
+        self.response = CompletionResponse("x", distribution)
+
+    def complete(self, request):
+        return self.response
+
+
+TOP_K = st.dictionaries(st.sampled_from(VOCABULARY), READOUT_LOGPROBS, max_size=len(VOCABULARY)).map(
+    lambda d: tuple(d.items())
+)
+ALIAS_SETS = st.sampled_from([DEFAULT_YES_ALIASES, DEFAULT_NO_ALIASES]) | st.frozensets(
+    st.sampled_from(VOCABULARY), min_size=1
+)
+# the self-evaluation's aliases absent, both anchors absent, and an alias set whose mass rounds past 1
+TOP_K_EXAMPLES = [
+    (("Maybe", -0.1), ("No", -2.0)),
+    (("Maybe", -0.1), ("A", -1.0)),
+    (("Yes", 0.0), (" yes", -1e-17), ("yes", -20.0), ("No", -30.0)),
+    (("No", 0.0), (" No", -1e-300), ("Yes", -math.inf)),
+]
+
+
+class TestAliasSumsInOnePass:
+    """``self_eval_confidence`` and ``ModelClient.classify`` read every alias
+    set in one pass over the top-K; each float is, by ``float.hex``, the one
+    that summing each alias set on its own gives."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(pairs=TOP_K, first=ALIAS_SETS, second=ALIAS_SETS)
+    def test_masses_of_two_sets_that_may_share_tokens(self, pairs, first, second):
+        for top_k in (pairs, *TOP_K_EXAMPLES):
+            masses = TokenDistribution.from_pairs(top_k).masses(first, second)
+            assert [m.hex() for m in masses] == [alias_sum(top_k, first).hex(), alias_sum(top_k, second).hex()]
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(pairs=TOP_K)
+    def test_self_eval_confidence(self, pairs):
+        for top_k in (pairs, *TOP_K_EXAMPLES):
+            c_yes, c_no = alias_sum(top_k, DEFAULT_YES_ALIASES), alias_sum(top_k, DEFAULT_NO_ALIASES)
+            confidence, _, raw = self_eval_confidence(TokenDistribution.from_pairs(top_k))
+            expected = 0.5 if c_yes == c_no == 0.0 else c_yes / (c_yes + c_no)
+            assert (confidence.hex(), raw.hex()) == (expected.hex(), c_yes.hex())
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        pairs=TOP_K,
+        label_set=st.dictionaries(st.sampled_from("ABCD"), ALIAS_SETS, min_size=1, max_size=4),
+    )
+    def test_classify(self, pairs, label_set):
+        """Label sets may share a token, and may have no alias in the top-K."""
+        for top_k in (pairs, *TOP_K_EXAMPLES):
+            client = ModelClient(OneReply(TokenDistribution.from_pairs(top_k)))
+            probs = {label: alias_sum(top_k, aliases) for label, aliases in label_set.items()}
+            if all(p == 0.0 for p in probs.values()):
+                with pytest.raises(NoLabelTokenPresent):
+                    client.classify("pick one", label_set)
+                continue
+            chosen = min(probs, key=lambda label: (-probs[label], label))
+            readout = client.classify("pick one", label_set)
+            assert readout.answer == chosen
+            assert readout.confidence.hex() == (probs[chosen] / math.fsum(probs.values())).hex()
+            assert readout.raw.hex() == probs[chosen].hex()
